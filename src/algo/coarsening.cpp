@@ -119,8 +119,9 @@ CoarseLevel coarsen_once(const Hypergraph& g, Weight max_cluster_weight,
 
     // Propose phase: every node that is still a singleton rates the
     // clusters it shares hyperedges with (heavy-edge rating w(e)/(|e|−1),
-    // aggregated per cluster) against the state FROZEN at round start, and
-    // proposes to join the best one that fits the weight cap. The chunk
+    // aggregated per cluster, nets above kLargeNetPins skipped) against the
+    // state FROZEN at round start, and proposes to join the best one that
+    // fits the weight cap. The chunk
     // grain is fixed — never thread-derived — and each proposal is a pure
     // function of the frozen state, so proposal[] is bit-identical at any
     // thread count.
@@ -135,7 +136,7 @@ CoarseLevel coarsen_once(const Hypergraph& g, Weight max_cluster_weight,
             scratch.touched.clear();
             for (const EdgeId e : g.incident_edges(v)) {
               const auto pins = g.pins(e);
-              if (pins.size() < 2) continue;
+              if (pins.size() < 2 || pins.size() > kLargeNetPins) continue;
               const double score = static_cast<double>(g.edge_weight(e)) /
                                    static_cast<double>(pins.size() - 1);
               for (const NodeId u : pins) {

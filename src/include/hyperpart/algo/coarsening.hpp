@@ -13,7 +13,12 @@
 // hypergraph aggregates node weights, restricts pins to clusters, and
 // merges identical hyperedges by summing weights (sharded parallel dedup).
 // Single-pin coarse edges are dropped (they can never be cut).
+//
+// Nets with more than kLargeNetPins pins carry no rating: their score
+// w(e)/(|e|−1) is negligible, yet rating them costs Σ|e|² per round. They
+// are still contracted and deduplicated like every other net.
 
+#include <cstddef>
 #include <vector>
 
 #include "hyperpart/core/hypergraph.hpp"
@@ -21,6 +26,12 @@
 #include "hyperpart/util/arena.hpp"
 
 namespace hp {
+
+/// Large-net limit shared by the clustering ratings (coarsen_once) and the
+/// affinity updates of greedy_growing_partition: a net with more pins than
+/// this is skipped by both. Everything else (contraction, dedup, FM, the
+/// connectivity tracker, every cost function) still sees every net.
+inline constexpr std::size_t kLargeNetPins = 256;
 
 struct CoarseLevel {
   Hypergraph graph;

@@ -3,8 +3,9 @@
 //
 // Random balanced assignment and greedy hypergraph growing (the standard
 // initial-partitioning step of multilevel partitioners [28, 45]): grow one
-// part at a time from a random seed node, always absorbing the node with
-// the best cut gain, until the part reaches its target weight.
+// part at a time from a random seed node, always absorbing the frontier
+// node with the highest affinity to the part, until the part reaches its
+// target weight.
 
 #include <optional>
 
@@ -21,9 +22,17 @@ namespace hp {
     const Hypergraph& g, const BalanceConstraint& balance,
     std::uint64_t seed);
 
-/// Greedy hypergraph growing into k parts. Parts are grown to weight about
-/// W/k each; the balance capacity is enforced throughout. Returns nullopt
-/// when no feasible assignment is found.
+/// Greedy hypergraph growing into k parts. Parts 0..k−2 are grown in turn
+/// to an even share of the weight still unassigned; the last part takes the
+/// rest (overflow goes to the lightest part with room). A node's affinity
+/// to the growing part is the summed weight of the nets it shares with the
+/// part's nodes, nets above kLargeNetPins (coarsening.hpp) excluded. Each
+/// step absorbs the node that fits with the highest affinity, lowest id on
+/// ties, taken from an addressable heap (O(log n) per touched node). With
+/// no positive-affinity node left that fits, a fitting node is drawn
+/// uniformly at random (in id order). The balance
+/// capacity is enforced throughout. Returns nullopt when no feasible
+/// assignment is found.
 [[nodiscard]] std::optional<Partition> greedy_growing_partition(
     const Hypergraph& g, const BalanceConstraint& balance, CostMetric metric,
     std::uint64_t seed);

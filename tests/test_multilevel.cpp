@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <utility>
+#include <vector>
+
 #include "hyperpart/algo/coarsening.hpp"
 #include "hyperpart/algo/greedy.hpp"
 #include "hyperpart/algo/recursive_bisection.hpp"
@@ -38,6 +42,77 @@ TEST(Coarsening, ProjectionPreservesCost) {
   const Partition fine = project_partition(*coarse, level.fine_to_coarse);
   EXPECT_EQ(cost(level.graph, *coarse, CostMetric::kConnectivity),
             cost(g, fine, CostMetric::kConnectivity));
+}
+
+/// Random small-net graph plus `large` nets of `large_pins` pins each,
+/// inserted among the small ones; returns the graph with and without them.
+std::pair<Hypergraph, Hypergraph> with_and_without_large_nets(
+    NodeId n, std::uint32_t large, std::uint32_t large_pins,
+    std::uint64_t seed) {
+  const Hypergraph base = random_hypergraph(n, 3 * n / 2, 2, 5, seed);
+  std::vector<std::vector<NodeId>> small;
+  for (EdgeId e = 0; e < base.num_edges(); ++e) {
+    const auto pins = base.pins(e);
+    small.emplace_back(pins.begin(), pins.end());
+  }
+  std::vector<std::vector<NodeId>> all = small;
+  for (std::uint32_t i = 0; i < large; ++i) {
+    std::vector<NodeId> pins;
+    for (NodeId j = 0; j < large_pins; ++j) {
+      pins.push_back((i * 97 + j * 7) % n);
+    }
+    all.insert(all.begin() + (i + 1) * n / (large + 1), std::move(pins));
+  }
+  return {Hypergraph::from_edges(n, std::move(all)),
+          Hypergraph::from_edges(n, std::move(small))};
+}
+
+TEST(Coarsening, LargeNetsCarryNoRating) {
+  // Nets above kLargeNetPins do not steer the clustering, but they are
+  // still contracted: a coarse partition keeps its fine cost.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const auto [g, without] = with_and_without_large_nets(
+        1000, 3, static_cast<std::uint32_t>(kLargeNetPins) + 1, seed);
+    ASSERT_EQ(g.max_edge_size(), kLargeNetPins + 1);
+    for (const unsigned threads : {1u, 4u}) {
+      const CoarseLevel level = coarsen_once(g, 10, seed, nullptr, threads);
+      const CoarseLevel ref = coarsen_once(without, 10, seed, nullptr, threads);
+      EXPECT_EQ(level.fine_to_coarse, ref.fine_to_coarse);
+      EXPECT_EQ(level.graph.num_edges(), ref.graph.num_edges() + 3);
+      const auto balance =
+          BalanceConstraint::for_graph(level.graph, 4, 0.3, true);
+      const auto coarse = random_balanced_partition(level.graph, balance, 5);
+      ASSERT_TRUE(coarse.has_value());
+      EXPECT_EQ(cost(level.graph, *coarse, CostMetric::kConnectivity),
+                cost(g, project_partition(*coarse, level.fine_to_coarse),
+                     CostMetric::kConnectivity));
+    }
+  }
+}
+
+TEST(Coarsening, NetAtTheLimitStillRates) {
+  // A net of exactly kLargeNetPins pins still changes the hierarchy; one
+  // pin more and it does not.
+  const auto [at_limit, without] = with_and_without_large_nets(
+      1000, 3, static_cast<std::uint32_t>(kLargeNetPins), 4);
+  ASSERT_EQ(at_limit.max_edge_size(), kLargeNetPins);
+  EXPECT_NE(coarsen_once(at_limit, 10, 4).fine_to_coarse,
+            coarsen_once(without, 10, 4).fine_to_coarse);
+
+  // A lone net is the only rating signal: at the limit its nodes cluster,
+  // above it every node stays a singleton.
+  for (const std::size_t pins : {kLargeNetPins, kLargeNetPins + 1}) {
+    std::vector<NodeId> net(pins);
+    std::iota(net.begin(), net.end(), NodeId{0});
+    const auto n = static_cast<NodeId>(pins);
+    const Hypergraph lone = Hypergraph::from_edges(n, {net});
+    const CoarseLevel level = coarsen_once(lone, 4, 1);
+    if (pins == kLargeNetPins) {
+      EXPECT_LT(level.graph.num_nodes(), n);
+    } else {
+      EXPECT_EQ(level.graph.num_nodes(), n);
+    }
+  }
 }
 
 TEST(Multilevel, ProducesBalancedPartitions) {
