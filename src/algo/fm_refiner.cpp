@@ -2,13 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <queue>
 #include <vector>
-
-#ifdef HP_FM_TRACE
-#include <chrono>
-#include <cstdio>
-#endif
 
 #include "hyperpart/core/connectivity_tracker.hpp"
 #include "hyperpart/obs/telemetry.hpp"
@@ -20,14 +14,15 @@ namespace hp {
 
 namespace {
 
-struct MoveCandidate {
-  Weight gain;
-  NodeId node;
-  PartId to;
-  bool operator<(const MoveCandidate& o) const noexcept {
-    return gain < o.gain;  // max-heap by gain
-  }
-};
+// A sequential pass aborts after this many consecutive non-improving moves.
+constexpr std::uint32_t kPatience = 64;
+// Stop iterating passes once a pass improved the cost by less than this
+// fraction of its start cost. Trailing passes re-scan the whole boundary to
+// recover a handful of moves; cutting them is almost free in quality.
+constexpr double kMinPassImprovement = 0.002;
+// Round cap for the synchronous mode; rounds also stop as soon as one of
+// them applies no move.
+constexpr int kMaxSyncRounds = 32;
 
 /// Per-group per-part weights for the extra constraints, kept
 /// incrementally. A node may belong to several (overlapping) groups.
@@ -85,8 +80,8 @@ struct AppliedMove {
 // Equal-gain ties resolve by a deterministic (node, part) hash: unlike
 // picking the lowest part id, this spreads plateau moves across parts
 // instead of piling them onto one, without the longer improvement runs a
-// lighter-part-first rule provokes. Shared by both engines so they pick
-// the same target for the same gain row.
+// lighter-part-first rule provokes. Shared by both modes so they pick the
+// same target for the same gain row.
 [[nodiscard]] std::uint64_t tie_rank(NodeId v, PartId q) noexcept {
   std::uint64_t x =
       (static_cast<std::uint64_t>(v) << 32) | static_cast<std::uint64_t>(q);
@@ -104,7 +99,7 @@ struct AppliedMove {
 // snapshot size.
 constexpr std::uint64_t kSyncProposeGrain = 1024;
 
-/// Synchronous-round parallel engine: propose in parallel against frozen
+/// Synchronous-round mode: propose in parallel against frozen
 /// state, commit sequentially in (gain desc, node id asc) order through
 /// the tracker's revalidating batch API. See the header for the contract.
 Weight sync_fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
@@ -118,7 +113,7 @@ Weight sync_fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
   std::vector<NodeId> snapshot;
   std::vector<std::vector<BatchMove>> chunk_out;
   std::vector<BatchMove> candidates;
-  for (int round = 0; round < cfg.max_sync_rounds; ++round) {
+  for (int round = 0; round < kMaxSyncRounds; ++round) {
     const auto& boundary = tracker.boundary_nodes();
     if (boundary.empty()) break;
     HP_SPAN("sync_round", round);
@@ -200,12 +195,11 @@ Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
                  const FmConfig& cfg) {
   const PartId k = p.k();
   const unsigned threads = cfg.threads == 0 ? default_threads() : cfg.threads;
-  const bool cached = cfg.use_gain_cache;
-  if (cached && (!tracker.gain_cache_enabled() ||
-                 tracker.gain_cache_metric() != cfg.metric)) {
+  if (!tracker.gain_cache_enabled() ||
+      tracker.gain_cache_metric() != cfg.metric) {
     tracker.enable_gain_cache(cfg.metric, threads);
   }
-  if (cfg.sync_rounds && cached && cfg.extra_constraints == nullptr) {
+  if (cfg.sync_rounds && cfg.extra_constraints == nullptr) {
     return sync_fm_refine(g, tracker, p, balance, cfg, threads);
   }
   HP_SPAN("fm");
@@ -222,26 +216,17 @@ Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
   GroupWeights groups(g, p, cfg.extra_constraints);
   std::vector<std::uint8_t> locked(g.num_nodes(), 0);
   std::vector<AppliedMove> moves;
-  std::priority_queue<MoveCandidate> heap;  // legacy engine: (node, part)
-  // Cached engine: addressable heap with exactly one entry per node, keyed
-  // by the node's best feasible cached gain and updated in place — no
-  // stale duplicates, heap size bounded by the boundary size.
-  AddressableMaxHeap<Weight, NodeId> nheap(cached ? g.num_nodes() : 0);
+  // Addressable heap with exactly one entry per node, keyed by the node's
+  // best cached gain and updated in place — no stale duplicates, heap size
+  // bounded by the boundary size.
+  AddressableMaxHeap<Weight, NodeId> heap(g.num_nodes());
 
   HP_TELEMETRY_ONLY(std::uint64_t obs_pushes = 0; std::uint64_t obs_pops = 0;
                     std::uint64_t obs_applied = 0;
                     std::uint64_t obs_rolled_back = 0;)
-  const auto push_moves = [&](NodeId v) {
-    const PartId from = tracker.part_of(v);
-    for (PartId q = 0; q < k; ++q) {
-      if (q == from) continue;
-      heap.push({tracker.gain(v, q, cfg.metric), v, q});
-      HP_TELEMETRY_ONLY(++obs_pushes;)
-    }
-  };
   // Feasible target of v among the parts attaining its cached best gain
-  // (the popped heap key). The only O(k) row scan of the cached engine —
-  // it runs once per pop, not per seeded/touched node, because the tracker
+  // (the popped heap key). The only O(k) row scan of the pass — it runs
+  // once per pop, not per seeded/touched node, because the tracker
   // maintains the best gain itself. Returns k when every best-gain target
   // is infeasible right now; the node simply rejoins the heap the next
   // time one of its gains changes.
@@ -270,44 +255,27 @@ Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
     return true;
   };
 
-#ifdef HP_FM_TRACE
-  long long trace_move_ns = 0, trace_touch_ns = 0, trace_seed_ns = 0;
-  unsigned long long trace_touched = 0, trace_pops = 0, trace_fixes = 0;
-#endif
   for (int pass = 0; pass < cfg.max_passes; ++pass) {
     HP_SPAN("pass", pass);
     HP_COUNTER_ADD("fm.passes", 1);
     HP_GAUGE_MAX("fm.boundary_peak",
                  static_cast<std::int64_t>(tracker.boundary_nodes().size()));
-    heap = {};
-    nheap.clear();
+    // Only boundary nodes can have positive gain: moving a node with no
+    // cut incident edge can only create cut. Classic FM still explores
+    // zero/negative-gain moves, but only from the cut frontier.
+    if (tracker.boundary_nodes().empty()) break;  // cost is already 0
+    heap.clear();
     std::fill(locked.begin(), locked.end(), std::uint8_t{0});
     moves.clear();
-    if (cached) {
-      // Only boundary nodes can have positive gain: moving a node with no
-      // cut incident edge can only create cut. Classic FM still explores
-      // zero/negative-gain moves, but only from the cut frontier.
-      if (tracker.boundary_nodes().empty()) break;  // cost is already 0
-#ifdef HP_FM_TRACE
-      const auto t_seed0 = std::chrono::steady_clock::now();
-#endif
-      // Key = the tracker-maintained best cached gain, feasibility checked
-      // at pop: O(1) per boundary node.
-      const auto& boundary = tracker.boundary_nodes();
-      for (std::size_t i = 0; i < boundary.size(); ++i) {
-        if (i + 8 < boundary.size()) tracker.prefetch_gain_row(boundary[i + 8]);
-        const NodeId v = boundary[i];
-        nheap.upsert(v, tracker.cached_best_gain(v));
-      }
-      HP_TELEMETRY_ONLY(obs_pushes += boundary.size();)
-#ifdef HP_FM_TRACE
-      trace_seed_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           std::chrono::steady_clock::now() - t_seed0)
-                           .count();
-#endif
-    } else {
-      for (NodeId v = 0; v < g.num_nodes(); ++v) push_moves(v);
+    // Key = the tracker-maintained best cached gain, feasibility checked
+    // at pop: O(1) per boundary node.
+    const auto& boundary = tracker.boundary_nodes();
+    for (std::size_t i = 0; i < boundary.size(); ++i) {
+      if (i + 8 < boundary.size()) tracker.prefetch_gain_row(boundary[i + 8]);
+      const NodeId v = boundary[i];
+      heap.upsert(v, tracker.cached_best_gain(v));
     }
+    HP_TELEMETRY_ONLY(obs_pushes += boundary.size();)
 
     const Weight start_cost = tracker.cost(cfg.metric);
     Weight running = start_cost;
@@ -319,77 +287,29 @@ Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
     // otherwise no single move is feasible from an exactly balanced
     // bisection. Only balanced prefixes are eligible as the rollback
     // target, so the result is always feasible.
-    while (since_improvement < cfg.patience) {
-      NodeId sel_node = 0;
-      PartId sel_to = 0;
-      Weight sel_gain = 0;
-      bool found = false;
-      if (cached) {
-        // Keys are exact, not lazy: every gain change re-keys its node via
-        // the touched list below, so the top key IS the node's current
-        // best cached gain. Only balance feasibility is checked here.
-        while (!nheap.empty()) {
-#ifdef HP_FM_TRACE
-          ++trace_pops;
-#endif
-          HP_TELEMETRY_ONLY(++obs_pops;)
-          const NodeId v = nheap.top_id();
-          const Weight key = nheap.top_key();
-          assert(key == tracker.cached_best_gain(v));
-          nheap.pop();
-          const PartId to = select_target(v, key);
-          if (to == k) continue;  // best-gain targets infeasible; drop
-          sel_node = v;
-          sel_to = to;
-          sel_gain = key;
-          found = true;
-          break;
-        }
-      } else {
-        while (!heap.empty()) {
-          const MoveCandidate cand = heap.top();
-          heap.pop();
-          if (locked[cand.node]) continue;
-          if (tracker.part_of(cand.node) == cand.to) continue;
-          const Weight fresh = tracker.gain(cand.node, cand.to, cfg.metric);
-          if (fresh != cand.gain) {
-            heap.push({fresh, cand.node, cand.to});  // stale; reinsert
-            continue;
-          }
-          if (sat_add(tracker.part_weight(cand.to), g.node_weight(cand.node)) >
-                  slack_capacity ||
-              !groups.move_feasible(g, cand.node, cand.to)) {
-            continue;  // infeasible now; dropped for this pass
-          }
-          sel_node = cand.node;
-          sel_to = cand.to;
-          sel_gain = fresh;
-          found = true;
-          break;
-        }
+    while (since_improvement < kPatience) {
+      // Keys are exact, not lazy: every gain change re-keys its node via
+      // the touched list below, so the top key IS the node's current best
+      // cached gain. Only balance feasibility is checked here.
+      NodeId v = 0;
+      Weight gain = 0;
+      PartId to = k;
+      while (to == k && !heap.empty()) {
+        HP_TELEMETRY_ONLY(++obs_pops;)
+        v = heap.top_id();
+        gain = heap.top_key();
+        assert(gain == tracker.cached_best_gain(v));
+        heap.pop();
+        to = select_target(v, gain);  // k: best-gain targets infeasible
       }
-      if (!found) break;
+      if (to == k) break;
 
-      const PartId from = tracker.part_of(sel_node);
-#ifdef HP_FM_TRACE
-      const auto t_move0 = std::chrono::steady_clock::now();
-#endif
-      tracker.move(sel_node, sel_to);
-#ifdef HP_FM_TRACE
-      trace_move_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           std::chrono::steady_clock::now() - t_move0)
-                           .count();
-#endif
-      groups.apply_move(g, sel_node, from, sel_to);
-      locked[sel_node] = 1;
-      moves.push_back({sel_node, from, sel_to});
-      running -= sel_gain;
-#ifdef HP_FM_TRACE
-      if (moves.size() % 5000 == 0) {
-        std::fprintf(stderr, "  at %zu moves running=%lld\n", moves.size(),
-                     static_cast<long long>(running));
-      }
-#endif
+      const PartId from = tracker.part_of(v);
+      tracker.move(v, to);
+      groups.apply_move(g, v, from, to);
+      locked[v] = 1;
+      moves.push_back({v, from, to});
+      running -= gain;
       if (running < best && all_balanced()) {
         best = running;
         best_prefix = moves.size();
@@ -397,55 +317,20 @@ Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
       } else {
         ++since_improvement;
       }
-      if (cached) {
-#ifdef HP_FM_TRACE
-        const auto t_touch0 = std::chrono::steady_clock::now();
-        trace_touched += tracker.last_move_touched().size();
-#endif
-        // The tracker recorded exactly the nodes whose cached gains
-        // changed; re-key those (one addressable-heap entry per node,
-        // O(1) each — the tracker already knows the new best gain).
-        const auto& touched = tracker.last_move_touched();
-        for (std::size_t i = 0; i < touched.size(); ++i) {
-          const NodeId u = touched[i];
-          if (locked[u]) continue;
-          if (!tracker.is_boundary(u)) {
-            nheap.erase(u);  // left the cut frontier; all gains ≤ 0
-          } else {
-            nheap.upsert(u, tracker.cached_best_gain(u));
-            HP_TELEMETRY_ONLY(++obs_pushes;)
-          }
-        }
-#ifdef HP_FM_TRACE
-        trace_touch_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now() - t_touch0)
-                              .count();
-#endif
-      } else {
-        // Gains of neighbors changed; push fresh candidates (lazy heap).
-        for (const EdgeId e : g.incident_edges(sel_node)) {
-          for (const NodeId u : g.pins(e)) {
-            if (!locked[u]) push_moves(u);
-          }
+      // The tracker recorded exactly the nodes whose cached gains changed;
+      // re-key those (one heap entry per node, O(1) each — the tracker
+      // already knows the new best gain).
+      for (const NodeId u : tracker.last_move_touched()) {
+        if (locked[u]) continue;
+        if (!tracker.is_boundary(u)) {
+          heap.erase(u);  // left the cut frontier; all gains ≤ 0
+        } else {
+          heap.upsert(u, tracker.cached_best_gain(u));
+          HP_TELEMETRY_ONLY(++obs_pushes;)
         }
       }
     }
 
-#ifdef HP_FM_TRACE
-    std::fprintf(stderr,
-                 "pass %d engine=%s moves=%zu start=%lld best=%lld "
-                 "move_ms=%.1f touch_ms=%.1f seed_ms=%.1f touched=%llu "
-                 "pops=%llu fixes=%llu\n",
-                 pass, cached ? "cached" : "legacy", moves.size(),
-                 static_cast<long long>(start_cost),
-                 static_cast<long long>(best), trace_move_ns * 1e-6,
-                 trace_touch_ns * 1e-6, trace_seed_ns * 1e-6,
-                 static_cast<unsigned long long>(trace_touched),
-                 static_cast<unsigned long long>(trace_pops),
-                 static_cast<unsigned long long>(trace_fixes));
-    trace_move_ns = trace_touch_ns = trace_seed_ns = 0;
-    trace_touched = trace_pops = trace_fixes = 0;
-#endif
     // Roll back past the best prefix.
     for (std::size_t i = moves.size(); i > best_prefix; --i) {
       const auto& m = moves[i - 1];
@@ -456,7 +341,7 @@ Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
                       obs_rolled_back += moves.size() - best_prefix;)
     if (best >= start_cost) break;  // pass brought no improvement
     if (static_cast<double>(start_cost - best) <
-        cfg.min_pass_improvement * static_cast<double>(start_cost)) {
+        kMinPassImprovement * static_cast<double>(start_cost)) {
       break;  // converged: the next pass would win even less
     }
   }

@@ -5,54 +5,107 @@
 
 #include "hyperpart/algo/coarsening.hpp"
 #include "hyperpart/algo/greedy.hpp"
+#include "hyperpart/algo/vcycle.hpp"
 #include "hyperpart/obs/telemetry.hpp"
 #include "hyperpart/util/rng.hpp"
 #include "hyperpart/util/thread_pool.hpp"
 
 namespace hp {
 
+namespace {
+
+/// FM config for a level of n nodes. The engine mode is a pure function of
+/// the level's node count (see sync_fm_min_nodes) — thread count must never
+/// influence it.
+[[nodiscard]] FmConfig level_fm(const MultilevelConfig& cfg, NodeId n) {
+  FmConfig fm = cfg.fm;
+  fm.metric = cfg.metric;
+  fm.sync_rounds = n >= cfg.sync_fm_min_nodes;
+  return fm;
+}
+
+/// Coarse partition induced by a fine one under within-part clustering.
+[[nodiscard]] Partition induce_coarse(const Partition& fine,
+                                      const CoarseLevel& level) {
+  Partition coarse(level.graph.num_nodes(), fine.k());
+  for (NodeId v = 0; v < fine.num_nodes(); ++v) {
+    coarse.assign(level.fine_to_coarse[v], fine[v]);
+  }
+  return coarse;
+}
+
+/// Coarsen g into `levels` until the coarsest level has at most
+/// max(coarsen_limit, 4k) nodes or a level stops shrinking (clustering is
+/// saturated). Clusters are capped so the coarsest level still admits a
+/// balanced partition: never above a third of the per-part capacity. Draws
+/// one rng value per coarsen_once call, including a final saturated
+/// attempt that produces no level, and returns the number of draws. When
+/// `restrict_parts` is given, clusters stay within one of its parts and
+/// `induced` receives the partition each level inherits from it.
+std::uint32_t coarsen(const Hypergraph& g, const BalanceConstraint& balance,
+                      const MultilevelConfig& cfg, Rng& rng,
+                      std::vector<CoarseLevel>& levels,
+                      const Partition* restrict_parts = nullptr,
+                      std::vector<Partition>* induced = nullptr) {
+  const Weight max_cluster = std::max<Weight>(1, balance.capacity() / 3);
+  const NodeId stop_at = std::max<NodeId>(cfg.coarsen_limit, 4 * balance.k());
+  const unsigned threads =
+      cfg.fm.threads == 0 ? default_threads() : cfg.fm.threads;
+  // One scratch pool for the whole descent: every level below the first
+  // bump-allocates into the blocks the level above already fetched.
+  CoarsenMemory coarsen_mem;
+  std::uint32_t draws = 0;
+  const Hypergraph* current = &g;
+  while (current->num_nodes() > stop_at) {
+    HP_SPAN("coarsen", "level", levels.size());
+    ++draws;
+    CoarseLevel next = coarsen_once(*current, max_cluster, rng(),
+                                    restrict_parts, threads, &coarsen_mem);
+    // Insufficient shrinkage means clustering is saturated; stop.
+    if (next.graph.num_nodes() >
+        static_cast<NodeId>(0.95 * current->num_nodes())) {
+      break;
+    }
+    if (restrict_parts != nullptr) {
+      induced->push_back(induce_coarse(*restrict_parts, next));
+      restrict_parts = &induced->back();
+    }
+    levels.push_back(std::move(next));
+    current = &levels.back().graph;
+  }
+  return draws;
+}
+
+/// Project p from the coarsest of `levels` back onto g, refining every
+/// finer level on the way.
+[[nodiscard]] Partition uncoarsen(const Hypergraph& g,
+                                  const std::vector<CoarseLevel>& levels,
+                                  Partition p,
+                                  const BalanceConstraint& balance,
+                                  const MultilevelConfig& cfg) {
+  for (auto it = levels.rbegin(); it != levels.rend(); ++it) {
+    HP_SPAN("uncoarsen", "level", levels.rend() - it - 1);
+    p = project_partition(p, it->fine_to_coarse);
+    const Hypergraph& fine =
+        (it + 1 == levels.rend()) ? g : (it + 1)->graph;
+    fm_refine(fine, p, balance, level_fm(cfg, fine.num_nodes()));
+  }
+  return p;
+}
+
+}  // namespace
+
 std::optional<Partition> multilevel_partition_cached(
     const Hypergraph& g, const BalanceConstraint& balance,
     const MultilevelConfig& cfg, MultilevelHierarchy* hierarchy) {
   HP_SPAN("multilevel");
-  const PartId k = balance.k();
   Rng rng{cfg.seed};
-  FmConfig fm = cfg.fm;
-  fm.metric = cfg.metric;
-  const unsigned threads = fm.threads == 0 ? default_threads() : fm.threads;
-  // Engine choice per level: a pure function of the level's node count (see
-  // sync_fm_min_nodes) — thread count must never influence it.
-  const auto fm_for = [&](NodeId n) {
-    FmConfig level_fm = fm;
-    level_fm.sync_rounds = n >= cfg.sync_fm_min_nodes;
-    return level_fm;
-  };
 
   // --- Coarsening phase ---------------------------------------------------
-  // Clusters are capped so the coarsest level still admits a balanced
-  // partition: never above a third of the per-part capacity.
   MultilevelHierarchy local;
   MultilevelHierarchy& hier = hierarchy ? *hierarchy : local;
   if (hier.empty()) {
-    const Weight max_cluster = std::max<Weight>(1, balance.capacity() / 3);
-    const Hypergraph* current = &g;
-    const NodeId stop_at = std::max<NodeId>(cfg.coarsen_limit, 4 * k);
-    // One scratch pool for the whole descent: every level below the first
-    // bump-allocates into the blocks the level above already fetched.
-    CoarsenMemory coarsen_mem;
-    while (current->num_nodes() > stop_at) {
-      HP_SPAN("coarsen", "level", hier.levels.size());
-      ++hier.rng_draws;
-      CoarseLevel next = coarsen_once(*current, max_cluster, rng(), nullptr,
-                                      threads, &coarsen_mem);
-      // Insufficient shrinkage means matching is saturated; stop.
-      if (next.graph.num_nodes() >
-          static_cast<NodeId>(0.95 * current->num_nodes())) {
-        break;
-      }
-      hier.levels.push_back(std::move(next));
-      current = &hier.levels.back().graph;
-    }
+    hier.rng_draws = coarsen(g, balance, cfg, rng, hier.levels);
   } else {
     // Reuse: the cached levels ARE the coarsening a fresh run would have
     // produced (callers guarantee graph + capacity + seed match). Replay
@@ -63,14 +116,13 @@ std::optional<Partition> multilevel_partition_cached(
     HP_COUNTER_ADD("multilevel.hierarchy_reuses", 1);
   }
   const std::vector<CoarseLevel>& levels = hier.levels;
-  const Hypergraph* current = levels.empty() ? &g : &levels.back().graph;
+  const Hypergraph& coarsest = levels.empty() ? g : levels.back().graph;
   HP_COUNTER_ADD("multilevel.runs", 1);
   HP_COUNTER_ADD("multilevel.levels",
                  static_cast<std::int64_t>(levels.size()));
-  HP_GAUGE_MAX("multilevel.coarsest_nodes", current->num_nodes());
+  HP_GAUGE_MAX("multilevel.coarsest_nodes", coarsest.num_nodes());
 
   // --- Initial partitioning on the coarsest level --------------------------
-  const Hypergraph& coarsest = *current;
   std::optional<Partition> best;
   Weight best_cost = 0;
   {
@@ -81,8 +133,8 @@ std::optional<Partition> multilevel_partition_cached(
               ? greedy_growing_partition(coarsest, balance, cfg.metric, rng())
               : random_balanced_partition(coarsest, balance, rng());
       if (!candidate) continue;
-      const Weight c =
-          fm_refine(coarsest, *candidate, balance, fm_for(coarsest.num_nodes()));
+      const Weight c = fm_refine(coarsest, *candidate, balance,
+                                 level_fm(cfg, coarsest.num_nodes()));
       if (!best || c < best_cost) {
         best = std::move(candidate);
         best_cost = c;
@@ -92,21 +144,38 @@ std::optional<Partition> multilevel_partition_cached(
   if (!best) return std::nullopt;
 
   // --- Uncoarsening + refinement -------------------------------------------
-  Partition p = std::move(*best);
-  for (auto it = levels.rbegin(); it != levels.rend(); ++it) {
-    HP_SPAN("uncoarsen", "level", levels.rend() - it - 1);
-    p = project_partition(p, it->fine_to_coarse);
-    const Hypergraph& fine =
-        (it + 1 == levels.rend()) ? g : (it + 1)->graph;
-    fm_refine(fine, p, balance, fm_for(fine.num_nodes()));
-  }
-  return p;
+  return uncoarsen(g, levels, std::move(*best), balance, cfg);
 }
 
 std::optional<Partition> multilevel_partition(const Hypergraph& g,
                                               const BalanceConstraint& balance,
                                               const MultilevelConfig& cfg) {
   return multilevel_partition_cached(g, balance, cfg, nullptr);
+}
+
+Weight vcycle_refine(const Hypergraph& g, Partition& p,
+                     const BalanceConstraint& balance,
+                     const MultilevelConfig& cfg, int cycles) {
+  Rng rng{cfg.seed ^ 0x5ec7c1e5ULL};
+  Weight result = fm_refine(g, p, balance, level_fm(cfg, g.num_nodes()));
+  for (int cycle = 0; cycle < cycles; ++cycle) {
+    // Partition-aware coarsening: p projects losslessly onto every level.
+    std::vector<CoarseLevel> levels;
+    std::vector<Partition> induced;
+    coarsen(g, balance, cfg, rng, levels, &p, &induced);
+    if (levels.empty()) break;
+
+    Partition coarse = std::move(induced.back());
+    fm_refine(levels.back().graph, coarse, balance,
+              level_fm(cfg, levels.back().graph.num_nodes()));
+    Partition refined = uncoarsen(g, levels, std::move(coarse), balance, cfg);
+    const Weight refined_cost = cost(g, refined, cfg.metric);
+    if (refined_cost < result) {
+      result = refined_cost;
+      p = std::move(refined);
+    }
+  }
+  return result;
 }
 
 }  // namespace hp

@@ -50,19 +50,14 @@ struct CoarseLevel {
 /// on entry, so stats read AFTER a call describe that call.
 class CoarsenMemory {
  public:
-  explicit CoarsenMemory(
-      std::size_t seq_block_bytes = std::size_t{1} << 22,
-      std::size_t chunk_block_bytes = Arena::kDefaultBlockBytes) noexcept
-      : seq_(seq_block_bytes), chunk_block_bytes_(chunk_block_bytes) {}
-
   [[nodiscard]] Arena& seq() noexcept { return seq_; }
   /// Arena owned by edge chunk `c`; grows the pool on first use.
   [[nodiscard]] Arena& chunk(std::size_t c) {
-    while (chunks_.size() <= c) chunks_.emplace_back(chunk_block_bytes_);
+    ensure_chunks(c + 1);
     return chunks_[c];
   }
   void ensure_chunks(std::size_t count) {
-    while (chunks_.size() < count) chunks_.emplace_back(chunk_block_bytes_);
+    while (chunks_.size() < count) chunks_.emplace_back();
   }
 
   void reset() noexcept {
@@ -98,9 +93,10 @@ class CoarsenMemory {
   }
 
  private:
-  Arena seq_;
+  // The sequential scratch holds whole per-level arrays, so it gets larger
+  // blocks than the per-chunk bucket arenas (Arena::kDefaultBlockBytes).
+  Arena seq_{std::size_t{1} << 22};
   std::vector<Arena> chunks_;
-  std::size_t chunk_block_bytes_;
 };
 
 /// One level of parallel clustering coarsening (a few proposal rounds, see

@@ -1,37 +1,36 @@
 #pragma once
 // k-way Fiduccia–Mattheyses refinement.
 //
-// Classic pass-based local search: repeatedly apply the best-gain feasible
-// single-node move, lock the node, and at the end of a pass roll back to
-// the best prefix seen. Balance is enforced against the single ε-balance
-// capacity, and optionally against extra constraint groups (Definition 6.1
-// multi-constraint / Definition 5.1 layer-wise), which is what makes the
-// refiner usable for the paper's multi-constraint experiments.
+// One engine, run off the ConnectivityTracker's incrementally-maintained
+// gain cache and best-move index. Balance is enforced against the single
+// ε-balance capacity, and optionally against extra constraint groups
+// (Definition 6.1 multi-constraint / Definition 5.1 layer-wise), which is
+// what makes the refiner usable for the paper's multi-constraint
+// experiments. The engine has two modes.
 //
-// Two engines share the pass structure. The default boundary-driven engine
-// runs off the ConnectivityTracker's incrementally-maintained gain cache
-// and best-move index: passes seed an addressable per-node heap with
-// boundary nodes only (nodes on cut edges — everything else has
-// non-positive gain), keyed by the tracker's O(1) best cached gain. Keys
-// are exact rather than lazy — after each move precisely the nodes whose
-// cached gains changed are re-keyed in place — so a pop needs no
-// revalidation, just one O(k) feasibility scan to pick the target part.
-// The legacy engine (use_gain_cache = false) recomputes gains by
-// rescanning incident edges and seeds all n·(k−1) moves; it is kept as
-// the reference baseline measured by bench_refine_scaling.
+// Sequential boundary FM (the default) is classic pass-based local search:
+// repeatedly apply the best-gain feasible single-node move, lock the node,
+// and at the end of a pass roll back to the best prefix seen. A pass seeds
+// an addressable per-node heap with boundary nodes only (nodes on cut
+// edges — everything else has non-positive gain), keyed by the tracker's
+// O(1) best cached gain. Keys are exact rather than lazy — after each move
+// precisely the nodes whose cached gains changed are re-keyed in place — so
+// a pop needs no revalidation, just one O(k) feasibility scan to pick the
+// target part.
 //
-// A third engine (sync_rounds = true) trades the sequential pass for
-// deterministic synchronous move rounds in the BiPart / deterministic
-// Mt-KaHyPar style: each round snapshots the boundary, computes best-gain
-// proposals in parallel over fixed-grain chunks of the snapshot (pure
-// functions of the frozen tracker state), orders the surviving proposals
-// by (gain desc, node id asc), and commits them sequentially through
+// Synchronous rounds (sync_rounds = true) trade the sequential pass for
+// deterministic move rounds in the BiPart / deterministic Mt-KaHyPar
+// style: each round snapshots the boundary, computes best-gain proposals
+// in parallel over fixed-grain chunks of the snapshot (pure functions of
+// the frozen tracker state), orders the surviving proposals by (gain desc,
+// node id asc), and commits them sequentially through
 // ConnectivityTracker::apply_batch, which revalidates every proposal
 // against the live state. Only strictly positive revalidated gains within
 // the hard capacity apply, so rounds are monotone, never unbalance the
 // partition, and produce a bit-identical result at any thread count.
-
-#include <cstdint>
+//
+// Pass patience, the pass-convergence threshold and the round cap are
+// constants in fm_refiner.cpp, not configuration.
 
 #include "hyperpart/core/balance.hpp"
 #include "hyperpart/core/metrics.hpp"
@@ -43,35 +42,22 @@ class ConnectivityTracker;
 
 struct FmConfig {
   CostMetric metric = CostMetric::kConnectivity;
-  /// Maximum number of passes; each pass is O(pins · log) amortized.
+  /// Maximum number of sequential passes; each pass is O(pins · log)
+  /// amortized.
   int max_passes = 8;
-  /// A pass aborts after this many consecutive non-improving moves.
-  std::uint32_t patience = 64;
-  /// Stop iterating passes once a pass improved the cost by less than this
-  /// fraction of its start cost (0 = keep going until a pass brings no
-  /// improvement at all). Trailing passes re-scan the whole boundary to
-  /// recover a handful of moves; cutting them is almost free in quality.
-  double min_pass_improvement = 0.002;
   /// Optional extra balance groups that every move must respect.
   const ConstraintSet* extra_constraints = nullptr;
-  /// Boundary-driven gain-cache engine (default) vs. the legacy
-  /// recompute-every-gain engine kept for baseline measurements.
-  bool use_gain_cache = true;
   /// Threads for tracker/gain-cache construction (0 = default_threads()).
   /// The refined partition is identical for every thread count.
   unsigned threads = 1;
-  /// Use the synchronous-round parallel engine (see the file header)
-  /// instead of the sequential pass. Requires the gain cache; falls back
-  /// to the sequential engine when extra_constraints are set (group
-  /// feasibility is stateful across moves and is not revalidated by the
-  /// batch commit) or use_gain_cache is false. The choice of engine must
-  /// never depend on the thread count — callers gate it on instance size
-  /// (e.g. MultilevelConfig::sync_fm_min_nodes) so results stay identical
-  /// across thread counts.
+  /// Run synchronous rounds (see the file header) instead of sequential
+  /// passes. Falls back to sequential passes when extra_constraints are set
+  /// (group feasibility is stateful across moves and is not revalidated by
+  /// the batch commit). The choice of mode must never depend on the thread
+  /// count — callers gate it on instance size (e.g.
+  /// MultilevelConfig::sync_fm_min_nodes) so results stay identical across
+  /// thread counts.
   bool sync_rounds = false;
-  /// Round cap for the synchronous engine; rounds also stop as soon as one
-  /// of them applies no move.
-  int max_sync_rounds = 32;
 };
 
 /// Refine `p` in place; returns the final cost under cfg.metric.
@@ -83,8 +69,8 @@ Weight fm_refine(const Hypergraph& g, Partition& p,
 /// Construction (and gain-cache fill) cost is paid by the caller exactly
 /// once, so drivers that already keep a tracker — and benchmarks that time
 /// construction as its own stage — don't rebuild it per refinement call.
-/// Enables the gain cache on the tracker when cfg asks for an engine or
-/// metric it doesn't have yet. On return the tracker reflects the refined
+/// Enables the gain cache on the tracker when it is off or built for
+/// another metric. On return the tracker reflects the refined
 /// partition written to `p`.
 Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
                  Partition& p, const BalanceConstraint& balance,

@@ -22,11 +22,11 @@ struct MultilevelConfig {
   int initial_tries = 8;
   FmConfig fm{};
   std::uint64_t seed = 1;
-  /// Levels with at least this many nodes refine with the synchronous-round
-  /// parallel FM engine (FmConfig::sync_rounds); smaller levels — and the
-  /// coarsest-level initial refinement — use the sequential engine, whose
+  /// Levels with at least this many nodes refine with FM's synchronous
+  /// parallel rounds (FmConfig::sync_rounds); smaller levels — and the
+  /// coarsest-level initial refinement — use sequential passes, whose
   /// rollback discipline wins more on small instances than parallel rounds
-  /// do. The switch depends only on the level's node count, never on the
+  /// do (DESIGN.md "Parallel multilevel engine" has the measurement). The switch depends only on the level's node count, never on the
   /// thread count, so partitions stay bit-identical across thread counts.
   /// Set to 0 to force the synchronous engine everywhere it is legal, or
   /// to kInvalidNode to disable it.

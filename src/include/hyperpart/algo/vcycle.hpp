@@ -2,7 +2,8 @@
 // V-cycle refinement [28, 45]: iterate the multilevel scheme on an already
 // partitioned hypergraph. Coarsening is restricted to clusters within one
 // part, so the current partition projects losslessly onto every level and
-// refinement can only improve it.
+// refinement can only improve it. Defined in multilevel.cpp: a V-cycle runs
+// multilevel_partition's own coarsening and uncoarsening loops.
 
 #include "hyperpart/algo/multilevel.hpp"
 #include "hyperpart/core/partition.hpp"

@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -61,6 +62,16 @@ namespace {
   return v->as_int();
 }
 
+/// True when v is an integral JSON number that the unsigned id type T holds
+/// exactly. Fractional and out-of-range values must be refused: the cast
+/// to T would silently truncate them to some other, valid id.
+template <typename T>
+[[nodiscard]] bool fits(const json::Value& v) {
+  return v.is_number() && v.is_integral() && v.as_int() >= 0 &&
+         static_cast<std::uint64_t>(v.as_int()) <=
+             std::numeric_limits<T>::max();
+}
+
 struct MutatorSlot {
   GraphSession* session = nullptr;
   ~MutatorSlot() {
@@ -104,20 +115,20 @@ bool parse_weight_updates(const json::Value& req, const char* key,
     return false;
   }
   for (const json::Value& pair : v->as_array()) {
-    if (!pair.is_array() || pair.as_array().size() != 2 ||
-        !pair.as_array()[0].is_number() || !pair.as_array()[1].is_number()) {
+    if (!pair.is_array() || pair.as_array().size() != 2) {
       err = std::string(key) + " entries must be [id, weight] pairs";
       return false;
     }
-    WeightUpdate u;
-    const std::int64_t id = pair.as_array()[0].as_int();
-    if (id < 0) {
-      err = std::string(key) + ": negative id";
+    const json::Value& id = pair.as_array()[0];
+    const json::Value& weight = pair.as_array()[1];
+    if (!fits<decltype(WeightUpdate::id)>(id) ||
+        !weight.is_number() || !weight.is_integral()) {
+      err = std::string(key) +
+            " entries must be [id, weight] with a 32-bit non-negative "
+            "integer id and an integer weight";
       return false;
     }
-    u.id = static_cast<std::uint32_t>(id);
-    u.weight = pair.as_array()[1].as_int();
-    out.push_back(u);
+    out.push_back({static_cast<std::uint32_t>(id.as_int()), weight.as_int()});
   }
   return true;
 }
@@ -130,8 +141,8 @@ bool parse_pin_array(const json::Value& v, const char* ctx,
     return false;
   }
   for (const json::Value& p : v.as_array()) {
-    if (!p.is_number() || !p.is_integral() || p.as_int() < 0) {
-      err = std::string(ctx) + ": pins must be non-negative integers";
+    if (!fits<NodeId>(p)) {
+      err = std::string(ctx) + ": pins must be 32-bit non-negative integers";
       return false;
     }
     pins.push_back(static_cast<NodeId>(p.as_int()));
@@ -151,8 +162,8 @@ bool parse_structural(const json::Value& req, std::vector<StructuralDelta>& out,
       return false;
     }
     for (const json::Value& id : v->as_array()) {
-      if (!id.is_number() || !id.is_integral() || id.as_int() < 0) {
-        err = "remove_nets entries must be non-negative net ids";
+      if (!fits<EdgeId>(id)) {
+        err = "remove_nets entries must be 32-bit non-negative net ids";
         return false;
       }
       StructuralDelta d;
@@ -172,10 +183,9 @@ bool parse_structural(const json::Value& req, std::vector<StructuralDelta>& out,
     for (const json::Value& o : v->as_array()) {
       const json::Value* net = o.is_object() ? o.find("net") : nullptr;
       const json::Value* pins = o.is_object() ? o.find("pins") : nullptr;
-      if (!net || !net->is_number() || !net->is_integral() ||
-          net->as_int() < 0 || !pins) {
+      if (!net || !fits<EdgeId>(*net) || !pins) {
         err = std::string(key) +
-              " entries need a non-negative net id and a pins array";
+              " entries need a 32-bit non-negative net id and a pins array";
         return false;
       }
       StructuralDelta d;
@@ -510,9 +520,11 @@ std::string Server::handle_request(const std::string& payload,
     bool bad = false;
     const auto k = int_field(req, "k", 2, &bad);
     const auto seed = int_field(req, "seed", 1, &bad);
-    if (bad || !k || *k < 2 || !seed) {
-      return json::dump(error_response("k must be an integer >= 2 and seed "
-                                       "an integer"));
+    if (bad || !k || *k < 2 ||
+        *k > static_cast<std::int64_t>(std::numeric_limits<PartId>::max()) ||
+        !seed) {
+      return json::dump(error_response("k must be a 32-bit integer >= 2 and "
+                                       "seed an integer"));
     }
     SessionConfig cfg;
     cfg.k = static_cast<PartId>(*k);

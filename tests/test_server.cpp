@@ -859,6 +859,102 @@ TEST(ServerTest, StructuralUpdateAndVersionPinningOverSocket) {
   ::close(fd);
 }
 
+namespace {
+
+/// Load the test graph over `fd`; returns its graph key ("" on failure).
+std::string load_test_graph(RunningServer& rs, int fd) {
+  json::Value load = req("load");
+  load.set("path", json::Value(rs.write_graph()));
+  const auto loaded = rpc(fd, load);
+  if (!ok_of(loaded)) return "";
+  return loaded->find("graph")->as_string();
+}
+
+/// An update frame whose node_weights carry the single pair [id, weight].
+json::Value node_weight_update(const std::string& graph, json::Value id,
+                               json::Value weight) {
+  json::Value update = req("update");
+  update.set("graph", json::Value(graph));
+  json::Array pair;
+  pair.push_back(std::move(id));
+  pair.push_back(std::move(weight));
+  json::Array pairs;
+  pairs.push_back(json::Value(std::move(pair)));
+  update.set("node_weights", json::Value(std::move(pairs)));
+  return update;
+}
+
+}  // namespace
+
+// Ids, pins and k cross the trust boundary as 64-bit JSON numbers; each
+// must be refused when it does not fit its 32-bit target, not truncated.
+TEST(ServerTest, RejectsNodeWeightIdAbove32Bits) {
+  RunningServer rs;
+  const int fd = connect_unix(rs.sock);
+  ASSERT_GE(fd, 0);
+  const std::string graph = load_test_graph(rs, fd);
+  ASSERT_FALSE(graph.empty());
+  // 2^32 would truncate to node 0.
+  const auto r = rpc(fd, node_weight_update(graph,
+                                            json::Value(std::int64_t{1} << 32),
+                                            json::Value(std::int64_t{7})));
+  ASSERT_TRUE(r.has_value());
+  EXPECT_FALSE(ok_of(r));
+  EXPECT_NE(error_of(r).find("node_weights"), std::string::npos);
+  ::close(fd);
+}
+
+TEST(ServerTest, RejectsRemoveNetIdAbove32Bits) {
+  RunningServer rs;
+  const int fd = connect_unix(rs.sock);
+  ASSERT_GE(fd, 0);
+  const std::string graph = load_test_graph(rs, fd);
+  ASSERT_FALSE(graph.empty());
+  // 2^32 + 1 would truncate to net 1.
+  json::Value update = req("update");
+  update.set("graph", json::Value(graph));
+  json::Array removes;
+  removes.push_back(json::Value((std::int64_t{1} << 32) + 1));
+  update.set("remove_nets", json::Value(std::move(removes)));
+  const auto r = rpc(fd, update);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_FALSE(ok_of(r));
+  EXPECT_NE(error_of(r).find("remove_nets"), std::string::npos);
+  ::close(fd);
+}
+
+TEST(ServerTest, RejectsFractionalNodeWeightPair) {
+  RunningServer rs;
+  const int fd = connect_unix(rs.sock);
+  ASSERT_GE(fd, 0);
+  const std::string graph = load_test_graph(rs, fd);
+  ASSERT_FALSE(graph.empty());
+  // [1.9, 2.5] would truncate to node 1, weight 2.
+  const auto r = rpc(
+      fd, node_weight_update(graph, json::Value(1.9), json::Value(2.5)));
+  ASSERT_TRUE(r.has_value());
+  EXPECT_FALSE(ok_of(r));
+  EXPECT_NE(error_of(r).find("node_weights"), std::string::npos);
+  ::close(fd);
+}
+
+TEST(ServerTest, RejectsPartCountAbove32Bits) {
+  RunningServer rs;
+  const int fd = connect_unix(rs.sock);
+  ASSERT_GE(fd, 0);
+  const std::string graph = load_test_graph(rs, fd);
+  ASSERT_FALSE(graph.empty());
+  // 2^32 + 2 would truncate to k = 2.
+  json::Value part = req("partition");
+  part.set("graph", json::Value(graph));
+  part.set("k", json::Value((std::int64_t{1} << 32) + 2));
+  const auto r = rpc(fd, part);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_FALSE(ok_of(r));
+  EXPECT_NE(error_of(r).find("k must be"), std::string::npos);
+  ::close(fd);
+}
+
 TEST(ServerTest, RefusesToStartWhenSocketPathIsNotASocket) {
   TempDir dir;
   const fs::path path = dir.path / "not_a.sock";

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "hyperpart/algo/coarsening.hpp"
 #include "hyperpart/algo/greedy.hpp"
 #include "hyperpart/io/generators.hpp"
@@ -37,6 +40,36 @@ TEST(Vcycle, ImprovesOverPlainFmOnStructuredInstance) {
   // much more than single-level moves from a random start.
   EXPECT_LT(after, cost(g, *random_balanced_partition(g, balance, 9),
                         CostMetric::kConnectivity));
+}
+
+TEST(Vcycle, IdenticalAcrossThreadCounts) {
+  // sync_fm_min_nodes = 0 runs synchronous FM rounds on every level, so
+  // the parallel propose phase is exercised end to end; the V-cycle's
+  // result must still not depend on the thread count. The instance is
+  // large enough that boundaries and coarsening span several chunks.
+  const Hypergraph g = random_hypergraph(5000, 6000, 2, 6, 17);
+  const auto balance = BalanceConstraint::for_graph(g, 4, 0.1, true);
+  const auto start = random_balanced_partition(g, balance, 3);
+  ASSERT_TRUE(start.has_value());
+  const Weight before = cost(g, *start, CostMetric::kConnectivity);
+  MultilevelConfig cfg;
+  cfg.seed = 7;
+  cfg.sync_fm_min_nodes = 0;
+  std::optional<Partition> serial;
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    cfg.fm.threads = threads;
+    Partition p = *start;
+    const Weight after = vcycle_refine(g, p, balance, cfg, 2);
+    EXPECT_LE(after, before) << "threads " << threads;
+    EXPECT_EQ(after, cost(g, p, CostMetric::kConnectivity));
+    EXPECT_TRUE(balance.satisfied(g, p)) << "threads " << threads;
+    if (!serial) {
+      serial = p;
+    } else {
+      EXPECT_TRUE(std::ranges::equal(p.raw(), serial->raw()))
+          << "threads " << threads;
+    }
+  }
 }
 
 TEST(Vcycle, PartitionAwareCoarseningKeepsParts) {
