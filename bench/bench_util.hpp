@@ -33,6 +33,7 @@
 
 #include "hyperpart/obs/json.hpp"
 #include "hyperpart/obs/telemetry.hpp"
+#include "hyperpart/util/cli.hpp"
 #include "hyperpart/util/thread_pool.hpp"
 #include "hyperpart/util/timer.hpp"
 
@@ -264,13 +265,6 @@ inline int register_case(const char* name, const char* claim,
   return 0;
 }
 
-[[noreturn]] inline void bench_usage(const std::string& bench) {
-  std::cerr << "usage: bench_" << bench
-            << " [--list] [--smoke] [--case NAME]...\n"
-               "         [--json out.json] [--telemetry out.json]\n";
-  std::exit(2);
-}
-
 inline int bench_main(int argc, char** argv, const char* bench_name) {
   const std::string bench = bench_name;
   bool list = false;
@@ -279,30 +273,13 @@ inline int bench_main(int argc, char** argv, const char* bench_name) {
   std::string telemetry_path;
   std::vector<std::string> selected;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "error: " << arg << " expects a value\n";
-        bench_usage(bench);
-      }
-      return argv[++i];
-    };
-    if (arg == "--list") {
-      list = true;
-    } else if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--json") {
-      json_path = value();
-    } else if (arg == "--telemetry") {
-      telemetry_path = value();
-    } else if (arg == "--case") {
-      selected.push_back(value());
-    } else {
-      std::cerr << "error: unknown argument '" << arg << "'\n";
-      bench_usage(bench);
-    }
-  }
+  cli::Parser cli("bench_" + bench, "[options]");
+  cli.flag("--list", list)
+      .flag("--smoke", smoke)
+      .list("--case", "NAME", selected)
+      .text("--json", "out.json", json_path)
+      .text("--telemetry", "out.json", telemetry_path);
+  cli.parse(argc, argv);
 
   if (list) {
     for (const CaseDef& c : registry()) {

@@ -63,6 +63,12 @@ void convert_hmetis_file(const std::string& hmetis_path,
 /// throw on unreadable/short files — they are simply not binary).
 [[nodiscard]] bool is_binary_file(const std::string& path);
 
+/// Load a hypergraph file of either format, sniffed with is_binary_file: a
+/// binary file is mapped and materialized into mutable storage (the mapping
+/// is dropped on return), anything else is parsed as hMETIS text. Throws
+/// whatever MappedHypergraph or read_hmetis_file throws.
+[[nodiscard]] Hypergraph read_hypergraph_file(const std::string& path);
+
 /// Read-only mmap view of a binary hypergraph file. Exposes the same
 /// pin-iteration interface as hp::Hypergraph (num_edges/pins/edge_weight,
 /// num_nodes/incident_edges/node_weight), so the generic metric templates

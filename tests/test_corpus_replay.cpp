@@ -12,7 +12,6 @@
 
 #include "hyperpart/fuzz/instance_gen.hpp"
 #include "hyperpart/fuzz/oracle.hpp"
-#include "hyperpart/io/hmetis_io.hpp"
 #include "hyperpart/stream/binary_format.hpp"
 
 #ifndef HYPERPART_CORPUS_DIR
@@ -33,13 +32,6 @@ std::vector<std::filesystem::path> corpus_files() {
   return files;
 }
 
-Hypergraph load(const std::filesystem::path& path) {
-  if (path.extension() == ".hpb") {
-    return stream::MappedHypergraph(path.string()).materialize();
-  }
-  return read_hmetis_file(path.string());
-}
-
 TEST(CorpusReplay, CorpusIsNonEmpty) {
   const auto files = corpus_files();
   EXPECT_GE(files.size(), 6u)
@@ -53,7 +45,7 @@ TEST(CorpusReplay, FullOracleOverEveryCorpusFile) {
   opts.scratch_dir = ::testing::TempDir();
 
   for (const auto& path : corpus_files()) {
-    const Hypergraph g = load(path);
+    const Hypergraph g = stream::read_hypergraph_file(path.string());
     ASSERT_TRUE(g.validate()) << path;
 
     // Replay at small k under both metrics, and at k near n — the regime
@@ -71,7 +63,7 @@ TEST(CorpusReplay, FullOracleOverEveryCorpusFile) {
     for (const auto& [k, metric] : cases) {
       if (k > g.num_nodes()) continue;
       FuzzInstance inst;
-      inst.graph = load(path);
+      inst.graph = stream::read_hypergraph_file(path.string());
       inst.k = k;
       inst.epsilon = 0.1;
       inst.metric = metric;

@@ -3,8 +3,8 @@
 //
 //   hyperbench_diff <baseline.json> <candidate.json>
 //       [--default-tol V] [--tol name=V] [--ignore name]
-//       [--ignore-suffix sfx] [--require-rows N] [--list]
-//       [--fail-nonzero field]
+//       [--ignore-suffix sfx] [--require-rows N] [--allow-missing]
+//       [--list] [--fail-nonzero field]
 //
 // Two input shapes are understood, sniffed from the document itself:
 //
@@ -38,27 +38,18 @@
 #include <cstdint>
 #include <iostream>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hyperpart/obs/json.hpp"
 #include "hyperpart/obs/telemetry.hpp"
-#include "hyperpart/util/parse.hpp"
+#include "hyperpart/util/cli.hpp"
 
 namespace {
 
 namespace json = hp::obs::json;
-
-[[noreturn]] void usage() {
-  std::cerr
-      << "usage: hyperbench_diff <baseline.json> <candidate.json>\n"
-         "         [--default-tol V] [--tol name=V] [--ignore name]\n"
-         "         [--ignore-suffix sfx] [--require-rows N]\n"
-         "         [--allow-missing] [--list] [--fail-nonzero field]\n";
-  std::exit(2);
-}
 
 /// One comparable scalar: "<row identity>:<field>" -> value.
 using MetricMap = std::map<std::string, double>;
@@ -165,65 +156,30 @@ int main(int argc, char** argv) {
   std::set<std::string> fail_nonzero;
   std::vector<std::string> ignore_suffix;
   double default_tol = 0.0;
-  std::uint64_t require_rows = 0;
+  std::uint32_t require_rows = 0;
   bool allow_missing = false;
   bool list = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "error: " << arg << " expects a value\n";
-        usage();
-      }
-      return argv[++i];
-    };
-    if (arg == "--default-tol") {
-      const std::string tok = value();
-      const auto v = hp::parse_f64(tok, 0.0, 1e9);
-      if (!v) {
-        std::cerr << "error: invalid --default-tol '" << tok << "'\n";
-        usage();
-      }
-      default_tol = *v;
-    } else if (arg == "--tol") {
-      const std::string spec = value();
-      const auto eq = spec.find('=');
-      std::optional<double> v;
-      if (eq != std::string::npos) {
-        v = hp::parse_f64(spec.substr(eq + 1), 0.0, 1e9);
-      }
-      if (!v) {
-        std::cerr << "error: --tol expects name=V, got '" << spec << "'\n";
-        usage();
-      }
-      tol[spec.substr(0, eq)] = *v;
-    } else if (arg == "--ignore") {
-      ignore.insert(value());
-    } else if (arg == "--fail-nonzero") {
-      fail_nonzero.insert(value());
-    } else if (arg == "--ignore-suffix") {
-      ignore_suffix.push_back(value());
-    } else if (arg == "--require-rows") {
-      const std::string tok = value();
-      const auto v = hp::parse_u64(tok, 0, UINT32_MAX);
-      if (!v) {
-        std::cerr << "error: invalid --require-rows '" << tok << "'\n";
-        usage();
-      }
-      require_rows = *v;
-    } else if (arg == "--allow-missing") {
-      allow_missing = true;
-    } else if (arg == "--list") {
-      list = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "error: unknown flag '" << arg << "'\n";
-      usage();
-    } else {
-      files.push_back(arg);
-    }
-  }
-  if (files.size() != 2) usage();
+  hp::cli::Parser cli("hyperbench_diff",
+                      "<baseline.json> <candidate.json> [options]");
+  cli.positional("<baseline.json> <candidate.json>", files, 2, 2)
+      .real("--default-tol", "V", default_tol, 0.0)
+      .custom("--tol", "name=V", "name=V with finite V >= 0",
+              [&](std::string_view spec) {
+                const auto eq = spec.find('=');
+                if (eq == std::string_view::npos) return false;
+                const auto v =
+                    hp::parse_f64(spec.substr(eq + 1), 0.0, hp::cli::kRealMax);
+                if (v) tol[std::string(spec.substr(0, eq))] = *v;
+                return v.has_value();
+              })
+      .list("--ignore", "name", ignore)
+      .list("--ignore-suffix", "sfx", ignore_suffix)
+      .integer("--require-rows", "N", require_rows, 0)
+      .flag("--allow-missing", allow_missing)
+      .flag("--list", list)
+      .list("--fail-nonzero", "field", fail_nonzero);
+  cli.parse(argc, argv);
 
   MetricMap base;
   MetricMap cand;

@@ -7,34 +7,32 @@
 //                                       its hyperDAG and print hMETIS to
 //                                       stdout
 
-#include <cstring>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "hyperpart/dag/recognition.hpp"
 #include "hyperpart/io/dag_io.hpp"
 #include "hyperpart/io/hmetis_io.hpp"
+#include "hyperpart/util/cli.hpp"
 #include "hyperpart/util/timer.hpp"
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::cerr << "usage: hyperdag_check [--from-dag] <file>\n";
-    return 2;
-  }
+  std::vector<std::string> files;
+  bool from_dag = false;
+  hp::cli::Parser cli("hyperdag_check", "[--from-dag] <file>");
+  cli.positional("<file>", files, 1, 1).flag("--from-dag", from_dag);
+  cli.parse(argc, argv);
   try {
-    if (std::strcmp(argv[1], "--from-dag") == 0) {
-      if (argc < 3) {
-        std::cerr << "usage: hyperdag_check --from-dag <dag.txt>\n";
-        return 2;
-      }
-      const hp::Dag dag = hp::read_dag_file(argv[2]);
+    if (from_dag) {
+      const hp::Dag dag = hp::read_dag_file(files[0]);
       const hp::HyperDag h = hp::to_hyperdag(dag);
       write_hmetis(std::cout, h.graph);
       std::cerr << "converted: " << h.graph.summary() << "\n";
       return 0;
     }
 
-    const hp::Hypergraph g = hp::read_hmetis_file(argv[1]);
+    const hp::Hypergraph g = hp::read_hmetis_file(files[0]);
     std::cerr << g.summary() << "\n";
     hp::Timer timer;
     const hp::RecognitionResult res = hp::recognize_hyperdag(g);

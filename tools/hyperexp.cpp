@@ -34,6 +34,7 @@
 //   --emit-table FILE rewrite the status table between the
 //                     "<!-- hyperexp:begin -->" / "<!-- hyperexp:end -->"
 //                     markers in FILE from the merged report
+//   --help, -h        print the usage and exit 0
 //
 // Exit codes: 0 all jobs passed, 1 at least one job failed, 2 usage or
 // I/O error.
@@ -54,10 +55,12 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "hyperpart/obs/json.hpp"
+#include "hyperpart/util/cli.hpp"
 #include "hyperpart/util/subprocess.hpp"
 #include "hyperpart/util/thread_pool.hpp"
 #include "hyperpart/util/timer.hpp"
@@ -85,16 +88,6 @@ struct Options {
   std::vector<std::string> bench_filter;
   std::string emit_table;
 };
-
-[[noreturn]] void usage(int code) {
-  std::cerr
-      << "usage: hyperexp [--bench-dir DIR] [--out DIR] [--merged PATH]\n"
-         "                [--smoke] [--telemetry] [--jobs N] [--timeout "
-         "SEC]\n"
-         "                [--retries N] [--bench NAME]... [--list]\n"
-         "                [--emit-table FILE]\n";
-  std::exit(code);
-}
 
 /// A single schedulable unit: one registered case of one bench binary.
 struct Job {
@@ -486,75 +479,37 @@ int emit_table(const std::string& path, const json::Value& report) {
   return 0;
 }
 
-int parse_int(const std::string& arg, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const int v = std::stoi(value, &pos);
-    if (pos != value.size() || v < 0) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    std::cerr << "error: " << arg << " expects a non-negative integer, got '"
-              << value << "'\n";
-    std::exit(2);
-  }
-}
-
-double parse_double(const std::string& arg, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(value, &pos);
-    if (pos != value.size() || v <= 0) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    std::cerr << "error: " << arg << " expects a positive number, got '"
-              << value << "'\n";
-    std::exit(2);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "error: " << arg << " expects a value\n";
-        usage(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--bench-dir") {
-      opt.bench_dir = value();
-    } else if (arg == "--out") {
-      opt.out_dir = value();
-    } else if (arg == "--merged") {
-      opt.merged_path = value();
-    } else if (arg == "--smoke") {
-      opt.smoke = true;
-    } else if (arg == "--telemetry") {
-      opt.telemetry = true;
-    } else if (arg == "--list") {
-      opt.list_only = true;
-    } else if (arg == "--jobs") {
-      opt.jobs = static_cast<unsigned>(
-          std::max(1, parse_int(arg, value())));
-    } else if (arg == "--timeout") {
-      opt.timeout_sec = parse_double(arg, value());
-    } else if (arg == "--retries") {
-      opt.retries = parse_int(arg, value());
-    } else if (arg == "--bench") {
-      opt.bench_filter.push_back(value());
-    } else if (arg == "--emit-table") {
-      opt.emit_table = value();
-    } else if (arg == "--help" || arg == "-h") {
-      usage(0);
-    } else {
-      std::cerr << "error: unknown argument '" << arg << "'\n";
-      usage(2);
-    }
+  bool help = false;
+  hp::cli::Parser cli("hyperexp", "[options]");
+  cli.text("--bench-dir", "DIR", opt.bench_dir)
+      .text("--out", "DIR", opt.out_dir)
+      .text("--merged", "PATH", opt.merged_path)
+      .flag("--smoke", opt.smoke)
+      .flag("--telemetry", opt.telemetry)
+      .integer("--jobs", "N", opt.jobs, 0, INT32_MAX)
+      .custom("--timeout", "SEC", "finite number > 0",
+              [&](std::string_view v) {
+                const auto sec = hp::parse_f64(v, 0.0, hp::cli::kRealMax);
+                if (!sec || *sec == 0) return false;
+                opt.timeout_sec = *sec;
+                return true;
+              })
+      .integer("--retries", "N", opt.retries, 0)
+      .list("--bench", "NAME", opt.bench_filter)
+      .flag("--list", opt.list_only)
+      .text("--emit-table", "FILE", opt.emit_table)
+      .flag("--help", help)
+      .flag("-h", help);
+  cli.parse(argc, argv);
+  if (help) {
+    std::cerr << cli.usage();
+    return 0;
   }
+  opt.jobs = std::max(1u, opt.jobs);
 
   const fs::path bench_dir = opt.bench_dir.empty()
                                  ? self_exe_dir() / ".." / "bench"

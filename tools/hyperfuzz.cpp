@@ -5,7 +5,7 @@
 //             [--families f1,f2,...] [--exact-limit N] [--threads T]
 //             [--out-dir DIR] [--max-failures F] [--inject-bug gain]
 //             [--no-anneal] [--no-stream] [--no-incremental]
-//             [--structural-rounds N] [--quiet]
+//             [--structural-rounds N] [--quiet] [--telemetry t.json]
 //   hyperfuzz --replay file.hgr|file.hpb [--k K] [--eps E]
 //             [--metric cut|conn] [--seed S] [--inject-bug gain]
 //
@@ -23,75 +23,47 @@
 // deliberate gain-rule fault inside the oracle's own prediction — the
 // self-test proving the harness catches and shrinks real bugs.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hyperpart/fuzz/instance_gen.hpp"
 #include "hyperpart/fuzz/oracle.hpp"
 #include "hyperpart/fuzz/shrinker.hpp"
-#include "hyperpart/io/hmetis_io.hpp"
 #include "hyperpart/obs/telemetry.hpp"
 #include "hyperpart/stream/binary_format.hpp"
-#include "hyperpart/util/parse.hpp"
+#include "hyperpart/util/cli.hpp"
 #include "hyperpart/util/rng.hpp"
 #include "hyperpart/util/timer.hpp"
 
 namespace {
 
-[[noreturn]] void usage() {
-  std::cerr
-      << "usage: hyperfuzz [--seed S] [--runs N] [--max-nodes N] "
-         "[--max-edges M]\n"
-         "         [--families f1,f2,...] [--exact-limit N] [--threads T]\n"
-         "         [--out-dir DIR] [--max-failures F] [--inject-bug gain]\n"
-         "         [--no-anneal] [--no-stream] [--no-incremental]\n"
-         "         [--structural-rounds N] [--quiet] [--telemetry t.json]\n"
-         "       hyperfuzz --replay file.hgr|file.hpb [--k K] [--eps E]\n"
-         "         [--metric cut|conn] [--seed S] [--inject-bug gain]\n"
-         "families: random skewed hyperdag grid spes degenerate\n"
-         "          spmv netlist dataflow powerlaw\n";
-  std::exit(2);
-}
-
-[[noreturn]] void bad_flag(const std::string& flag, const std::string& token,
-                           const char* expected) {
-  std::cerr << "error: invalid value '" << token << "' for " << flag << " ("
-            << expected << ")\n";
-  usage();
-}
-
-std::uint64_t flag_u64(const std::string& flag, const std::string& token,
-                       std::uint64_t min_value, std::uint64_t max_value,
-                       const char* expected) {
-  const auto v = hp::parse_u64(token, min_value, max_value);
-  if (!v) bad_flag(flag, token, expected);
-  return *v;
-}
-
-std::vector<hp::fuzz::Family> parse_families(const std::string& csv) {
-  std::vector<hp::fuzz::Family> out;
-  std::istringstream is(csv);
-  std::string name;
-  while (std::getline(is, name, ',')) {
-    if (!name.empty()) out.push_back(hp::fuzz::family_from_string(name));
+/// Parse a comma-separated family list; empty names are skipped, but an
+/// unknown name or a list with no names at all is rejected.
+bool parse_families(std::string_view csv,
+                    std::vector<hp::fuzz::Family>& out) {
+  out.clear();
+  for (const std::string_view name : hp::cli::split(csv, ',')) {
+    if (name.empty()) continue;
+    const auto* f = std::find_if(
+        std::begin(hp::fuzz::kAllFamilies), std::end(hp::fuzz::kAllFamilies),
+        [&](hp::fuzz::Family fam) { return name == hp::fuzz::to_string(fam); });
+    if (f == std::end(hp::fuzz::kAllFamilies)) return false;
+    out.push_back(*f);
   }
-  return out;
+  return !out.empty();
 }
 
 int replay(const std::string& path, hp::PartId k, double eps,
            hp::CostMetric metric, std::uint64_t seed,
            const hp::fuzz::OracleOptions& oopts) {
   hp::fuzz::FuzzInstance inst;
-  if (hp::stream::is_binary_file(path)) {
-    inst.graph = hp::stream::MappedHypergraph(path).materialize();
-  } else {
-    inst.graph = hp::read_hmetis_file(path);
-  }
+  inst.graph = hp::stream::read_hypergraph_file(path);
   inst.k = k;
   inst.epsilon = eps;
   inst.metric = metric;
@@ -119,80 +91,41 @@ int main(int argc, char** argv) {
   double replay_eps = 0.1;
   hp::CostMetric replay_metric = hp::CostMetric::kConnectivity;
 
-  constexpr std::uint64_t kMaxId = UINT32_MAX;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "error: " << arg << " expects a value\n";
-        usage();
-      }
-      return argv[++i];
-    };
-    if (arg == "--seed") {
-      seed = flag_u64(arg, value(), 0, UINT64_MAX, "unsigned integer");
-    } else if (arg == "--runs") {
-      runs = flag_u64(arg, value(), 0, UINT64_MAX, "unsigned integer");
-    } else if (arg == "--max-nodes") {
-      gen.max_nodes = static_cast<hp::NodeId>(
-          flag_u64(arg, value(), 1, kMaxId, "integer >= 1"));
-    } else if (arg == "--max-edges") {
-      gen.max_edges = static_cast<hp::EdgeId>(
-          flag_u64(arg, value(), 1, kMaxId, "integer >= 1"));
-    } else if (arg == "--families") {
-      gen.families = parse_families(value());
-    } else if (arg == "--exact-limit") {
-      oopts.exact_node_limit = static_cast<hp::NodeId>(
-          flag_u64(arg, value(), 0, kMaxId, "integer >= 0"));
-    } else if (arg == "--threads") {
-      oopts.alt_threads = static_cast<unsigned>(
-          flag_u64(arg, value(), 1, 1024, "integer in [1, 1024]"));
-    } else if (arg == "--out-dir") {
-      out_dir = value();
-    } else if (arg == "--max-failures") {
-      max_failures = static_cast<int>(
-          flag_u64(arg, value(), 1, INT32_MAX, "integer >= 1"));
-    } else if (arg == "--inject-bug") {
-      const std::string bug = value();
-      if (bug != "gain") bad_flag(arg, bug, "gain");
-      oopts.fault = hp::fuzz::FaultInjection::kGainRule;
-    } else if (arg == "--no-anneal") {
-      oopts.run_annealing = false;
-    } else if (arg == "--no-stream") {
-      oopts.run_stream = false;
-    } else if (arg == "--no-incremental") {
-      oopts.run_incremental = false;
-    } else if (arg == "--structural-rounds") {
-      oopts.structural_rounds = static_cast<int>(
-          flag_u64(arg, value(), 0, 1024, "integer in [0, 1024]"));
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--telemetry") {
-      telemetry_path = value();
-    } else if (arg == "--replay") {
-      replay_path = value();
-    } else if (arg == "--k") {
-      replay_k = static_cast<hp::PartId>(
-          flag_u64(arg, value(), 2, kMaxId, "integer >= 2"));
-    } else if (arg == "--eps") {
-      const std::string tok = value();
-      const auto e = hp::parse_f64(tok, 0.0, 1e9);
-      if (!e) bad_flag(arg, tok, "finite number >= 0");
-      replay_eps = *e;
-    } else if (arg == "--metric") {
-      const std::string m = value();
-      if (m == "cut") {
-        replay_metric = hp::CostMetric::kCutNet;
-      } else if (m == "conn") {
-        replay_metric = hp::CostMetric::kConnectivity;
-      } else {
-        bad_flag(arg, m, "cut or conn");
-      }
-    } else {
-      std::cerr << "error: unknown flag '" << arg << "'\n";
-      usage();
-    }
-  }
+  hp::cli::Parser cli("hyperfuzz",
+                      "[fuzz options]\n"
+                      "       hyperfuzz --replay file.hgr|file.hpb [replay "
+                      "options]");
+  cli.integer("--seed", "S", seed, 0)
+      .integer("--runs", "N", runs, 0)
+      .integer("--max-nodes", "N", gen.max_nodes, 1)
+      .integer("--max-edges", "M", gen.max_edges, 1)
+      .custom("--families", "f1,f2,...", "comma-separated fuzz families",
+              [&](std::string_view csv) {
+                return parse_families(csv, gen.families);
+              })
+      .integer("--exact-limit", "N", oopts.exact_node_limit, 0)
+      .integer("--threads", "T", oopts.alt_threads, 1, 1024)
+      .text("--out-dir", "DIR", out_dir)
+      .integer("--max-failures", "F", max_failures, 1)
+      .choice("--inject-bug", oopts.fault,
+              {{"gain", hp::fuzz::FaultInjection::kGainRule}})
+      .flag("--no-anneal", oopts.run_annealing, false)
+      .flag("--no-stream", oopts.run_stream, false)
+      .flag("--no-incremental", oopts.run_incremental, false)
+      .integer("--structural-rounds", "N", oopts.structural_rounds, 0, 1024)
+      .flag("--quiet", quiet)
+      .text("--telemetry", "t.json", telemetry_path)
+      .text("--replay", "file.hgr|file.hpb", replay_path)
+      .integer("--k", "K", replay_k, 2)
+      .real("--eps", "E", replay_eps, 0.0)
+      .choice("--metric", replay_metric,
+              {{"cut", hp::CostMetric::kCutNet},
+               {"conn", hp::CostMetric::kConnectivity}})
+      .epilogue(
+          "replay options: --k --eps --metric --seed --inject-bug\n"
+          "families: random skewed hyperdag grid spes degenerate\n"
+          "          spmv netlist dataflow powerlaw\n");
+  cli.parse(argc, argv);
 
   if (!telemetry_path.empty()) {
     hp::obs::reset();

@@ -8,7 +8,7 @@
 //            [--algo multilevel|rb|greedy|random|bnb|stream] [--seed S]
 //            [--threads T] [--restream N] [--buffer B]
 //            [--hier B1xB2[:G1]] [--out partition.txt]
-//            [--convert out.hpb] [--write-hgr out.hgr]
+//            [--convert out.hpb] [--write-hgr out.hgr] [--telemetry t.json]
 //
 // The input format is sniffed from the file's magic bytes, so .hpb files
 // produced by --convert load zero-copy via mmap regardless of extension.
@@ -28,13 +28,14 @@
 
 #include <unistd.h>
 
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "hyperpart/algo/branch_and_bound.hpp"
 #include "hyperpart/algo/greedy.hpp"
@@ -47,52 +48,13 @@
 #include "hyperpart/stream/binary_format.hpp"
 #include "hyperpart/stream/restream_refiner.hpp"
 #include "hyperpart/stream/stream_partitioner.hpp"
+#include "hyperpart/util/cli.hpp"
 #include "hyperpart/util/overflow.hpp"
 #include "hyperpart/util/parse.hpp"
 #include "hyperpart/util/timer.hpp"
 #include "hyperpart/workload/workload.hpp"
 
 namespace {
-
-[[noreturn]] void usage() {
-  std::cerr
-      << "usage: hyperpart_cli <graph.hgr|graph.hpb> [--k K] [--eps E]\n"
-         "         [--metric cut|conn] "
-         "[--algo multilevel|rb|greedy|random|bnb|stream]\n"
-         "         [--seed S] [--threads T] [--restream N] [--buffer B]\n"
-         "         [--hier B1xB2[:G1]] [--out partition.txt] "
-         "[--convert out.hpb]\n"
-         "         [--write-hgr out.hgr] [--telemetry t.json]\n"
-         "       hyperpart_cli --workload fam:preset[@scale] "
-         "[--workload-nodes N] [options]\n"
-         "workloads: spmv:{banded,blockdiag,rmat} netlist:{rent,flat}\n"
-         "           dataflow:{mlp,conv,attention} powerlaw:{zipf,hubs_last}\n";
-  std::exit(2);
-}
-
-/// Checked flag parsing: one-line diagnostic + usage (exit 2) instead of an
-/// uncaught std::invalid_argument from bare std::stoul.
-[[noreturn]] void bad_flag(const std::string& flag, const std::string& token,
-                           const char* expected) {
-  std::cerr << "error: invalid value '" << token << "' for " << flag << " ("
-            << expected << ")\n";
-  usage();
-}
-
-std::uint64_t flag_u64(const std::string& flag, const std::string& token,
-                       std::uint64_t min_value, std::uint64_t max_value,
-                       const char* expected) {
-  const auto v = hp::parse_u64(token, min_value, max_value);
-  if (!v) bad_flag(flag, token, expected);
-  return *v;
-}
-
-double flag_f64(const std::string& flag, const std::string& token,
-                double min_value, double max_value, const char* expected) {
-  const auto v = hp::parse_f64(token, min_value, max_value);
-  if (!v) bad_flag(flag, token, expected);
-  return *v;
-}
 
 /// Writes the telemetry session to `path` on scope exit (normal returns of
 /// main and run_stream both pass through it).
@@ -115,28 +77,12 @@ void write_partition(const std::string& out_path, const hp::Partition& p,
   std::cout << "partition written to " << out_path << "\n";
 }
 
-/// Streaming pipeline: map the binary file (converting hMETIS first if
-/// needed), one-pass place, optionally re-stream, report.
-int run_stream(const std::string& path, hp::PartId k, double eps,
+/// Streaming pipeline: map the binary file, one-pass place, optionally
+/// re-stream, report.
+int run_stream(const std::string& bin_path, hp::PartId k, double eps,
                hp::CostMetric metric, std::uint64_t seed, hp::NodeId buffer,
                int restream_passes,
                const std::optional<std::string>& out_path) {
-  std::string bin_path = path;
-  if (!hp::stream::is_binary_file(path)) {
-    bin_path = path + ".hpb";
-    try {
-      hp::stream::convert_hmetis_file(path, bin_path);
-    } catch (const std::exception& e) {
-      // A usage error, not a runtime failure: the input is neither of the
-      // two formats --algo stream accepts. Diagnose here instead of letting
-      // the mmap reader fail later on a half-written conversion.
-      std::cerr << "error: --algo stream needs a binary .hpb or hMETIS text "
-                   "input; "
-                << path << " is neither (" << e.what() << ")\n";
-      usage();
-    }
-    std::cout << "converted " << path << " -> " << bin_path << "\n";
-  }
   hp::stream::MappedHypergraph mapped(bin_path);
   std::cout << mapped.summary() << "\n";
 
@@ -191,15 +137,12 @@ int run_stream(const std::string& path, hp::PartId k, double eps,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) usage();
-  std::optional<std::string> path;
+  std::vector<std::string> inputs;
   std::optional<std::string> workload_text;
   hp::NodeId workload_nodes = 0;
   std::optional<std::string> write_hgr_path;
-  hp::PartId k = 2;
-  bool k_set = false;
-  double eps = 0.05;
-  bool eps_set = false;
+  std::optional<hp::PartId> k_flag;
+  std::optional<double> eps_flag;
   hp::CostMetric metric = hp::CostMetric::kConnectivity;
   std::string algo = "multilevel";
   std::uint64_t seed = 1;
@@ -212,103 +155,64 @@ int main(int argc, char** argv) {
   TelemetryFlush telemetry;
 
   constexpr std::uint64_t kMaxPart = std::numeric_limits<hp::PartId>::max();
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "error: " << arg << " expects a value\n";
-        usage();
-      }
-      return argv[++i];
-    };
-    if (arg.rfind("--", 0) != 0) {
-      if (path) {
-        std::cerr << "error: more than one input file ('" << *path << "', '"
-                  << arg << "')\n";
-        usage();
-      }
-      path = arg;
-    } else if (arg == "--workload") {
-      workload_text = value();
-    } else if (arg == "--workload-nodes") {
-      workload_nodes = static_cast<hp::NodeId>(
-          flag_u64(arg, value(), 1, kMaxPart, "integer >= 1"));
-    } else if (arg == "--write-hgr") {
-      write_hgr_path = value();
-    } else if (arg == "--k") {
-      k = static_cast<hp::PartId>(
-          flag_u64(arg, value(), 2, kMaxPart, "integer >= 2"));
-      k_set = true;
-    } else if (arg == "--eps") {
-      eps = flag_f64(arg, value(), 0.0, 1e9, "finite number >= 0");
-      eps_set = true;
-    } else if (arg == "--metric") {
-      const std::string m = value();
-      if (m == "cut") {
-        metric = hp::CostMetric::kCutNet;
-      } else if (m == "conn") {
-        metric = hp::CostMetric::kConnectivity;
-      } else {
-        bad_flag(arg, m, "cut or conn");
-      }
-    } else if (arg == "--algo") {
-      algo = value();
-    } else if (arg == "--seed") {
-      seed = flag_u64(arg, value(), 0, UINT64_MAX, "unsigned integer");
-    } else if (arg == "--threads") {
+  const auto parse_hier = [&](std::string_view spec) {
+    const auto x = spec.find('x');
+    if (x == std::string_view::npos) return false;
+    const auto colon = spec.find(':');
+    const auto b1 = hp::parse_u64(spec.substr(0, x), 1, kMaxPart);
+    const auto b2 =
+        hp::parse_u64(spec.substr(x + 1, colon - x - 1), 1, kMaxPart);
+    const auto g1 =
+        colon == std::string_view::npos
+            ? std::optional<double>(4.0)
+            : hp::parse_f64(spec.substr(colon + 1), 0.0, hp::cli::kRealMax);
+    if (!b1 || !b2 || !g1 || *b1 * *b2 < 2 || *b1 * *b2 > kMaxPart) {
+      return false;
+    }
+    hier = hp::HierTopology{
+        {static_cast<hp::PartId>(*b1), static_cast<hp::PartId>(*b2)},
+        {*g1, 1.0}};
+    k_flag = static_cast<hp::PartId>(*b1 * *b2);
+    return true;
+  };
+  hp::cli::Parser cli("hyperpart_cli",
+                      "<graph.hgr|graph.hpb> [options]\n"
+                      "       hyperpart_cli --workload fam:preset[@scale] "
+                      "[options]");
+  cli.positional("<graph.hgr|graph.hpb>", inputs, 0, 1)
+      .integer("--k", "K", k_flag, 2)
+      .real("--eps", "E", eps_flag, 0.0)
+      .choice("--metric", metric,
+              {{"cut", hp::CostMetric::kCutNet},
+               {"conn", hp::CostMetric::kConnectivity}})
+      .text("--algo", "multilevel|rb|greedy|random|bnb|stream", algo)
+      .integer("--seed", "S", seed, 0)
       // 0 = hardware concurrency. The partition is identical for every
       // thread count (deterministic parallel engine); threads only change
       // wall-clock time.
-      threads = static_cast<unsigned>(
-          flag_u64(arg, value(), 0, 1024, "integer in [0, 1024]"));
-    } else if (arg == "--restream") {
-      restream_passes = static_cast<int>(
-          flag_u64(arg, value(), 0, INT32_MAX, "integer >= 0"));
-    } else if (arg == "--buffer") {
-      buffer = static_cast<hp::NodeId>(
-          flag_u64(arg, value(), 1, kMaxPart, "integer >= 1"));
-    } else if (arg == "--out") {
-      out_path = value();
-    } else if (arg == "--convert") {
-      convert_path = value();
-    } else if (arg == "--telemetry") {
-      telemetry.path = value();
-    } else if (arg == "--hier") {
-      const std::string spec = value();
-      const auto x = spec.find('x');
-      if (x == std::string::npos) {
-        bad_flag(arg, spec, "B1xB2[:G1], e.g. 4x2:4");
-      }
-      const auto colon = spec.find(':');
-      const std::uint64_t b1 = flag_u64(arg, spec.substr(0, x), 1, kMaxPart,
-                                        "B1 must be an integer >= 1");
-      const std::uint64_t b2 =
-          flag_u64(arg, spec.substr(x + 1, colon - x - 1), 1, kMaxPart,
-                   "B2 must be an integer >= 1");
-      const double g1 = colon == std::string::npos
-                            ? 4.0
-                            : flag_f64(arg, spec.substr(colon + 1), 0.0, 1e9,
-                                       "G1 must be a finite number >= 0");
-      if (b1 * b2 < 2 || b1 * b2 > kMaxPart) {
-        bad_flag(arg, spec, "B1*B2 must be in [2, 2^32)");
-      }
-      hier = hp::HierTopology{{static_cast<hp::PartId>(b1),
-                               static_cast<hp::PartId>(b2)},
-                              {g1, 1.0}};
-      k = static_cast<hp::PartId>(b1 * b2);
-    } else {
-      std::cerr << "error: unknown flag '" << arg << "'\n";
-      usage();
-    }
+      .integer("--threads", "T", threads, 0, 1024)
+      .integer("--restream", "N", restream_passes, 0)
+      .integer("--buffer", "B", buffer, 1)
+      .custom("--hier", "B1xB2[:G1]",
+              "integers B1, B2 >= 1 with B1*B2 in [2, 2^32), finite G1 >= 0",
+              parse_hier)
+      .text("--out", "partition.txt", out_path)
+      .text("--convert", "out.hpb", convert_path)
+      .text("--write-hgr", "out.hgr", write_hgr_path)
+      .text("--telemetry", "t.json", telemetry.path)
+      .text("--workload", "fam:preset[@scale]", workload_text)
+      .integer("--workload-nodes", "N", workload_nodes, 1)
+      .epilogue("workloads: spmv:{banded,blockdiag,rmat} netlist:{rent,flat}\n"
+                "           dataflow:{mlp,conv,attention} "
+                "powerlaw:{zipf,hubs_last}\n");
+  cli.parse(argc, argv);
+  if (!inputs.empty() && workload_text) {
+    cli.fail("give either an input file or --workload, not both");
   }
-  if (path && workload_text) {
-    std::cerr << "error: give either an input file or --workload, not both\n";
-    usage();
+  if (inputs.empty() && !workload_text) {
+    cli.fail("no input file and no --workload");
   }
-  if (!path && !workload_text) {
-    std::cerr << "error: no input file and no --workload\n";
-    usage();
-  }
+  const std::string path = inputs.empty() ? "" : inputs[0];
   if (!telemetry.path.empty()) {
     hp::obs::reset();
     hp::obs::set_enabled(true);
@@ -326,21 +230,20 @@ int main(int argc, char** argv) {
       if (workload_nodes > 0) spec.target_nodes = workload_nodes;
       workload = hp::workload::generate(spec);
     } catch (const std::invalid_argument& e) {
-      std::cerr << "error: " << e.what() << "\n";
-      usage();
+      cli.fail(e.what());
     }
-    if (!k_set) k = workload->suggested_k;
-    if (!eps_set) eps = workload->suggested_eps;
+    if (!k_flag) k_flag = workload->suggested_k;
+    if (!eps_flag) eps_flag = workload->suggested_eps;
     std::cout << "workload         = " << workload->name << "\n";
   }
+  const hp::PartId k = k_flag.value_or(2);
+  const double eps = eps_flag.value_or(0.05);
 
   if (write_hgr_path) {
     try {
-      const hp::Hypergraph g =
-          workload ? std::move(workload->graph)
-          : hp::stream::is_binary_file(*path)
-              ? hp::stream::MappedHypergraph(*path).materialize()
-              : hp::read_hmetis_file(*path);
+      const hp::Hypergraph g = workload
+                                   ? std::move(workload->graph)
+                                   : hp::stream::read_hypergraph_file(path);
       hp::write_hmetis_file(*write_hgr_path, g);
       std::cout << g.summary() << "\n"
                 << "hgr written to " << *write_hgr_path << "\n";
@@ -356,11 +259,11 @@ int main(int argc, char** argv) {
       if (workload) {
         hp::stream::write_binary_file(*convert_path, workload->graph);
       } else {
-        if (hp::stream::is_binary_file(*path)) {
-          std::cerr << "error: " << *path << " is already binary\n";
+        if (hp::stream::is_binary_file(path)) {
+          std::cerr << "error: " << path << " is already binary\n";
           return 1;
         }
-        hp::stream::convert_hmetis_file(*path, *convert_path);
+        hp::stream::convert_hmetis_file(path, *convert_path);
       }
       const hp::stream::MappedHypergraph mapped(*convert_path);
       std::cout << mapped.summary() << "\n"
@@ -374,15 +277,25 @@ int main(int argc, char** argv) {
 
   if (algo == "stream") {
     try {
-      std::string stream_path;
+      std::string stream_path = path;
       if (workload) {
         stream_path = (std::filesystem::temp_directory_path() /
                        ("hyperpart_cli_" + std::to_string(getpid()) + ".hpb"))
                           .string();
         hp::stream::write_binary_file(stream_path, workload->graph);
         std::cout << "workload written to " << stream_path << "\n";
-      } else {
-        stream_path = *path;
+      } else if (!hp::stream::is_binary_file(path)) {
+        stream_path = path + ".hpb";
+        try {
+          hp::stream::convert_hmetis_file(path, stream_path);
+        } catch (const std::exception& e) {
+          // A usage error, not a runtime failure: the input is neither of
+          // the two formats --algo stream accepts. Diagnose here instead of
+          // letting the mmap reader fail later on a half-written conversion.
+          cli.fail("--algo stream needs a binary .hpb or hMETIS text input; " +
+                   path + " is neither (" + e.what() + ")");
+        }
+        std::cout << "converted " << path << " -> " << stream_path << "\n";
       }
       return run_stream(stream_path, k, eps, metric, seed, buffer,
                         restream_passes, out_path);
@@ -395,9 +308,7 @@ int main(int argc, char** argv) {
   hp::Hypergraph graph;
   try {
     graph = workload ? std::move(workload->graph)
-            : hp::stream::is_binary_file(*path)
-                ? hp::stream::MappedHypergraph(*path).materialize()
-                : hp::read_hmetis_file(*path);
+                     : hp::stream::read_hypergraph_file(path);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
@@ -432,8 +343,7 @@ int main(int argc, char** argv) {
                 << " after " << res->nodes_explored << " nodes\n";
     }
   } else {
-    std::cerr << "error: unknown algorithm '" << algo << "'\n";
-    usage();
+    cli.fail("unknown algorithm '" + algo + "'");
   }
   const double ms = timer.millis();
 

@@ -19,7 +19,8 @@
 //     stats
 //     shutdown
 //     raw         --json '{"op": ...}'   (verbatim passthrough)
-//     loadgen     --graph G --k K [--op evaluate|partition|repartition|churn]
+//     loadgen     --graph G --k K
+//                 [--op evaluate|partition|repartition|stats|churn]
 //                 [--repeat N] [--clients C] [--nodes N]
 //
 // Every op sends one HPF1 frame and prints the JSON response on stdout;
@@ -43,40 +44,18 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "hyperpart/obs/json.hpp"
 #include "hyperpart/server/protocol.hpp"
+#include "hyperpart/util/cli.hpp"
 #include "hyperpart/util/parse.hpp"
 
 namespace json = hp::obs::json;
 
 namespace {
-
-[[noreturn]] void usage() {
-  std::cerr
-      << "usage: hyperpartc (--socket /path.sock | --tcp PORT) <op> [flags]\n"
-         "  ops: load --path F | partition|repartition|evaluate --graph G\n"
-         "       --k K [--eps E] [--metric conn|cut] [--seed S] [--parts]\n"
-         "       [--version V]\n"
-         "       | update --graph G [--node-weight ID=W]... "
-         "[--edge-weight ID=W]...\n"
-         "         [--remove-net ID]... [--remove-pins NET:P,..]... "
-         "[--add-pins NET:P,..]...\n"
-         "         [--add-net P,P,..[@W]]...\n"
-         "       | stats | shutdown | raw --json J\n"
-         "       | loadgen --graph G --k K [--op OP|churn] [--repeat N] "
-         "[--clients C] [--nodes N]\n";
-  std::exit(2);
-}
-
-[[noreturn]] void bad_flag(const std::string& flag, const std::string& token,
-                           const char* expected) {
-  std::cerr << "error: invalid value '" << token << "' for " << flag << " ("
-            << expected << ")\n";
-  usage();
-}
 
 int connect_to(const std::string& socket_path, int tcp_port) {
   if (!socket_path.empty()) {
@@ -127,60 +106,73 @@ std::optional<std::string> round_trip(int fd, const std::string& request) {
 }
 
 /// Parse "ID=W" into a [id, weight] JSON pair.
-json::Value weight_pair(const std::string& flag, const std::string& spec) {
+std::optional<json::Value> weight_pair(std::string_view spec) {
   const auto eq = spec.find('=');
-  if (eq == std::string::npos) bad_flag(flag, spec, "ID=WEIGHT");
+  if (eq == std::string_view::npos) return std::nullopt;
   const auto id = hp::parse_u64(spec.substr(0, eq), 0, UINT32_MAX);
   const auto w = hp::parse_i64(spec.substr(eq + 1), 0, INT64_MAX);
-  if (!id || !w) bad_flag(flag, spec, "ID=WEIGHT, both non-negative integers");
+  if (!id || !w) return std::nullopt;
   json::Array pair;
   pair.emplace_back(static_cast<std::int64_t>(*id));
   pair.emplace_back(*w);
   return json::Value(std::move(pair));
 }
 
+/// Parse a net id.
+std::optional<json::Value> net_id(std::string_view token) {
+  const auto id = hp::parse_u64(token, 0, UINT32_MAX);
+  if (!id) return std::nullopt;
+  return json::Value(static_cast<std::int64_t>(*id));
+}
+
 /// Parse "P1,P2,..." into a JSON array of node ids.
-json::Array pin_list(const std::string& flag, const std::string& spec) {
+std::optional<json::Value> pin_list(std::string_view spec) {
   json::Array pins;
-  std::size_t start = 0;
-  while (start <= spec.size()) {
-    const std::size_t comma = spec.find(',', start);
-    const std::string tok =
-        spec.substr(start, comma == std::string::npos ? comma : comma - start);
+  for (const std::string_view tok : hp::cli::split(spec, ',')) {
     const auto id = hp::parse_u64(tok, 0, UINT32_MAX);
-    if (!id) bad_flag(flag, spec, "comma-separated node ids");
+    if (!id) return std::nullopt;
     pins.emplace_back(static_cast<std::int64_t>(*id));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
   }
-  if (pins.empty()) bad_flag(flag, spec, "comma-separated node ids");
-  return pins;
+  return json::Value(std::move(pins));
 }
 
 /// Parse "NET:P1,P2,..." into a {net, pins} object.
-json::Value net_pins(const std::string& flag, const std::string& spec) {
+std::optional<json::Value> net_pins(std::string_view spec) {
   const auto colon = spec.find(':');
-  if (colon == std::string::npos) bad_flag(flag, spec, "NET:P1,P2,...");
+  if (colon == std::string_view::npos) return std::nullopt;
   const auto net = hp::parse_u64(spec.substr(0, colon), 0, UINT32_MAX);
-  if (!net) bad_flag(flag, spec, "NET:P1,P2,...");
+  auto pins = pin_list(spec.substr(colon + 1));
+  if (!net || !pins) return std::nullopt;
   json::Value o{json::Object{}};
   o.set("net", static_cast<std::int64_t>(*net));
-  o.set("pins", json::Value(pin_list(flag, spec.substr(colon + 1))));
+  o.set("pins", std::move(*pins));
   return o;
 }
 
 /// Parse "P1,P2,...[@W]" into a {pins, weight?} object.
-json::Value new_net(const std::string& flag, const std::string& spec) {
+std::optional<json::Value> new_net(std::string_view spec) {
   const auto at = spec.find('@');
+  auto pins = pin_list(spec.substr(0, at));
+  if (!pins) return std::nullopt;
   json::Value o{json::Object{}};
-  o.set("pins", json::Value(pin_list(
-                    flag, at == std::string::npos ? spec : spec.substr(0, at))));
-  if (at != std::string::npos) {
+  o.set("pins", std::move(*pins));
+  if (at != std::string_view::npos) {
     const auto w = hp::parse_i64(spec.substr(at + 1), 0, INT64_MAX);
-    if (!w) bad_flag(flag, spec, "P1,P2,...@WEIGHT with non-negative weight");
+    if (!w) return std::nullopt;
     o.set("weight", *w);
   }
   return o;
+}
+
+/// Setter appending `parse(token)` to `target`; rejects when it fails.
+hp::cli::Parser::Setter append_to(
+    json::Array& target,
+    std::optional<json::Value> (*parse)(std::string_view)) {
+  return [&target, parse](std::string_view token) {
+    auto value = parse(token);
+    if (value) target.push_back(std::move(*value));
+    return value.has_value();
+  };
 }
 
 struct LoadgenStats {
@@ -194,12 +186,12 @@ struct LoadgenStats {
 int main(int argc, char** argv) {
   std::string socket_path;
   int tcp_port = -1;
-  std::string op;
+  std::vector<std::string> ops;
   std::string path;
   std::string graph;
   std::string raw_json;
   std::string loadgen_op = "evaluate";
-  std::uint64_t k = 2;
+  std::uint32_t k = 2;
   double eps = 0.05;
   std::string metric;
   std::uint64_t seed = 1;
@@ -207,7 +199,7 @@ int main(int argc, char** argv) {
   std::optional<std::uint64_t> pin_version;
   std::uint64_t repeat = 100;
   std::uint64_t clients = 4;
-  std::uint64_t churn_nodes = 2;
+  std::uint32_t churn_nodes = 2;
   json::Array node_weights;
   json::Array edge_weights;
   json::Array remove_nets;
@@ -215,98 +207,46 @@ int main(int argc, char** argv) {
   json::Array add_pins;
   json::Array add_nets;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "error: " << arg << " expects a value\n";
-        usage();
-      }
-      return argv[++i];
-    };
-    if (arg == "--socket") {
-      socket_path = value();
-    } else if (arg == "--tcp") {
-      const auto v = hp::parse_u64(value(), 1, 65535);
-      if (!v) bad_flag(arg, argv[i], "port in [1, 65535]");
-      tcp_port = static_cast<int>(*v);
-    } else if (arg == "--path") {
-      path = value();
-    } else if (arg == "--graph") {
-      graph = value();
-    } else if (arg == "--json") {
-      raw_json = value();
-    } else if (arg == "--k") {
-      const auto v = hp::parse_u64(value(), 2, UINT32_MAX);
-      if (!v) bad_flag(arg, argv[i], "integer >= 2");
-      k = *v;
-    } else if (arg == "--eps") {
-      const auto v = hp::parse_f64(value(), 0.0, 1e9);
-      if (!v) bad_flag(arg, argv[i], "finite number >= 0");
-      eps = *v;
-    } else if (arg == "--metric") {
-      metric = value();
-      if (metric != "conn" && metric != "cut") {
-        bad_flag(arg, metric, "conn or cut");
-      }
-    } else if (arg == "--seed") {
-      const auto v = hp::parse_u64(value());
-      if (!v) bad_flag(arg, argv[i], "unsigned integer");
-      seed = *v;
-    } else if (arg == "--parts") {
-      include_parts = true;
-    } else if (arg == "--version") {
-      const auto v = hp::parse_u64(value());
-      if (!v) bad_flag(arg, argv[i], "unsigned integer");
-      pin_version = *v;
-    } else if (arg == "--node-weight") {
-      node_weights.push_back(weight_pair(arg, value()));
-    } else if (arg == "--edge-weight") {
-      edge_weights.push_back(weight_pair(arg, value()));
-    } else if (arg == "--remove-net") {
-      const auto id = hp::parse_u64(value(), 0, UINT32_MAX);
-      if (!id) bad_flag(arg, argv[i], "net id");
-      remove_nets.emplace_back(static_cast<std::int64_t>(*id));
-    } else if (arg == "--remove-pins") {
-      remove_pins.push_back(net_pins(arg, value()));
-    } else if (arg == "--add-pins") {
-      add_pins.push_back(net_pins(arg, value()));
-    } else if (arg == "--add-net") {
-      add_nets.push_back(new_net(arg, value()));
-    } else if (arg == "--nodes") {
-      const auto v = hp::parse_u64(value(), 2, UINT32_MAX);
-      if (!v) bad_flag(arg, argv[i], "integer >= 2");
-      churn_nodes = *v;
-    } else if (arg == "--repeat") {
-      const auto v = hp::parse_u64(value(), 1, 100000000);
-      if (!v) bad_flag(arg, argv[i], "integer >= 1");
-      repeat = *v;
-    } else if (arg == "--clients") {
-      const auto v = hp::parse_u64(value(), 1, 1024);
-      if (!v) bad_flag(arg, argv[i], "integer in [1, 1024]");
-      clients = *v;
-    } else if (arg == "--op") {
-      loadgen_op = value();
-      if (loadgen_op != "evaluate" && loadgen_op != "partition" &&
-          loadgen_op != "repartition" && loadgen_op != "stats" &&
-          loadgen_op != "churn") {
-        bad_flag(arg, loadgen_op,
-                 "evaluate, partition, repartition, stats, or churn");
-      }
-    } else if (!arg.empty() && arg[0] != '-' && op.empty()) {
-      op = arg;
-    } else {
-      std::cerr << "error: unknown flag '" << arg << "'\n";
-      usage();
-    }
-  }
-  if (op.empty()) {
-    std::cerr << "error: no op given\n";
-    usage();
-  }
+  hp::cli::Parser cli("hyperpartc",
+                      "(--socket /path.sock | --tcp PORT) <op> [options]");
+  cli.positional("<op>", ops, 1, 1)
+      .text("--socket", "PATH", socket_path)
+      .integer("--tcp", "PORT", tcp_port, 1, 65535)
+      .text("--path", "F", path)
+      .text("--graph", "G", graph)
+      .integer("--k", "K", k, 2)
+      .real("--eps", "E", eps, 0.0)
+      .choice<std::string>("--metric", metric,
+                           {{"conn", "connectivity"}, {"cut", "cut"}})
+      .integer("--seed", "S", seed, 0)
+      .flag("--parts", include_parts)
+      .integer("--version", "V", pin_version, 0)
+      .custom("--node-weight", "ID=W", "ID=WEIGHT, both non-negative integers",
+              append_to(node_weights, weight_pair))
+      .custom("--edge-weight", "ID=W", "ID=WEIGHT, both non-negative integers",
+              append_to(edge_weights, weight_pair))
+      .custom("--remove-net", "ID", "net id", append_to(remove_nets, net_id))
+      .custom("--remove-pins", "NET:P,..", "NET:P1,P2,... node ids",
+              append_to(remove_pins, net_pins))
+      .custom("--add-pins", "NET:P,..", "NET:P1,P2,... node ids",
+              append_to(add_pins, net_pins))
+      .custom("--add-net", "P,P,..[@W]",
+              "P1,P2,...[@WEIGHT] node ids, non-negative weight",
+              append_to(add_nets, new_net))
+      .text("--json", "J", raw_json)
+      .choice("--op", loadgen_op,
+              {"evaluate", "partition", "repartition", "stats", "churn"})
+      .integer("--repeat", "N", repeat, 1, 100000000)
+      .integer("--clients", "C", clients, 1, 1024)
+      .integer("--nodes", "N", churn_nodes, 2)
+      .epilogue(
+          "ops: load --path F | partition|repartition|evaluate --graph G\n"
+          "     | update --graph G | stats | shutdown | raw --json J\n"
+          "     | loadgen --graph G\n");
+  cli.parse(argc, argv);
+  const std::string op = ops[0];
   if (socket_path.empty() && tcp_port < 0) {
-    std::cerr << "error: --socket or --tcp is required\n";
-    usage();
+    cli.fail("--socket or --tcp is required");
   }
 
   // Build the request payload.
@@ -316,9 +256,7 @@ int main(int argc, char** argv) {
     req.set("graph", graph);
     req.set("k", static_cast<std::int64_t>(k));
     req.set("epsilon", eps);
-    if (!metric.empty()) {
-      req.set("metric", metric == "cut" ? "cut" : "connectivity");
-    }
+    if (!metric.empty()) req.set("metric", metric);
     req.set("seed", static_cast<std::int64_t>(seed));
     if (include_parts) req.set("include_parts", true);
     if (pin_version) {
@@ -331,16 +269,10 @@ int main(int argc, char** argv) {
 
   std::string request;
   if (op == "raw") {
-    if (raw_json.empty()) {
-      std::cerr << "error: raw needs --json\n";
-      usage();
-    }
+    if (raw_json.empty()) cli.fail("raw needs --json");
     request = raw_json;
   } else if (op == "load") {
-    if (path.empty()) {
-      std::cerr << "error: load needs --path\n";
-      usage();
-    }
+    if (path.empty()) cli.fail("load needs --path");
     json::Value req{json::Object{}};
     req.set("op", "load");
     req.set("path", path);
@@ -350,10 +282,7 @@ int main(int argc, char** argv) {
     req.set("op", op);
     request = json::dump(req);
   } else if (op == "update") {
-    if (graph.empty()) {
-      std::cerr << "error: update needs --graph\n";
-      usage();
-    }
+    if (graph.empty()) cli.fail("update needs --graph");
     json::Value req{json::Object{}};
     req.set("op", "update");
     req.set("graph", graph);
@@ -373,15 +302,11 @@ int main(int argc, char** argv) {
     if (!add_nets.empty()) req.set("add_nets", json::Value(add_nets));
     request = json::dump(req);
   } else if (op == "partition" || op == "repartition" || op == "evaluate") {
-    if (graph.empty()) {
-      std::cerr << "error: " << op << " needs --graph\n";
-      usage();
-    }
+    if (graph.empty()) cli.fail(op + " needs --graph");
     request = json::dump(config_request(op));
   } else if (op == "loadgen") {
     if (graph.empty() && loadgen_op != "stats") {
-      std::cerr << "error: loadgen needs --graph\n";
-      usage();
+      cli.fail("loadgen needs --graph");
     }
     if (loadgen_op == "stats") {
       json::Value req{json::Object{}};
@@ -392,8 +317,7 @@ int main(int argc, char** argv) {
     }
     // churn builds a distinct frame per request inside the worker loop.
   } else {
-    std::cerr << "error: unknown op '" << op << "'\n";
-    usage();
+    cli.fail("unknown op '" + op + "'");
   }
 
   if (op == "loadgen") {

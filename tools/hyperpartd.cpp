@@ -16,29 +16,15 @@
 
 #include <chrono>
 #include <csignal>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <thread>
 
 #include "hyperpart/obs/telemetry.hpp"
 #include "hyperpart/server/server.hpp"
-#include "hyperpart/util/parse.hpp"
+#include "hyperpart/util/cli.hpp"
 
 namespace {
-
-[[noreturn]] void usage() {
-  std::cerr << "usage: hyperpartd --socket /path/to.sock [--tcp PORT]\n"
-               "         [--threads T] [--telemetry t.json]\n";
-  std::exit(2);
-}
-
-[[noreturn]] void bad_flag(const std::string& flag, const std::string& token,
-                           const char* expected) {
-  std::cerr << "error: invalid value '" << token << "' for " << flag << " ("
-            << expected << ")\n";
-  usage();
-}
 
 volatile std::sig_atomic_t g_signal = 0;
 
@@ -49,36 +35,13 @@ void on_signal(int sig) { g_signal = sig; }
 int main(int argc, char** argv) {
   hp::server::ServerConfig cfg;
   std::string telemetry_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "error: " << arg << " expects a value\n";
-        usage();
-      }
-      return argv[++i];
-    };
-    if (arg == "--socket") {
-      cfg.unix_socket = value();
-    } else if (arg == "--tcp") {
-      const auto v = hp::parse_u64(value(), 0, 65535);
-      if (!v) bad_flag(arg, argv[i], "port in [0, 65535]");
-      cfg.tcp_port = static_cast<int>(*v);
-    } else if (arg == "--threads") {
-      const auto v = hp::parse_u64(value(), 0, 1024);
-      if (!v) bad_flag(arg, argv[i], "integer in [0, 1024]");
-      cfg.threads = static_cast<unsigned>(*v);
-    } else if (arg == "--telemetry") {
-      telemetry_path = value();
-    } else {
-      std::cerr << "error: unknown flag '" << arg << "'\n";
-      usage();
-    }
-  }
-  if (cfg.unix_socket.empty()) {
-    std::cerr << "error: --socket is required\n";
-    usage();
-  }
+  hp::cli::Parser cli("hyperpartd", "--socket /path/to.sock [options]");
+  cli.text("--socket", "PATH", cfg.unix_socket)
+      .integer("--tcp", "PORT", cfg.tcp_port, 0, 65535)
+      .integer("--threads", "T", cfg.threads, 0, 1024)
+      .text("--telemetry", "t.json", telemetry_path);
+  cli.parse(argc, argv);
+  if (cfg.unix_socket.empty()) cli.fail("--socket is required");
   if (!telemetry_path.empty()) {
     hp::obs::reset();
     hp::obs::set_enabled(true);
