@@ -14,14 +14,11 @@
 // in miniature) and reports req/sec plus p50/p99 latency, all suffixed
 // _per_sec/_ms so the CI diff ignores the machine-dependent values.
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <numeric>
-#include <cstring>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -77,33 +74,13 @@ std::vector<server::WeightUpdate> perturb(server::GraphSession& session,
   return updates;
 }
 
-// --- Minimal socket client (the hyperpartc round-trip, inlined) -------------
-
-int connect_unix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
+// --- Socket client ---------------------------------------------------------
 
 std::optional<json::Value> rpc(int fd, const json::Value& request) {
-  if (server::write_frame(fd, json::dump(request)) !=
-      server::FrameError::kNone) {
-    return std::nullopt;
-  }
-  std::string payload;
-  if (server::read_frame(fd, payload) != server::FrameError::kNone) {
-    return std::nullopt;
-  }
+  const auto payload = server::round_trip(fd, json::dump(request));
+  if (!payload) return std::nullopt;
   try {
-    return json::parse(payload);
+    return json::parse(*payload);
   } catch (const std::exception&) {
     return std::nullopt;
   }
@@ -461,7 +438,7 @@ HP_BENCH_CASE(request_throughput,
 
   // One setup connection: load the graph and compute the partition every
   // evaluate will read.
-  const int setup_fd = connect_unix(sock_path);
+  const int setup_fd = server::connect_unix(sock_path);
   ctx.check(setup_fd >= 0, "client connects to the unix socket");
   std::string graph_name;
   {
@@ -498,7 +475,7 @@ HP_BENCH_CASE(request_throughput,
       const int share =
           total_requests / clients + (c < total_requests % clients ? 1 : 0);
       workers.emplace_back([&, c, share] {
-        const int fd = connect_unix(sock_path);
+        const int fd = server::connect_unix(sock_path);
         if (fd < 0) {
           failures[static_cast<std::size_t>(c)] = share;
           return;

@@ -12,11 +12,12 @@
 // mid-frame) fail immediately with kBadMagic instead of misreading a
 // length. Payloads above the configured cap (default 64 MiB) are rejected
 // before any allocation so a hostile length field cannot balloon memory.
-// Request/response schemas on top of the frame are documented in DESIGN.md
-// ("Partitioning service"); the frame layer itself is JSON-agnostic and is
-// unit-tested byte-by-byte in test_server.
+// The request schema on top of the frame lives in request.hpp, responses
+// in DESIGN.md ("Partitioning service"); the frame layer itself is
+// JSON-agnostic and is unit-tested byte-by-byte in test_server.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace hp::server {
@@ -45,5 +46,19 @@ enum class FrameError : std::uint8_t {
 /// writes. Returns kNone, kOversize (payload beyond the protocol's 32-bit
 /// length), or kIo.
 [[nodiscard]] FrameError write_frame(int fd, const std::string& payload);
+
+/// Client side: a connected stream socket to the unix socket at `path`, or
+/// -1 with errno set. A path that does not fit sockaddr_un is refused
+/// (ENAMETOOLONG) rather than truncated to some other socket's path.
+[[nodiscard]] int connect_unix(const std::string& path);
+
+/// Client side: a connected socket to 127.0.0.1:`port`, or -1 with errno
+/// set.
+[[nodiscard]] int connect_tcp(int port);
+
+/// One request frame out, one response frame back; nullopt on any
+/// transport or framing failure.
+[[nodiscard]] std::optional<std::string> round_trip(int fd,
+                                                    const std::string& payload);
 
 }  // namespace hp::server

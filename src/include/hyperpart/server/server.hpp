@@ -8,25 +8,25 @@
 // process-wide persistent ThreadPool through the algorithms' `threads`
 // parameter, so connection threads stay cheap blocking-I/O loops.
 //
-// Requests are JSON objects with an "op" field:
+// Requests are JSON objects with an "op" field; request.hpp holds the
+// schema (every op and field) and its decoder:
 //
-//   load         {op, path}                         → create/reuse a session
-//   partition    {op, graph, k, epsilon?, metric?, seed?, include_parts?}
-//   repartition  same fields — incremental ladder (ΔFM → V-cycle → full)
-//   evaluate     {op, graph, k, ..., version?}      → reader, never blocks;
-//                `version` pins the expected snapshot (mismatch = error)
-//   update       {op, graph, node_weights?: [[id,w]...], edge_weights?: [...],
-//                 remove_nets?: [id...], remove_pins?: [{net,pins}...],
-//                 add_pins?: [{net,pins}...], add_nets?: [{pins,weight?}...]}
-//                one frame = one atomic batch, validated wholly before any
-//                mutation; structural deltas apply in the field order above
-//   stats        {op, graph?}                       → counters + cache facts
-//   shutdown     {op}                               → ack, then stop serving
+//   load         create or reuse the session of a graph file
+//   partition    multilevel run, answered from the session cache when it can
+//   repartition  incremental ladder (ΔFM → V-cycle → full)
+//   evaluate     reader, never blocks; `version` pins the expected snapshot
+//                (mismatch = error)
+//   update       one frame = one atomic batch of weight and structural
+//                deltas, validated wholly before any mutation
+//   stats        counters + cache facts
+//   shutdown     ack, then stop serving
 //
 // Every response carries {ok: bool}; failures add {error}. Responses that
-// address a loaded graph also echo {version}: the session's monotone graph
+// the session computes (load, update, partition, repartition, evaluate,
+// their errors included) also echo {version}: the session's monotone graph
 // version (bumped by every successful update), identifying the snapshot the
-// answer was computed against. Per-graph admission control:
+// answer was computed against. Decode errors, unknown graphs and busy
+// rejections carry no version. Per-graph admission control:
 // partition/repartition/update need the session's single mutator slot and
 // answer {ok:false, error:"busy: ..."} when a second mutator arrives;
 // evaluate/stats run concurrently with a mutator. Full schemas are
@@ -43,6 +43,7 @@
 #include <thread>
 #include <vector>
 
+#include "hyperpart/obs/json.hpp"
 #include "hyperpart/server/protocol.hpp"
 #include "hyperpart/server/session.hpp"
 
@@ -110,6 +111,9 @@ class Server {
   void handle_connection(int fd);
   [[nodiscard]] std::string handle_request(const std::string& payload,
                                            bool* request_shutdown);
+  [[nodiscard]] GraphSession* find_session(const std::string& graph);
+  [[nodiscard]] obs::json::Value load_response(const std::string& path);
+  [[nodiscard]] obs::json::Value stats_response();
 
   ServerConfig cfg_;
   int unix_fd_ = -1;

@@ -90,12 +90,14 @@ struct SessionConfig {
   CostMetric metric = CostMetric::kConnectivity;
   std::uint64_t seed = 1;
   unsigned threads = 1;
+  bool operator==(const SessionConfig&) const = default;
 };
 
 /// One node- or edge-weight change of an `update` request.
 struct WeightUpdate {
   std::uint32_t id = 0;
   Weight weight = 0;
+  bool operator==(const WeightUpdate&) const = default;
 };
 
 /// One structural change of an `update` request. A batch of these is
@@ -113,6 +115,7 @@ struct StructuralDelta {
   EdgeId net = kInvalidEdge;   ///< target net (all kinds except kAddNet)
   std::vector<NodeId> pins;
   Weight weight = 1;           ///< kAddNet only
+  bool operator==(const StructuralDelta&) const = default;
 };
 
 /// Result of partition / repartition / evaluate.

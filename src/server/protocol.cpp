@@ -1,5 +1,8 @@
 #include "hyperpart/server/protocol.hpp"
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -38,6 +41,19 @@ bool write_exact(int fd, const char* buf, std::size_t n) {
     put += static_cast<std::size_t>(r);
   }
   return true;
+}
+
+/// socket() + connect(); -1 with connect's errno on failure.
+int connect_to(int domain, const sockaddr* addr, socklen_t len) {
+  const int fd = ::socket(domain, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  if (::connect(fd, addr, len) != 0) {
+    const int err = errno;
+    ::close(fd);
+    errno = err;
+    return -1;
+  }
+  return fd;
 }
 
 }  // namespace
@@ -99,6 +115,36 @@ FrameError write_frame(int fd, const std::string& payload) {
   if (!write_exact(fd, header, sizeof header)) return FrameError::kIo;
   if (len > 0 && !write_exact(fd, payload.data(), len)) return FrameError::kIo;
   return FrameError::kNone;
+}
+
+int connect_unix(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (path.size() >= sizeof addr.sun_path) {
+    errno = ENAMETOOLONG;
+    return -1;
+  }
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  return connect_to(AF_UNIX, reinterpret_cast<const sockaddr*>(&addr),
+                    sizeof addr);
+}
+
+int connect_tcp(int port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  return connect_to(AF_INET, reinterpret_cast<const sockaddr*>(&addr),
+                    sizeof addr);
+}
+
+std::optional<std::string> round_trip(int fd, const std::string& payload) {
+  std::string response;
+  if (write_frame(fd, payload) != FrameError::kNone ||
+      read_frame(fd, response) != FrameError::kNone) {
+    return std::nullopt;
+  }
+  return response;
 }
 
 }  // namespace hp::server

@@ -5,13 +5,13 @@
 
 #include <gtest/gtest.h>
 
-#include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -60,27 +60,10 @@ void write_all(int fd, const void* data, std::size_t len) {
   ASSERT_EQ(::write(fd, data, len), static_cast<ssize_t>(len));
 }
 
-int connect_unix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
 std::optional<json::Value> rpc(int fd, const json::Value& request) {
-  if (write_frame(fd, json::dump(request)) != FrameError::kNone) {
-    return std::nullopt;
-  }
-  std::string payload;
-  if (read_frame(fd, payload) != FrameError::kNone) return std::nullopt;
-  return json::parse(payload);
+  const auto response = round_trip(fd, json::dump(request));
+  if (!response) return std::nullopt;
+  return json::parse(*response);
 }
 
 json::Value req(const std::string& op) {
@@ -992,7 +975,8 @@ TEST(ServerTest, StaleSocketFileIsReplacedOnStart) {
   ASSERT_GE(fd, 0);
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  ASSERT_LT(path.size(), sizeof addr.sun_path);
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
   ASSERT_EQ(::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
             0);
   ::close(fd);
@@ -1020,9 +1004,21 @@ TEST(ServerTest, UnknownGraphAndUnknownOpAreCleanErrors) {
   EXPECT_FALSE(ok_of(r1));
   EXPECT_NE(error_of(r1).find("unknown graph"), std::string::npos);
 
+  // The op name is checked first, with or without the fields a graph op
+  // would need.
   const auto r2 = rpc(fd, req("frobnicate"));
   ASSERT_TRUE(r2.has_value());
   EXPECT_FALSE(ok_of(r2));
+  EXPECT_EQ(error_of(r2), "unknown op frobnicate");
+  json::Value addressed = part;
+  addressed.set("op", json::Value(std::string("frobnicate")));
+  EXPECT_EQ(error_of(rpc(fd, addressed)), "unknown op frobnicate");
+
+  // Requests decode before the session lookup: a malformed request to an
+  // unknown graph reports its field error.
+  part.set("k", json::Value(std::int64_t{1}));
+  EXPECT_EQ(error_of(rpc(fd, part)),
+            "k must be a 32-bit integer >= 2 and seed an integer");
 
   // Invalid JSON payload inside a valid frame.
   ASSERT_EQ(write_frame(fd, "{not json"), FrameError::kNone);
@@ -1030,7 +1026,32 @@ TEST(ServerTest, UnknownGraphAndUnknownOpAreCleanErrors) {
   ASSERT_EQ(read_frame(fd, payload), FrameError::kNone);
   const auto r3 = json::parse(payload);
   EXPECT_FALSE(ok_of(r3));
+  EXPECT_EQ(error_of(r3).rfind("request is not valid JSON: ", 0), 0u);
   ::close(fd);
+}
+
+TEST(ServerTest, ConnectUnixRefusesAPathLongerThanSunPath) {
+  // A path one byte too long for sockaddr_un whose truncation names a live
+  // socket: copying it with strncpy would connect to that other socket.
+  TempDir dir;
+  const std::size_t cap = sizeof(sockaddr_un{}.sun_path) - 1;
+  std::string live = (dir.path / "s").string();
+  ASSERT_LT(live.size(), cap);
+  live.append(cap - live.size(), 'x');
+  ServerConfig cfg;
+  cfg.unix_socket = live;
+  Server server(std::move(cfg));
+  server.start();
+
+  const int ok_fd = connect_unix(live);
+  EXPECT_GE(ok_fd, 0);
+  if (ok_fd >= 0) ::close(ok_fd);
+
+  errno = 0;
+  EXPECT_EQ(connect_unix(live + "y"), -1);
+  EXPECT_EQ(errno, ENAMETOOLONG);
+  server.shutdown();
+  server.wait();
 }
 
 TEST(ServerTest, MalformedFrameGetsOneErrorResponseThenHangup) {
@@ -1075,15 +1096,8 @@ TEST(ServerTest, TcpLoopbackServesTheSameProtocol) {
   RunningServer rs(/*tcp_port=*/0);
   ASSERT_GT(rs.server->tcp_port(), 0);
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = connect_tcp(rs.server->tcp_port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(rs.server->tcp_port()));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
   EXPECT_TRUE(ok_of(rpc(fd, req("stats"))));
   ::close(fd);
 }

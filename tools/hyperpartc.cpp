@@ -32,12 +32,10 @@
 // under concurrent mutators, the slot admits one at a time — are counted
 // separately from failures.
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -50,124 +48,74 @@
 
 #include "hyperpart/obs/json.hpp"
 #include "hyperpart/server/protocol.hpp"
+#include "hyperpart/server/request.hpp"
 #include "hyperpart/util/cli.hpp"
 #include "hyperpart/util/parse.hpp"
 
 namespace json = hp::obs::json;
+namespace srv = hp::server;
+using Kind = srv::StructuralDelta::Kind;
 
 namespace {
 
-int connect_to(const std::string& socket_path, int tcp_port) {
-  if (!socket_path.empty()) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (socket_path.size() >= sizeof addr.sun_path) {
-      std::cerr << "error: socket path too long\n";
-      return -1;
-    }
-    std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return -1;
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-        0) {
-      std::cerr << "error: cannot connect to " << socket_path << ": "
-                << std::strerror(errno) << "\n";
-      ::close(fd);
-      return -1;
-    }
-    return fd;
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(tcp_port));
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-      0) {
-    std::cerr << "error: cannot connect to tcp port " << tcp_port << ": "
-              << std::strerror(errno) << "\n";
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-/// One request/response round trip; nullopt on transport failure.
-std::optional<std::string> round_trip(int fd, const std::string& request) {
-  if (hp::server::write_frame(fd, request) != hp::server::FrameError::kNone) {
-    return std::nullopt;
-  }
-  std::string response;
-  if (hp::server::read_frame(fd, response) != hp::server::FrameError::kNone) {
-    return std::nullopt;
-  }
-  return response;
-}
-
-/// Parse "ID=W" into a [id, weight] JSON pair.
-std::optional<json::Value> weight_pair(std::string_view spec) {
+/// Parse "ID=W".
+std::optional<srv::WeightUpdate> weight_update(std::string_view spec) {
   const auto eq = spec.find('=');
   if (eq == std::string_view::npos) return std::nullopt;
   const auto id = hp::parse_u64(spec.substr(0, eq), 0, UINT32_MAX);
   const auto w = hp::parse_i64(spec.substr(eq + 1), 0, INT64_MAX);
   if (!id || !w) return std::nullopt;
-  json::Array pair;
-  pair.emplace_back(static_cast<std::int64_t>(*id));
-  pair.emplace_back(*w);
-  return json::Value(std::move(pair));
+  return srv::WeightUpdate{static_cast<std::uint32_t>(*id), *w};
 }
 
-/// Parse a net id.
-std::optional<json::Value> net_id(std::string_view token) {
-  const auto id = hp::parse_u64(token, 0, UINT32_MAX);
-  if (!id) return std::nullopt;
-  return json::Value(static_cast<std::int64_t>(*id));
-}
-
-/// Parse "P1,P2,..." into a JSON array of node ids.
-std::optional<json::Value> pin_list(std::string_view spec) {
-  json::Array pins;
+/// Parse "P1,P2,...".
+std::optional<std::vector<hp::NodeId>> pin_list(std::string_view spec) {
+  std::vector<hp::NodeId> pins;
   for (const std::string_view tok : hp::cli::split(spec, ',')) {
     const auto id = hp::parse_u64(tok, 0, UINT32_MAX);
     if (!id) return std::nullopt;
-    pins.emplace_back(static_cast<std::int64_t>(*id));
+    pins.push_back(static_cast<hp::NodeId>(*id));
   }
-  return json::Value(std::move(pins));
+  return pins;
 }
 
-/// Parse "NET:P1,P2,..." into a {net, pins} object.
-std::optional<json::Value> net_pins(std::string_view spec) {
+/// Parse a net id to remove.
+std::optional<srv::StructuralDelta> remove_net(std::string_view token) {
+  const auto id = hp::parse_u64(token, 0, UINT32_MAX);
+  if (!id) return std::nullopt;
+  return srv::StructuralDelta{Kind::kRemoveNet, static_cast<hp::EdgeId>(*id),
+                              {}};
+}
+
+/// Parse "NET:P1,P2,..." into a remove_pins or add_pins delta.
+std::optional<srv::StructuralDelta> net_pins(std::string_view spec,
+                                             Kind kind) {
   const auto colon = spec.find(':');
   if (colon == std::string_view::npos) return std::nullopt;
   const auto net = hp::parse_u64(spec.substr(0, colon), 0, UINT32_MAX);
   auto pins = pin_list(spec.substr(colon + 1));
   if (!net || !pins) return std::nullopt;
-  json::Value o{json::Object{}};
-  o.set("net", static_cast<std::int64_t>(*net));
-  o.set("pins", std::move(*pins));
-  return o;
+  return srv::StructuralDelta{kind, static_cast<hp::EdgeId>(*net),
+                              std::move(*pins)};
 }
 
-/// Parse "P1,P2,...[@W]" into a {pins, weight?} object.
-std::optional<json::Value> new_net(std::string_view spec) {
+/// Parse "P1,P2,...[@W]" into an add_nets delta.
+std::optional<srv::StructuralDelta> new_net(std::string_view spec) {
   const auto at = spec.find('@');
   auto pins = pin_list(spec.substr(0, at));
   if (!pins) return std::nullopt;
-  json::Value o{json::Object{}};
-  o.set("pins", std::move(*pins));
+  srv::StructuralDelta d{Kind::kAddNet, hp::kInvalidEdge, std::move(*pins)};
   if (at != std::string_view::npos) {
     const auto w = hp::parse_i64(spec.substr(at + 1), 0, INT64_MAX);
     if (!w) return std::nullopt;
-    o.set("weight", *w);
+    d.weight = *w;
   }
-  return o;
+  return d;
 }
 
 /// Setter appending `parse(token)` to `target`; rejects when it fails.
-hp::cli::Parser::Setter append_to(
-    json::Array& target,
-    std::optional<json::Value> (*parse)(std::string_view)) {
+template <typename T, typename Parse>
+hp::cli::Parser::Setter append_to(std::vector<T>& target, Parse parse) {
   return [&target, parse](std::string_view token) {
     auto value = parse(token);
     if (value) target.push_back(std::move(*value));
@@ -191,21 +139,13 @@ int main(int argc, char** argv) {
   std::string graph;
   std::string raw_json;
   std::string loadgen_op = "evaluate";
-  std::uint32_t k = 2;
-  double eps = 0.05;
-  std::string metric;
-  std::uint64_t seed = 1;
+  srv::SessionConfig config;
   bool include_parts = false;
   std::optional<std::uint64_t> pin_version;
   std::uint64_t repeat = 100;
   std::uint64_t clients = 4;
   std::uint32_t churn_nodes = 2;
-  json::Array node_weights;
-  json::Array edge_weights;
-  json::Array remove_nets;
-  json::Array remove_pins;
-  json::Array add_pins;
-  json::Array add_nets;
+  srv::UpdateRequest update;
 
   hp::cli::Parser cli("hyperpartc",
                       "(--socket /path.sock | --tcp PORT) <op> [options]");
@@ -214,25 +154,33 @@ int main(int argc, char** argv) {
       .integer("--tcp", "PORT", tcp_port, 1, 65535)
       .text("--path", "F", path)
       .text("--graph", "G", graph)
-      .integer("--k", "K", k, 2)
-      .real("--eps", "E", eps, 0.0)
-      .choice<std::string>("--metric", metric,
-                           {{"conn", "connectivity"}, {"cut", "cut"}})
-      .integer("--seed", "S", seed, 0)
+      .integer("--k", "K", config.k, 2)
+      .real("--eps", "E", config.epsilon, 0.0)
+      .choice<hp::CostMetric>("--metric", config.metric,
+                              {{"conn", hp::CostMetric::kConnectivity},
+                               {"cut", hp::CostMetric::kCutNet}})
+      .integer("--seed", "S", config.seed, 0)
       .flag("--parts", include_parts)
       .integer("--version", "V", pin_version, 0)
       .custom("--node-weight", "ID=W", "ID=WEIGHT, both non-negative integers",
-              append_to(node_weights, weight_pair))
+              append_to(update.node_weights, weight_update))
       .custom("--edge-weight", "ID=W", "ID=WEIGHT, both non-negative integers",
-              append_to(edge_weights, weight_pair))
-      .custom("--remove-net", "ID", "net id", append_to(remove_nets, net_id))
+              append_to(update.edge_weights, weight_update))
+      .custom("--remove-net", "ID", "net id",
+              append_to(update.structural, remove_net))
       .custom("--remove-pins", "NET:P,..", "NET:P1,P2,... node ids",
-              append_to(remove_pins, net_pins))
+              append_to(update.structural,
+                        [](std::string_view s) {
+                          return net_pins(s, Kind::kRemovePins);
+                        }))
       .custom("--add-pins", "NET:P,..", "NET:P1,P2,... node ids",
-              append_to(add_pins, net_pins))
+              append_to(update.structural,
+                        [](std::string_view s) {
+                          return net_pins(s, Kind::kAddPins);
+                        }))
       .custom("--add-net", "P,P,..[@W]",
               "P1,P2,...[@WEIGHT] node ids, non-negative weight",
-              append_to(add_nets, new_net))
+              append_to(update.structural, new_net))
       .text("--json", "J", raw_json)
       .choice("--op", loadgen_op,
               {"evaluate", "partition", "repartition", "stats", "churn"})
@@ -249,76 +197,72 @@ int main(int argc, char** argv) {
     cli.fail("--socket or --tcp is required");
   }
 
-  // Build the request payload.
-  const auto config_request = [&](const std::string& request_op) {
-    json::Value req{json::Object{}};
-    req.set("op", request_op);
-    req.set("graph", graph);
-    req.set("k", static_cast<std::int64_t>(k));
-    req.set("epsilon", eps);
-    if (!metric.empty()) req.set("metric", metric);
-    req.set("seed", static_cast<std::int64_t>(seed));
-    if (include_parts) req.set("include_parts", true);
-    if (pin_version) {
-      // Snapshot pinning: the server answers "version mismatch" instead of
-      // silently evaluating a graph the client has not seen yet.
-      req.set("version", static_cast<std::int64_t>(*pin_version));
-    }
-    return req;
+  // The payload of the named request op, filled from the flags; `command`
+  // names what the user ran in usage errors.
+  const auto encode = [&](const std::string& name,
+                          const std::string& command) {
+    std::optional<srv::Request> request = srv::request_named(name);
+    if (!request) cli.fail("unknown op '" + name + "'");
+    const auto need_graph = [&] {
+      if (graph.empty()) cli.fail(command + " needs --graph");
+      return graph;
+    };
+    const auto fill_config = [&](srv::ConfigRequest& r) {
+      r.graph = need_graph();
+      r.config = config;
+      r.include_parts = include_parts;
+    };
+    std::visit(srv::Overloaded{
+                   [&](srv::LoadRequest& r) {
+                     if (path.empty()) cli.fail("load needs --path");
+                     r.path = path;
+                   },
+                   [](srv::StatsRequest&) {},
+                   [](srv::ShutdownRequest&) {},
+                   [&](srv::UpdateRequest& r) {
+                     r = update;
+                     r.graph = need_graph();
+                   },
+                   fill_config,
+                   [&](srv::EvaluateRequest& r) {
+                     fill_config(r);
+                     // Snapshot pinning: the server answers "version
+                     // mismatch" instead of silently evaluating a graph the
+                     // client has not seen yet.
+                     r.version = pin_version;
+                   },
+               },
+               *request);
+    return json::dump(srv::encode_request(*request));
   };
 
   std::string request;
   if (op == "raw") {
     if (raw_json.empty()) cli.fail("raw needs --json");
     request = raw_json;
-  } else if (op == "load") {
-    if (path.empty()) cli.fail("load needs --path");
-    json::Value req{json::Object{}};
-    req.set("op", "load");
-    req.set("path", path);
-    request = json::dump(req);
-  } else if (op == "stats" || op == "shutdown") {
-    json::Value req{json::Object{}};
-    req.set("op", op);
-    request = json::dump(req);
-  } else if (op == "update") {
-    if (graph.empty()) cli.fail("update needs --graph");
-    json::Value req{json::Object{}};
-    req.set("op", "update");
-    req.set("graph", graph);
-    if (!node_weights.empty()) {
-      req.set("node_weights", json::Value(node_weights));
-    }
-    if (!edge_weights.empty()) {
-      req.set("edge_weights", json::Value(edge_weights));
-    }
-    if (!remove_nets.empty()) {
-      req.set("remove_nets", json::Value(remove_nets));
-    }
-    if (!remove_pins.empty()) {
-      req.set("remove_pins", json::Value(remove_pins));
-    }
-    if (!add_pins.empty()) req.set("add_pins", json::Value(add_pins));
-    if (!add_nets.empty()) req.set("add_nets", json::Value(add_nets));
-    request = json::dump(req);
-  } else if (op == "partition" || op == "repartition" || op == "evaluate") {
-    if (graph.empty()) cli.fail(op + " needs --graph");
-    request = json::dump(config_request(op));
   } else if (op == "loadgen") {
-    if (graph.empty() && loadgen_op != "stats") {
-      cli.fail("loadgen needs --graph");
-    }
-    if (loadgen_op == "stats") {
-      json::Value req{json::Object{}};
-      req.set("op", "stats");
-      request = json::dump(req);
-    } else if (loadgen_op != "churn") {
-      request = json::dump(config_request(loadgen_op));
-    }
     // churn builds a distinct frame per request inside the worker loop.
+    if (loadgen_op == "churn") {
+      if (graph.empty()) cli.fail("loadgen needs --graph");
+    } else {
+      request = encode(loadgen_op, op);
+    }
   } else {
-    cli.fail("unknown op '" + op + "'");
+    request = encode(op, op);
   }
+
+  const auto connect = [&] {
+    const int fd = socket_path.empty() ? srv::connect_tcp(tcp_port)
+                                       : srv::connect_unix(socket_path);
+    if (fd < 0) {
+      std::cerr << "error: cannot connect to "
+                << (socket_path.empty()
+                        ? "tcp port " + std::to_string(tcp_port)
+                        : socket_path)
+                << ": " << std::strerror(errno) << "\n";
+    }
+    return fd;
+  };
 
   if (op == "loadgen") {
     // Fire `repeat` identical requests over `clients` parallel connections.
@@ -330,7 +274,7 @@ int main(int argc, char** argv) {
           repeat / clients + (c < repeat % clients ? 1 : 0);
       workers.emplace_back([&, c, share] {
         LoadgenStats& stats = per_client[c];
-        const int fd = connect_to(socket_path, tcp_port);
+        const int fd = connect();
         if (fd < 0) {
           stats.failures = share;
           return;
@@ -342,22 +286,16 @@ int main(int argc, char** argv) {
             // Per-request-distinct structural delta: one new 2-pin net,
             // pins rolling through [0, --nodes) so every frame differs.
             const std::uint64_t tick = c * 1000003ULL + r;
-            json::Value req{json::Object{}};
-            req.set("op", "update");
-            req.set("graph", graph);
-            json::Value net{json::Object{}};
-            json::Array pins;
-            pins.emplace_back(static_cast<std::int64_t>(tick % churn_nodes));
-            pins.emplace_back(
-                static_cast<std::int64_t>((tick + 1) % churn_nodes));
-            net.set("pins", json::Value(std::move(pins)));
-            json::Array nets;
-            nets.push_back(std::move(net));
-            req.set("add_nets", json::Value(std::move(nets)));
-            payload = json::dump(req);
+            srv::UpdateRequest churn;
+            churn.graph = graph;
+            churn.structural.push_back(
+                {Kind::kAddNet, hp::kInvalidEdge,
+                 {static_cast<hp::NodeId>(tick % churn_nodes),
+                  static_cast<hp::NodeId>((tick + 1) % churn_nodes)}});
+            payload = json::dump(srv::encode_request(churn));
           }
           const auto t0 = std::chrono::steady_clock::now();
-          const auto response = round_trip(fd, payload);
+          const auto response = srv::round_trip(fd, payload);
           const auto t1 = std::chrono::steady_clock::now();
           if (!response) {
             ++stats.failures;
@@ -408,9 +346,9 @@ int main(int argc, char** argv) {
     return failures == 0 ? 0 : 1;
   }
 
-  const int fd = connect_to(socket_path, tcp_port);
+  const int fd = connect();
   if (fd < 0) return 1;
-  const auto response = round_trip(fd, request);
+  const auto response = srv::round_trip(fd, request);
   ::close(fd);
   if (!response) {
     std::cerr << "error: transport failure talking to the server\n";
