@@ -22,6 +22,7 @@
 #include "hyperpart/algo/xp_algorithm.hpp"
 #include "hyperpart/core/balance.hpp"
 #include "hyperpart/core/connectivity_tracker.hpp"
+#include "hyperpart/core/fingerprint.hpp"
 #include "hyperpart/core/metrics.hpp"
 #include "hyperpart/dag/recognition.hpp"
 #include "hyperpart/obs/telemetry.hpp"
@@ -635,12 +636,34 @@ void incremental_leg(Checker& c) {
                 "update reported " + std::to_string(up.structural) +
                     " structural deltas, batch sent " +
                     std::to_string(deltas.size()));
-        c.check(session->graph_hash() == shadow.content_hash(),
+        c.check(session->graph_hash() == graph_fingerprint(shadow),
                 "incremental-structural",
-                "patched session hash diverges from a from_edges rebuild");
+                "maintained session fingerprint diverges from a from_edges "
+                "rebuild");
         std::string why0;
         c.check(session->verify_cache_integrity(&why0), "incremental-cache",
                 "tracker state diverged after update: " + why0);
+        // evaluate between update and repartition answers from the
+        // patched snapshot: it must equal a recount of its own parts on
+        // the rebuilt mirror.
+        const auto ev = session->evaluate(cfg, /*include_parts=*/true);
+        if (ev.ok && ev.parts.size() == shadow.num_nodes()) {
+          const Partition ep(
+              std::vector<PartId>(ev.parts.begin(), ev.parts.end()), cfg.k);
+          const auto weights = ep.part_weights(shadow);
+          c.check(ev.cost == cost(shadow, ep, cfg.metric) &&
+                      ev.part_weights == weights &&
+                      ev.balanced == BalanceConstraint::for_graph(
+                                         shadow, cfg.k, cfg.epsilon,
+                                         /*relaxed=*/true)
+                                         .satisfied(weights),
+                  "incremental-evaluate",
+                  "evaluate after update diverges from a recount on the "
+                  "rebuilt mirror");
+        } else {
+          c.fail("incremental-evaluate",
+                 "evaluate after update failed: " + ev.error);
+        }
         if (structural_round) {
           // Atomicity probe: one invalid delta anywhere in a batch must
           // reject the whole frame with zero effect. Probe the target kinds
@@ -663,7 +686,7 @@ void incremental_leg(Checker& c) {
           const auto rejected = session->update({}, {}, bad);
           c.check(!rejected.ok, "incremental-atomicity",
                   "batch with an invalid remove_net was accepted");
-          c.check(session->graph_hash() == shadow.content_hash() &&
+          c.check(session->graph_hash() == graph_fingerprint(shadow) &&
                       session->version() == ver,
                   "incremental-atomicity",
                   "rejected batch left a mutation behind");

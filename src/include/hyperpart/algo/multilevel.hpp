@@ -42,8 +42,8 @@ struct MultilevelConfig {
 /// A reusable coarsening hierarchy: the per-level coarse graphs and
 /// fine→coarse maps produced by the coarsening phase. Valid only for the
 /// exact graph contents (and balance capacity / seed) it was built from —
-/// the partitioning service keys cached hierarchies by
-/// Hypergraph::content_hash() plus the request config.
+/// the partitioning service keys cached hierarchies by the request config
+/// and checks them against its maintained graph_fingerprint().
 struct MultilevelHierarchy {
   std::vector<CoarseLevel> levels;
   /// Rng draws the coarsening phase consumed when this hierarchy was built

@@ -15,13 +15,20 @@
 //     a time, admitted through try_acquire_mutator() — a second concurrent
 //     mutator is rejected with a "busy" error, never queued;
 //   * any number of readers (evaluate / stats) run concurrently with the
-//     mutator: readers hold the shared lock and only ever touch the graph,
-//     and the committed (partition, cost) snapshots;
+//     mutator under the shared lock. Readers answer from each entry's
+//     committed snapshot — the cost of its partition on the current graph
+//     and its k part weights — plus the session's total node weight, so an
+//     evaluate is O(k) (O(n) more when it asks for the assignment). They
+//     never read trackers, which the ΔFM rung mutates without the lock;
 //   * the mutator computes under the *shared* lock — cached trackers and
 //     hierarchies are touched exclusively by the single admitted mutator,
 //     so readers never observe them — and commits results under a brief
-//     unique lock. `update` takes the unique lock for its whole (short)
-//     critical section since it writes the graph itself.
+//     unique lock. `update` takes the unique lock for its whole critical
+//     section since it writes the graph itself. It patches the snapshots
+//     and the graph fingerprint by the touched terms only, so a
+//     weight-only update holds the lock for O(Δ) work (Δ = the pins of
+//     the updated nets plus the updated nodes); a structural batch adds
+//     the graph's O(n + m + ρ) CSR rebuild.
 //
 // Repartition fallback ladder (documented in DESIGN.md):
 //   1. ΔFM      — change fraction ≤ kDeltaFmMaxFraction and a cached
@@ -68,6 +75,9 @@
 #include "hyperpart/util/shared_mutex.hpp"
 
 namespace hp::server {
+
+/// Exact accumulator of the session's maintained sums (see Snapshot).
+using WideWeight = __int128;
 
 /// Change-fraction thresholds of the repartition ladder.
 inline constexpr double kDeltaFmMaxFraction = 0.05;
@@ -164,7 +174,9 @@ class GraphSession {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] NodeId num_nodes() const noexcept { return g_.num_nodes(); }
   [[nodiscard]] EdgeId num_edges() const noexcept { return g_.num_edges(); }
-  /// Current content hash (maintained across updates).
+  /// graph_fingerprint() of the current graph (core/fingerprint.hpp),
+  /// maintained term by term across updates rather than recomputed. Cache
+  /// entries are current exactly when their commit-time value equals it.
   [[nodiscard]] std::uint64_t graph_hash() const noexcept {
     return graph_hash_;
   }
@@ -210,11 +222,17 @@ class GraphSession {
   /// place. The whole batch is validated against the prospective final
   /// state before any mutation (atomicity: an invalid delta, including
   /// remove_net / remove_pins on an already-removed net, rejects the batch
-  /// with no effect). Node-weight changes patch cached trackers' part
-  /// weights; edge-weight changes mark trackers stale. Structural deltas
-  /// patch each fresh tracker per touched net (begin/finish_structural_patch)
-  /// while the graph rebuilds its CSR in place, falling back to staleness
-  /// when the batch's pin volume exceeds kStructuralPatchMaxFraction of ρ.
+  /// with no effect). Every change patches the graph fingerprint and each
+  /// entry's committed snapshot by the touched terms: a node-weight change
+  /// in O(1) per entry, an edge-weight change in O(|e|) per entry (λ_e is
+  /// counted over the entry's partition), a structural delta by
+  /// subtracting each touched net's old contribution before the rewrite
+  /// and adding the new one after. Node-weight changes also patch cached
+  /// trackers' part weights; edge-weight changes mark trackers stale.
+  /// Structural deltas patch each fresh tracker per touched net
+  /// (begin/finish_structural_patch) while the graph rebuilds its CSR in
+  /// place, falling back to staleness when the batch's pin volume exceeds
+  /// kStructuralPatchMaxFraction of ρ.
   /// Structural deltas are applied in the order given; appended nets take
   /// ids m, m+1, … and cannot be targeted by other deltas of the same
   /// batch. Bumps version() on success. Requires the mutator slot.
@@ -224,7 +242,8 @@ class GraphSession {
       std::span<const StructuralDelta> structural = {});
 
   /// Reader: cost/balance of the cached partition for cfg against the
-  /// *current* graph (recomputed when the graph changed since commit).
+  /// *current* graph, answered in O(k) from the entry's committed snapshot
+  /// (plus O(n) to copy the assignment when `include_parts`).
   /// `expected_version`, when set, makes the read conditional: if a
   /// mutation has moved version() past it, the call fails with a version
   /// mismatch instead of silently answering against the newer snapshot —
@@ -249,9 +268,11 @@ class GraphSession {
   };
   [[nodiscard]] std::vector<EntryStats> entry_stats() const;
 
-  /// Test/fuzz hook: rebuild every fresh cached tracker from scratch and
-  /// compare costs, part weights, and λ values against the incremental
-  /// state. Returns false (with a reason) on the first mismatch.
+  /// Test/fuzz hook: recompute the graph fingerprint, the total node weight
+  /// and every entry's snapshot from scratch and compare them with the
+  /// maintained values; rebuild every fresh cached tracker and compare
+  /// costs, part weights, and λ values against the incremental state.
+  /// Returns false (with a reason) on the first mismatch.
   [[nodiscard]] bool verify_cache_integrity(std::string* why) const;
 
  private:
@@ -271,12 +292,23 @@ class GraphSession {
   };
   static CacheKey key_of(const SessionConfig& cfg);
 
+  /// An entry's committed partition measured on the *current* graph: its
+  /// cost under the entry's metric and its k part weights. Updates may
+  /// carry any int64 weight, so the patched sums are kept exact in 128 bits
+  /// and clamped to Weight on read, which equals the saturating
+  /// from-scratch sums (all terms are non-negative).
+  struct Snapshot {
+    WideWeight cost = 0;
+    std::vector<WideWeight> part_weights;
+  };
+
   struct Entry {
     MultilevelHierarchy hierarchy;
     std::unique_ptr<ConnectivityTracker> tracker;
     bool tracker_stale = false;  ///< edge weights changed since tracker built
     Partition partition;
-    Weight cost = 0;
+    Weight cost = 0;               ///< cost at commit time (stats reports it)
+    Snapshot live;                 ///< patched by every update; readers' view
     std::string method;            ///< rung that produced `partition`
     std::uint64_t built_hash = 0;  ///< graph_hash_ at commit time
     std::uint64_t built_units = 0;  ///< change_units_ at commit time
@@ -289,6 +321,12 @@ class GraphSession {
     return static_cast<double>(change_units_ - e.built_units) / denom;
   }
   [[nodiscard]] MultilevelConfig ml_config(const SessionConfig& cfg) const;
+  /// Relaxed ε-balance over the maintained total node weight, O(1).
+  [[nodiscard]] BalanceConstraint balance_for(const SessionConfig& cfg) const;
+  /// Snapshot of the partition `tracker` mirrors, whose cost is `cost`:
+  /// O(k).
+  [[nodiscard]] static Snapshot snapshot_of(const ConnectivityTracker& tracker,
+                                            Weight cost);
   PartitionOutcome run_full(const SessionConfig& cfg, const CacheKey& key,
                             bool include_parts);
   void commit_entry(const CacheKey& key, Entry entry);
@@ -298,7 +336,8 @@ class GraphSession {
 
   std::string name_;
   Hypergraph g_;  // address-stable: trackers hold references into it
-  std::uint64_t graph_hash_ = 0;
+  std::uint64_t graph_hash_ = 0;  ///< maintained graph_fingerprint(g_)
+  WideWeight total_weight_ = 0;   ///< exact Σ node weights of g_
   std::uint64_t change_units_ = 0;  ///< update entries applied since load
   /// Monotone snapshot counter; written under the unique lock, read by
   /// anyone (responses echo it without taking the session lock).

@@ -64,9 +64,10 @@ void convert_hmetis_file(const std::string& hmetis_path,
 [[nodiscard]] bool is_binary_file(const std::string& path);
 
 /// Load a hypergraph file of either format, sniffed with is_binary_file: a
-/// binary file is mapped and materialized into mutable storage (the mapping
-/// is dropped on return), anything else is parsed as hMETIS text. Throws
-/// whatever MappedHypergraph or read_hmetis_file throws.
+/// binary file is mapped, checked with require_valid and materialized into
+/// mutable storage (the mapping is dropped on return), anything else is
+/// parsed as hMETIS text. Throws whatever MappedHypergraph, require_valid
+/// or read_hmetis_file throws.
 [[nodiscard]] Hypergraph read_hypergraph_file(const std::string& path);
 
 /// Read-only mmap view of a binary hypergraph file. Exposes the same
@@ -126,8 +127,11 @@ class MappedHypergraph {
   /// weights). For code paths that need the full mutable graph.
   [[nodiscard]] Hypergraph materialize() const;
 
-  /// Structural sanity check mirroring Hypergraph::validate(); faults in
-  /// every section, so tests only.
+  /// Structural sanity check mirroring Hypergraph::validate(): offsets
+  /// start at 0, are monotone and end at ρ; ids are in range; pins are
+  /// sorted and distinct per edge; weights are non-negative. Faults in
+  /// every section, so it runs once per load (require_valid), not per
+  /// open.
   [[nodiscard]] bool validate() const noexcept;
 
   /// Advise the kernel to drop this mapping's resident pages
@@ -153,5 +157,13 @@ class MappedHypergraph {
   const Weight* edge_weights_ = nullptr;
   mutable Weight total_node_weight_ = -1;  // lazy cache
 };
+
+/// Throw std::runtime_error naming `path` unless mapped.validate() holds.
+/// Every consumer that follows the file's offsets and ids (materialize,
+/// the streaming pass) must run it first: the constructor checks only that
+/// the sections fit the file, so a corrupt offset or pin would otherwise
+/// be read out of bounds. O(n + m + ρ), which is why it is not part of
+/// the constructor.
+void require_valid(const MappedHypergraph& mapped, const std::string& path);
 
 }  // namespace hp::stream

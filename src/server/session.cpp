@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -9,6 +10,7 @@
 
 #include "hyperpart/algo/incremental.hpp"
 #include "hyperpart/algo/vcycle.hpp"
+#include "hyperpart/core/fingerprint.hpp"
 #include "hyperpart/obs/telemetry.hpp"
 #include "hyperpart/stream/binary_format.hpp"
 
@@ -16,11 +18,21 @@ namespace hp::server {
 
 namespace {
 
-[[nodiscard]] BalanceConstraint balance_for(const Hypergraph& g,
-                                            const SessionConfig& cfg) {
-  // Relaxed (ceiling) capacity: a long-lived service should never reject a
-  // graph whose exact threshold is a hair below an integer.
-  return BalanceConstraint::for_graph(g, cfg.k, cfg.epsilon, /*relaxed=*/true);
+/// The saturating Weight view of an exact non-negative sum: what the
+/// from-scratch sat_add accumulations (cost_of, part_weights,
+/// total_node_weight) report for the same terms.
+[[nodiscard]] Weight clamp_weight(WideWeight x) noexcept {
+  constexpr Weight kMax = std::numeric_limits<Weight>::max();
+  return x >= kMax ? kMax : static_cast<Weight>(x);
+}
+
+/// Net e's exact term of cost_of(g, p, metric): O(|e|).
+[[nodiscard]] WideWeight cost_term(const Hypergraph& g, const Partition& p,
+                                   EdgeId e, CostMetric metric) {
+  const PartId l = lambda_of(g, p, e);
+  if (l <= 1) return 0;
+  const WideWeight w = g.edge_weight(e);
+  return metric == CostMetric::kCutNet ? w : w * (l - 1);
 }
 
 [[nodiscard]] FmConfig fm_for(const SessionConfig& cfg) {
@@ -33,8 +45,12 @@ namespace {
 }  // namespace
 
 GraphSession::GraphSession(Hypergraph g, std::string name)
-    : name_(std::move(name)), g_(std::move(g)) {
-  graph_hash_ = g_.content_hash();
+    : name_(std::move(name)),
+      g_(std::move(g)),
+      graph_hash_(graph_fingerprint(g_)) {
+  for (NodeId v = 0; v < g_.num_nodes(); ++v) {
+    total_weight_ += g_.node_weight(v);
+  }
 }
 
 std::unique_ptr<GraphSession> GraphSession::from_file(const std::string& path) {
@@ -63,6 +79,19 @@ MultilevelConfig GraphSession::ml_config(const SessionConfig& cfg) const {
   return ml;
 }
 
+BalanceConstraint GraphSession::balance_for(const SessionConfig& cfg) const {
+  // Relaxed (ceiling) capacity: a long-lived service should never reject a
+  // graph whose exact threshold is a hair below an integer.
+  return BalanceConstraint::for_total_weight(clamp_weight(total_weight_), cfg.k,
+                                             cfg.epsilon, /*relaxed=*/true);
+}
+
+GraphSession::Snapshot GraphSession::snapshot_of(
+    const ConnectivityTracker& tracker, Weight cost) {
+  const std::vector<Weight>& weights = tracker.part_weights();
+  return Snapshot{cost, {weights.begin(), weights.end()}};
+}
+
 PartitionOutcome GraphSession::outcome_from(const Entry& e,
                                             const SessionConfig& cfg,
                                             std::string method, bool cache_hit,
@@ -72,9 +101,12 @@ PartitionOutcome GraphSession::outcome_from(const Entry& e,
   out.ok = true;
   out.method = std::move(method);
   out.cache_hit = cache_hit;
-  out.cost = e.cost;
-  out.part_weights = e.partition.part_weights(g_);
-  out.balanced = balance_for(g_, cfg).satisfied(out.part_weights);
+  out.cost = clamp_weight(e.live.cost);
+  out.part_weights.reserve(e.live.part_weights.size());
+  for (const WideWeight w : e.live.part_weights) {
+    out.part_weights.push_back(clamp_weight(w));
+  }
+  out.balanced = balance_for(cfg).satisfied(out.part_weights);
   out.change_fraction = fraction;
   out.version = version();
   if (include_parts) {
@@ -93,7 +125,7 @@ PartitionOutcome GraphSession::run_full(const SessionConfig& cfg,
                                         bool include_parts) {
   // The admitted mutator reads g_ without a lock: update() is the only
   // writer and it needs the mutator slot we hold.
-  const BalanceConstraint balance = balance_for(g_, cfg);
+  const BalanceConstraint balance = balance_for(cfg);
   Entry entry;
   std::optional<Partition> p =
       multilevel_partition_cached(g_, balance, ml_config(cfg), &entry.hierarchy);
@@ -106,6 +138,7 @@ PartitionOutcome GraphSession::run_full(const SessionConfig& cfg,
   entry.tracker = std::make_unique<ConnectivityTracker>(g_, *p, cfg.threads);
   entry.tracker->enable_gain_cache(cfg.metric, cfg.threads);
   entry.cost = entry.tracker->cost(cfg.metric);
+  entry.live = snapshot_of(*entry.tracker, entry.cost);
   entry.partition = std::move(*p);
   entry.method = "full";
   entry.built_hash = graph_hash_;
@@ -137,7 +170,7 @@ PartitionOutcome GraphSession::partition(const SessionConfig& cfg,
     // under the unique lock so readers never see a torn entry.
     Entry& e = it->second;
     const double frac = fraction_since(e);
-    const BalanceConstraint balance = balance_for(g_, cfg);
+    const BalanceConstraint balance = balance_for(cfg);
     std::optional<Partition> p =
         multilevel_partition_cached(g_, balance, ml_config(cfg), &e.hierarchy);
     std::unique_ptr<ConnectivityTracker> tracker;
@@ -155,11 +188,13 @@ PartitionOutcome GraphSession::partition(const SessionConfig& cfg,
     }
     if (p && balance.satisfied(p->part_weights(g_))) {
       const Weight cost = tracker->cost(cfg.metric);
+      Snapshot live = snapshot_of(*tracker, cost);
       {
         std::unique_lock lock(mu_);
         e.tracker = std::move(tracker);
         e.tracker_stale = false;
         e.cost = cost;
+        e.live = std::move(live);
         e.partition = std::move(*p);
         e.method = "hierarchy";
         e.built_hash = graph_hash_;
@@ -189,7 +224,7 @@ PartitionOutcome GraphSession::repartition(const SessionConfig& cfg,
     return outcome_from(e, cfg, "cached", true, 0.0, include_parts);
   }
   const double frac = fraction_since(e);
-  const BalanceConstraint balance = balance_for(g_, cfg);
+  const BalanceConstraint balance = balance_for(cfg);
 
   // Rung 1: ΔFM on the cached tracker.
   if (frac <= kDeltaFmMaxFraction && e.tracker) {
@@ -210,7 +245,8 @@ PartitionOutcome GraphSession::repartition(const SessionConfig& cfg,
     // which never touches edge-based costs), so this is O(1).
     const Weight before = e.tracker->cost(cfg.metric);
     // ΔFM mutates the tracker's *contents* without a lock — readers never
-    // dereference trackers, only the committed (partition, cost) fields.
+    // dereference trackers, only the committed fields (partition, cost,
+    // snapshot).
     Partition p;
     std::optional<Weight> cost =
         delta_fm_refine(g_, *e.tracker, p, balance, fm_for(cfg));
@@ -221,9 +257,11 @@ PartitionOutcome GraphSession::repartition(const SessionConfig& cfg,
       cost.reset();
     }
     if (cost) {
+      Snapshot live = snapshot_of(*e.tracker, *cost);
       {
         std::unique_lock lock(mu_);
         e.cost = *cost;
+        e.live = std::move(live);
         e.partition = std::move(p);
         e.method = "delta_fm";
         e.built_hash = graph_hash_;
@@ -264,11 +302,13 @@ PartitionOutcome GraphSession::repartition(const SessionConfig& cfg,
       // rebuild so the next ΔFM starts exact.
       auto fresh = std::make_unique<ConnectivityTracker>(g_, p, cfg.threads);
       fresh->enable_gain_cache(cfg.metric, cfg.threads);
+      Snapshot live = snapshot_of(*fresh, cost);
       {
         std::unique_lock lock(mu_);
         e.tracker = std::move(fresh);
         e.tracker_stale = false;
         e.cost = cost;
+        e.live = std::move(live);
         e.partition = std::move(p);
         e.method = "vcycle";
         e.built_hash = graph_hash_;
@@ -435,13 +475,32 @@ UpdateOutcome GraphSession::update(std::span<const WeightUpdate> node_updates,
           std::max<double>(1.0, static_cast<double>(g_.num_pins()));
 
   std::unique_lock lock(mu_);
+  // Everything below patches the fingerprint and the snapshots by the
+  // touched terms only; the new fingerprint is published once at the end.
+  std::uint64_t hash = graph_hash_;
+  // Moves the fingerprint and every entry's snapshot cost by net e's
+  // current terms: sign -1 before e changes, +1 after.
+  const auto account_net = [&](EdgeId e, int sign) {
+    const std::uint64_t term = net_term(e, g_.edge_weight(e), g_.pins(e));
+    hash = sign > 0 ? hash + term : hash - term;
+    for (auto& [key, entry] : cache_) {
+      entry.live.cost += sign * cost_term(g_, entry.partition, e, key.metric);
+    }
+  };
+
   for (const WeightUpdate& u : node_updates) {
-    const Weight delta = u.weight - g_.node_weight(u.id);
+    const Weight old = g_.node_weight(u.id);
+    const Weight delta = u.weight - old;
     g_.update_node_weight(u.id, u.weight);
     if (delta == 0) continue;
+    hash += node_term(u.id, u.weight) - node_term(u.id, old);
+    total_weight_ += delta;
     // Node weights never enter pin counts, λ, costs, or the gain cache —
-    // patching the part weights keeps every fresh tracker exact.
+    // patching the part weights keeps every snapshot and fresh tracker
+    // exact.
     for (auto& [key, entry] : cache_) {
+      const PartId q = entry.partition[u.id];
+      if (q < entry.partition.k()) entry.live.part_weights[q] += delta;
       if (entry.tracker && !entry.tracker_stale) {
         entry.tracker->apply_node_weight_delta(u.id, delta);
       }
@@ -457,9 +516,13 @@ UpdateOutcome GraphSession::update(std::span<const WeightUpdate> node_updates,
       touched_ids.push_back(e);
       rewrites.push_back(EdgeRewrite{e, std::move(pins)});
     }
-    // Phase 1 on every fresh tracker BEFORE the graph mutates: the old pin
-    // lists and λ values are still live, so each touched net's cost
-    // contribution can be subtracted exactly.
+    // Phase 1 BEFORE the graph mutates: the old pin lists and λ values are
+    // still live, so each touched net's fingerprint term and cost
+    // contribution can be subtracted exactly — from the snapshots here and
+    // from every fresh tracker below.
+    const EdgeId m_before = g_.num_edges();
+    hash -= shape_term(g_.num_nodes(), m_before);
+    for (const EdgeId e : touched_ids) account_net(e, -1);
     std::vector<ConnectivityTracker*> patching;
     for (auto& [key, entry] : cache_) {
       if (!entry.tracker) continue;
@@ -487,20 +550,27 @@ UpdateOutcome GraphSession::update(std::span<const WeightUpdate> node_updates,
     for (ConnectivityTracker* t : patching) {
       t->finish_structural_patch(touched_ids);
     }
+    hash += shape_term(g_.num_nodes(), g_.num_edges());
+    for (const EdgeId e : touched_ids) account_net(e, +1);
+    for (EdgeId e = m_before; e < g_.num_edges(); ++e) account_net(e, +1);
     HP_COUNTER_ADD("server.structural_updates", 1);
     HP_COUNTER_ADD("server.tracker_patches",
                    static_cast<std::int64_t>(out.trackers_patched));
   }
 
   for (const WeightUpdate& u : edge_updates) {
+    // λ_e is counted over each entry's partition, so the snapshot patch is
+    // exact whether the entry's tracker is fresh, stale or absent.
+    account_net(u.id, -1);
     g_.update_edge_weight(u.id, u.weight);
+    account_net(u.id, +1);
     for (auto& [key, entry] : cache_) {
       if (entry.tracker) entry.tracker_stale = true;
     }
   }
   change_units_ +=
       node_updates.size() + edge_updates.size() + structural.size();
-  graph_hash_ = g_.content_hash();
+  graph_hash_ = hash;
   version_.fetch_add(1, std::memory_order_acq_rel);
   out.ok = true;
   out.applied =
@@ -538,22 +608,8 @@ PartitionOutcome GraphSession::evaluate(
     out.error = "no cached partition for this config; call partition first";
     return out;
   }
-  const Entry& e = it->second;
-  PartitionOutcome out;
-  out.ok = true;
-  out.version = version();
-  out.method = "cached";
-  out.cache_hit = true;
-  out.cost = e.built_hash == graph_hash_
-                 ? e.cost
-                 : cost_of(g_, e.partition, cfg.metric);
-  out.part_weights = e.partition.part_weights(g_);
-  out.balanced = balance_for(g_, cfg).satisfied(out.part_weights);
-  out.change_fraction = fraction_since(e);
-  if (include_parts) {
-    out.parts.assign(e.partition.raw().begin(), e.partition.raw().end());
-  }
-  return out;
+  return outcome_from(it->second, cfg, "cached", true,
+                      fraction_since(it->second), include_parts);
 }
 
 std::vector<GraphSession::EntryStats> GraphSession::entry_stats() const {
@@ -580,14 +636,46 @@ std::vector<GraphSession::EntryStats> GraphSession::entry_stats() const {
 bool GraphSession::verify_cache_integrity(std::string* why) const {
   // Test/fuzz hook; callers guarantee quiescence (no concurrent mutator).
   std::shared_lock lock(mu_);
+  if (graph_fingerprint(g_) != graph_hash_) {
+    if (why) *why = "maintained fingerprint diverges from the graph's CSR";
+    return false;
+  }
+  if (clamp_weight(total_weight_) != g_.total_node_weight()) {
+    if (why) *why = "maintained total node weight diverges from a recount";
+    return false;
+  }
   for (const auto& [key, e] : cache_) {
-    if (!e.tracker || e.tracker_stale) continue;
     std::ostringstream tag;
     tag << "entry(k=" << key.k << ", seed=" << key.seed << "): ";
     if (!e.partition.complete()) {
       if (why) *why = tag.str() + "cached partition incomplete";
       return false;
     }
+    const Weight expect = cost_of(g_, e.partition, key.metric);
+    if (clamp_weight(e.live.cost) != expect) {
+      if (why) {
+        *why = tag.str() + "snapshot cost " +
+               std::to_string(clamp_weight(e.live.cost)) + " != recomputed " +
+               std::to_string(expect);
+      }
+      return false;
+    }
+    std::vector<Weight> live_weights;
+    for (const WideWeight w : e.live.part_weights) {
+      live_weights.push_back(clamp_weight(w));
+    }
+    if (live_weights != e.partition.part_weights(g_)) {
+      if (why) *why = tag.str() + "snapshot part weights != recomputed";
+      return false;
+    }
+    if (e.built_hash == graph_hash_ && e.cost != expect) {
+      if (why) {
+        *why = tag.str() + "stored cost " + std::to_string(e.cost) +
+               " != recomputed " + std::to_string(expect);
+      }
+      return false;
+    }
+    if (!e.tracker || e.tracker_stale) continue;
     const ConnectivityTracker fresh(g_, e.partition);
     for (PartId q = 0; q < fresh.k(); ++q) {
       if (fresh.part_weight(q) != e.tracker->part_weight(q)) {
@@ -608,16 +696,6 @@ bool GraphSession::verify_cache_integrity(std::string* why) const {
       if (fresh.lambda(edge) != e.tracker->lambda(edge)) {
         if (why) {
           *why = tag.str() + "lambda mismatch at edge " + std::to_string(edge);
-        }
-        return false;
-      }
-    }
-    if (e.built_hash == graph_hash_) {
-      const Weight expect = cost_of(g_, e.partition, key.metric);
-      if (e.cost != expect) {
-        if (why) {
-          *why = tag.str() + "stored cost " + std::to_string(e.cost) +
-                 " != recomputed " + std::to_string(expect);
         }
         return false;
       }

@@ -111,8 +111,17 @@ bool is_binary_file(const std::string& path) {
 }
 
 Hypergraph read_hypergraph_file(const std::string& path) {
-  return is_binary_file(path) ? MappedHypergraph(path).materialize()
-                              : read_hmetis_file(path);
+  if (!is_binary_file(path)) return read_hmetis_file(path);
+  const MappedHypergraph mapped(path);
+  require_valid(mapped, path);
+  return mapped.materialize();
+}
+
+void require_valid(const MappedHypergraph& mapped, const std::string& path) {
+  if (!mapped.validate()) {
+    throw std::runtime_error(
+        "MappedHypergraph: corrupt offsets, ids or weights in " + path);
+  }
 }
 
 MappedHypergraph::MappedHypergraph(const std::string& path) {

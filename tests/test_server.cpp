@@ -10,6 +10,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -18,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -25,6 +27,7 @@
 
 #include "hyperpart/algo/multilevel.hpp"
 #include "hyperpart/core/balance.hpp"
+#include "hyperpart/core/fingerprint.hpp"
 #include "hyperpart/core/metrics.hpp"
 #include "hyperpart/io/generators.hpp"
 #include "hyperpart/obs/json.hpp"
@@ -455,7 +458,7 @@ TEST(SessionTest, StructuralPinEditsAndTombstonesMatchRebuild) {
   Hypergraph rebuilt =
       Hypergraph::from_edges(6, {{}, {0, 1, 2, 5}, {}, {4, 5}});
   rebuilt.update_edge_weight(0, 0);
-  EXPECT_EQ(s->graph_hash(), rebuilt.content_hash());
+  EXPECT_EQ(s->graph_hash(), graph_fingerprint(rebuilt));
 
   // evaluate answers with exactly the rebuilt graph's cost for the cached
   // partition — the emptied net and the tombstone both contribute zero.
@@ -586,6 +589,219 @@ TEST(SessionTest, EvaluatePinsASnapshotVersion) {
   const auto current = s->evaluate(cfg, false, 1);
   EXPECT_TRUE(current.ok) << current.error;
   EXPECT_EQ(current.version, 1u);
+}
+
+namespace {
+
+/// The session's graph kept independently: pin lists and weights, rebuilt
+/// from scratch with from_edges (tombstone = empty pins + weight 0).
+struct Mirror {
+  NodeId n = 0;
+  std::vector<std::vector<NodeId>> pins;
+  std::vector<Weight> node_w, edge_w;
+
+  explicit Mirror(const Hypergraph& g) : n(g.num_nodes()) {
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      const auto p = g.pins(e);
+      pins.emplace_back(p.begin(), p.end());
+      edge_w.push_back(g.edge_weight(e));
+    }
+    for (NodeId v = 0; v < n; ++v) node_w.push_back(g.node_weight(v));
+  }
+  void apply(const std::vector<WeightUpdate>& nodes,
+             const std::vector<WeightUpdate>& edges,
+             const std::vector<StructuralDelta>& deltas) {
+    for (const auto& u : nodes) node_w[u.id] = u.weight;
+    for (const auto& d : deltas) {
+      switch (d.kind) {
+        case StructuralDelta::Kind::kAddNet:
+          pins.push_back(d.pins);
+          std::sort(pins.back().begin(), pins.back().end());
+          edge_w.push_back(d.weight);
+          break;
+        case StructuralDelta::Kind::kRemoveNet:
+          pins[d.net].clear();
+          edge_w[d.net] = 0;
+          break;
+        case StructuralDelta::Kind::kAddPins:
+          for (const NodeId v : d.pins) pins[d.net].push_back(v);
+          std::sort(pins[d.net].begin(), pins[d.net].end());
+          break;
+        case StructuralDelta::Kind::kRemovePins:
+          for (const NodeId v : d.pins) {
+            std::erase(pins[d.net], v);
+          }
+          break;
+      }
+    }
+    for (const auto& u : edges) edge_w[u.id] = u.weight;
+  }
+  [[nodiscard]] Hypergraph rebuild() const {
+    Hypergraph g = Hypergraph::from_edges(n, pins);
+    g.set_node_weights(node_w);
+    g.set_edge_weights(edge_w);
+    return g;
+  }
+};
+
+}  // namespace
+
+TEST(SessionTest, EvaluateIsExactAfterEveryUpdateKind) {
+  // evaluate answers from the snapshot each update patches, never from a
+  // recount. Four entries (k = 2 and 4, each under both metrics) are
+  // checked after every row against cost() on an independent rebuild: node
+  // and edge weights, per-net patched and staled structural batches,
+  // tombstones, appended nets and weight updates on them, and a mixed
+  // batch; then once more after a repartition commits new partitions.
+  const Hypergraph g0 = random_hypergraph(500, 500, 2, 6, 60);
+  auto s = GraphSession::from_graph(g0, "exact");
+  Mirror mirror(g0);
+  std::vector<SessionConfig> cfgs;
+  for (const PartId k : {2u, 4u}) {
+    for (const CostMetric metric :
+         {CostMetric::kConnectivity, CostMetric::kCutNet}) {
+      SessionConfig cfg = small_cfg();
+      cfg.k = k;
+      cfg.metric = metric;
+      cfgs.push_back(cfg);
+    }
+  }
+  ASSERT_TRUE(s->try_acquire_mutator());
+  for (const SessionConfig& cfg : cfgs) ASSERT_TRUE(s->partition(cfg).ok);
+
+  const auto expect_exact = [&](const std::string& row) {
+    const Hypergraph rebuilt = mirror.rebuild();
+    EXPECT_EQ(s->graph_hash(), graph_fingerprint(rebuilt)) << row;
+    for (const SessionConfig& cfg : cfgs) {
+      const auto ev = s->evaluate(cfg, /*include_parts=*/true);
+      ASSERT_TRUE(ev.ok) << row << ": " << ev.error;
+      const Partition p(std::vector<PartId>(ev.parts.begin(), ev.parts.end()),
+                        cfg.k);
+      const auto weights = p.part_weights(rebuilt);
+      const std::string tag = row + " k=" + std::to_string(cfg.k) + " " +
+                              to_string(cfg.metric);
+      EXPECT_EQ(ev.cost, cost(rebuilt, p, cfg.metric)) << tag;
+      EXPECT_EQ(ev.part_weights, weights) << tag;
+      EXPECT_EQ(ev.balanced,
+                BalanceConstraint::for_graph(rebuilt, cfg.k, cfg.epsilon, true)
+                    .satisfied(weights))
+          << tag;
+    }
+    std::string why;
+    EXPECT_TRUE(s->verify_cache_integrity(&why)) << row << ": " << why;
+  };
+  const auto run = [&](const std::string& row,
+                       const std::vector<WeightUpdate>& nodes,
+                       const std::vector<WeightUpdate>& edges,
+                       const std::vector<StructuralDelta>& deltas) {
+    const auto up = s->update(nodes, edges, deltas);
+    EXPECT_TRUE(up.ok) << row << ": " << up.error;
+    if (up.ok) {
+      mirror.apply(nodes, edges, deltas);
+      expect_exact(row);
+    }
+    return up;
+  };
+  const auto delta = [](StructuralDelta::Kind kind, EdgeId net,
+                        std::vector<NodeId> pins, Weight weight = 1) {
+    StructuralDelta d;
+    d.kind = kind;
+    d.net = net;
+    d.pins = std::move(pins);
+    d.weight = weight;
+    return d;
+  };
+  using K = StructuralDelta::Kind;
+
+  const auto repartition_all = [&](const std::string& row) {
+    for (const SessionConfig& cfg : cfgs) {
+      const auto re = s->repartition(cfg);
+      EXPECT_TRUE(re.ok) << row << ": " << re.error;
+    }
+    expect_exact(row);
+  };
+
+  expect_exact("fresh");
+  run("node weights", {{0, 9}, {1, 0}, {77, 4}, {0, 2}}, {}, {});
+  {
+    const auto up = run("patched structural", {}, {},
+                        {delta(K::kAddNet, 0, {1, 2, 3}, 6),
+                         delta(K::kRemoveNet, 10, {}),
+                         delta(K::kAddPins, 11, {499}),
+                         delta(K::kRemovePins, 12, {mirror.pins[12][0]})});
+    // Below kStructuralPatchMaxFraction: every tracker repaired per net.
+    EXPECT_EQ(up.trackers_patched, cfgs.size());
+    EXPECT_EQ(up.trackers_staled, 0u);
+  }
+  run("edge weights", {}, {{3, 11}, {4, 0}, {3, 5}, {250, 7}}, {});
+  run("weight on an appended net", {}, {{500, 3}}, {});
+  run("mixed batch", {{5, 3}}, {{20, 2}},
+      {delta(K::kAddNet, 0, {7, 8}, 2), delta(K::kRemoveNet, 21, {})});
+  repartition_all("after repartition");
+  {
+    std::vector<StructuralDelta> many;
+    for (EdgeId e = 100; e < 300; ++e) {
+      many.push_back(delta(K::kRemoveNet, e, {}));
+    }
+    const auto up = run("staled structural", {}, {}, many);
+    // Above the patch threshold: every fresh tracker falls back to stale.
+    EXPECT_EQ(up.trackers_staled, cfgs.size());
+    EXPECT_EQ(up.trackers_patched, 0u);
+  }
+  run("weights under stale trackers", {{6, 5}}, {{30, 4}}, {});
+  repartition_all("after the second repartition");
+  run("mixed after repartition", {{7, 2}}, {{31, 9}},
+      {delta(K::kAddPins, 32, {0})});
+  s->release_mutator();
+}
+
+TEST(SessionTest, EvaluateStaysExactThroughSaturatingWeights) {
+  // Updates may carry weights near INT64_MAX. evaluate then reports the
+  // saturated sums a from-scratch count gives, and once the weights come
+  // back down it reports the exact cost again: the patched sums must not
+  // have been clamped along the way.
+  const Hypergraph g = random_hypergraph(300, 300, 2, 5, 61);
+  auto s = GraphSession::from_graph(g, "heavy");
+  const SessionConfig cfg = small_cfg();
+  ASSERT_TRUE(s->try_acquire_mutator());
+  const auto first = s->partition(cfg, true);
+  ASSERT_TRUE(first.ok) << first.error;
+  const Partition p(std::vector<PartId>(first.parts.begin(),
+                                        first.parts.end()),
+                    cfg.k);
+
+  constexpr Weight kHuge = std::numeric_limits<Weight>::max() / 2;
+  std::vector<WeightUpdate> heavy_nodes, heavy_edges, unit_nodes, unit_edges;
+  for (NodeId v = 0; v < 5; ++v) {
+    heavy_nodes.push_back({v, kHuge});
+    unit_nodes.push_back({v, 1});
+  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    heavy_edges.push_back({e, kHuge});
+    unit_edges.push_back({e, 1});
+  }
+  ASSERT_TRUE(s->update(heavy_nodes, heavy_edges).ok);
+  Hypergraph heavy = g;
+  for (const auto& u : heavy_nodes) heavy.update_node_weight(u.id, u.weight);
+  for (const auto& u : heavy_edges) heavy.update_edge_weight(u.id, u.weight);
+  auto ev = s->evaluate(cfg);
+  ASSERT_TRUE(ev.ok) << ev.error;
+  EXPECT_EQ(ev.cost, std::numeric_limits<Weight>::max());
+  EXPECT_EQ(ev.cost, cost(heavy, p, cfg.metric));
+  EXPECT_EQ(ev.part_weights, p.part_weights(heavy));
+  EXPECT_EQ(ev.balanced,
+            BalanceConstraint::for_graph(heavy, cfg.k, cfg.epsilon, true)
+                .satisfied(heavy, p));
+  std::string why;
+  EXPECT_TRUE(s->verify_cache_integrity(&why)) << why;
+
+  ASSERT_TRUE(s->update(unit_nodes, unit_edges).ok);
+  ev = s->evaluate(cfg);
+  ASSERT_TRUE(ev.ok) << ev.error;
+  EXPECT_EQ(ev.cost, first.cost);
+  EXPECT_EQ(ev.part_weights, first.part_weights);
+  EXPECT_TRUE(s->verify_cache_integrity(&why)) << why;
+  s->release_mutator();
 }
 
 TEST(SessionTest, HierarchyReuseIsBitIdenticalToFreshRun) {
@@ -1329,6 +1545,71 @@ TEST(DaemonE2eTest, SigtermStopsTheDaemonGracefully) {
   const auto status = daemon->wait(30.0);
   EXPECT_TRUE(status.ok()) << "exit=" << status.exit_code
                            << " signal=" << status.term_signal;
+}
+
+// --- Corrupt HPBH files -----------------------------------------------------
+
+namespace {
+
+enum class Corruption { kPinOutOfRange, kNonMonotoneOffsets };
+
+/// A well-formed header and section layout around one corrupt value: the
+/// constructor's size checks pass, so only validate() can refuse the file.
+void write_corrupt_hpb(const std::string& path, Corruption what) {
+  const Hypergraph g = Hypergraph::from_edges(4, {{0, 1}, {1, 2, 3}, {0, 3}});
+  stream::write_binary_file(path, g);
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  // Layout: 64-byte header, m + 1 edge offsets (uint64), then the pins.
+  constexpr std::streamoff kHeader = 64;
+  if (what == Corruption::kPinOutOfRange) {
+    const std::uint32_t pin = 1000;
+    f.seekp(kHeader + 4 * 8);
+    f.write(reinterpret_cast<const char*>(&pin), sizeof pin);
+  } else {
+    const std::uint64_t offset = g.num_pins();  // offsets 0, 7, 5, 7
+    f.seekp(kHeader + 8);
+    f.write(reinterpret_cast<const char*>(&offset), sizeof offset);
+  }
+  ASSERT_TRUE(f.good());
+}
+
+}  // namespace
+
+TEST(ServerTest, LoadRejectsCorruptHpbhFiles) {
+  RunningServer rs;
+  const int fd = connect_unix(rs.sock);
+  ASSERT_GE(fd, 0);
+  for (const Corruption what :
+       {Corruption::kPinOutOfRange, Corruption::kNonMonotoneOffsets}) {
+    const std::string path =
+        (rs.dir.path / ("bad" + std::to_string(static_cast<int>(what)) +
+                        ".hpb"))
+            .string();
+    write_corrupt_hpb(path, what);
+    json::Value load = req("load");
+    load.set("path", json::Value(path));
+    const auto r = rpc(fd, load);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_FALSE(ok_of(r));
+    EXPECT_NE(error_of(r).find("corrupt"), std::string::npos) << error_of(r);
+  }
+  ::close(fd);
+}
+
+TEST(CliStreamTest, CorruptHpbhExitsOne) {
+  TempDir dir;
+  for (const Corruption what :
+       {Corruption::kPinOutOfRange, Corruption::kNonMonotoneOffsets}) {
+    const std::string path = (dir.path / "bad.hpb").string();
+    write_corrupt_hpb(path, what);
+    for (const char* algo : {"stream", "multilevel"}) {
+      const auto status = hp::subprocess::run(
+          HYPERPART_CLI_BIN, {path, "--algo", algo}, {}, 30.0);
+      EXPECT_FALSE(status.timed_out) << algo;
+      EXPECT_EQ(status.term_signal, 0) << algo;
+      EXPECT_EQ(status.exit_code, 1) << algo;
+    }
+  }
 }
 
 TEST(CliStreamTest, StreamAlgoOnTextInputFailsAsUsageError) {

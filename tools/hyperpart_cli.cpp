@@ -84,6 +84,7 @@ int run_stream(const std::string& bin_path, hp::PartId k, double eps,
                int restream_passes,
                const std::optional<std::string>& out_path) {
   hp::stream::MappedHypergraph mapped(bin_path);
+  hp::stream::require_valid(mapped, bin_path);
   std::cout << mapped.summary() << "\n";
 
   const auto balance = hp::BalanceConstraint::for_total_weight(
