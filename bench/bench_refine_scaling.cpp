@@ -105,6 +105,11 @@ HP_BENCH_CASE(engine_scaling,
 
 namespace {
 
+/// 64 → 32-bit fold, so a hash survives the JSON double round trip.
+[[nodiscard]] std::uint64_t fold32(std::uint64_t h) {
+  return (h >> 32) ^ (h & 0xFFFFFFFFULL);
+}
+
 /// FNV-1a over the block assignment, folded to 32 bits so the value stays a
 /// small positive JSON integer. Pinned in the committed baseline: any change
 /// to the partition a kernel produces — not just its cost — fails the diff.
@@ -114,7 +119,7 @@ namespace {
     h ^= static_cast<std::uint64_t>(q);
     h *= 1099511628211ULL;
   }
-  return (h >> 32) ^ (h & 0xFFFFFFFFULL);
+  return fold32(h);
 }
 
 }  // namespace
@@ -122,7 +127,7 @@ namespace {
 HP_BENCH_CASE(kernel_microbench,
               "Hot-kernel microbench at fixed n=100k (same instance in smoke "
               "and full runs): tracker build, gain-cache fill, sequential and "
-              "sync FM, and arena-backed coarsening; costs, moved counts, and "
+              "sync FM, and CSR-native coarsening; costs, moved counts, and "
               "partition hashes are hard-gated bit-identical at 1/2/4/8 "
               "threads and pinned against the committed baseline") {
   // Deliberately NOT reduced under --smoke: the CI perf ratchet diffs these
@@ -219,55 +224,42 @@ HP_BENCH_CASE(kernel_microbench,
   }
   kernels.print();
 
-  // Coarsening with the reusable scratch pool: the cold run pays the block
-  // fetches, the warm run (same seed, after reset()) must fetch none — that
-  // reuse is the hard gate. Arena stats land as per-case _kb telemetry
-  // (bench_util's VmHWM is process-global and useless per phase).
-  bench::banner("Hot-kernel microbench (arena-backed coarsening)");
+  // Coarsening: the cold run is the first contraction of the instance, the
+  // warm run repeats it with caches hot. coarse_hash pins the contracted
+  // graph itself (content_hash of the cold level), so any change to
+  // contraction output fails the zero-tolerance ratchet.
+  bench::banner("Hot-kernel microbench (CSR-native coarsening)");
   auto coarsen = ctx.table({{"threads", "threads"},
                             {"coarsen_cold_ms", "cold ms"},
                             {"coarsen_warm_ms", "warm ms"},
                             {"coarse_nodes", "coarse n"},
                             {"coarse_pins", "coarse pins"},
-                            {"arena_reserved_kb", "reserved kb"},
-                            {"arena_peak_used_kb", "peak kb"},
-                            {"arena_blocks", "blocks"},
-                            {"arena_oversize", "oversize"},
-                            {"arena_oversize_kb", "oversize kb"}});
+                            {"coarse_hash", "coarse hash"}});
   const auto coarse_balance = BalanceConstraint::for_graph(g, 8, 0.1, true);
   const Weight max_cluster =
       std::max<Weight>(1, coarse_balance.capacity() / 3);
-  NodeId base_coarse_nodes = 0;
+  std::uint64_t base_coarse_hash = 0;
   for (const unsigned t : thread_counts) {
-    CoarsenMemory mem;
     Timer timer;
-    const CoarseLevel cold = coarsen_once(g, max_cluster, 99, nullptr, t, &mem);
+    const CoarseLevel cold = coarsen_once(g, max_cluster, 99, nullptr, t);
     const double cold_ms = timer.millis();
-    const std::uint64_t blocks_cold = mem.block_allocations();
-    const std::uint64_t oversize_cold = mem.oversize_allocations();
     timer.reset();
-    const CoarseLevel warm = coarsen_once(g, max_cluster, 99, nullptr, t, &mem);
+    const CoarseLevel warm = coarsen_once(g, max_cluster, 99, nullptr, t);
     const double warm_ms = timer.millis();
+    const std::uint64_t coarse_hash = fold32(cold.graph.content_hash());
 
     const std::string at = " at threads=" + std::to_string(t);
-    ctx.check(mem.block_allocations() == blocks_cold,
-              "warm coarsening fetches no new arena blocks" + at);
-    ctx.check(mem.oversize_allocations() == oversize_cold,
-              "warm coarsening makes no new oversize allocations" + at);
-    ctx.check(warm.graph.num_nodes() == cold.graph.num_nodes() &&
-                  warm.graph.num_pins() == cold.graph.num_pins(),
+    ctx.check(fold32(warm.graph.content_hash()) == coarse_hash,
               "warm rerun reproduces the cold coarsening" + at);
     if (t == thread_counts.front()) {
-      base_coarse_nodes = cold.graph.num_nodes();
+      base_coarse_hash = coarse_hash;
     } else {
-      ctx.check(cold.graph.num_nodes() == base_coarse_nodes,
-                "coarse node count identical" + at);
+      ctx.check(coarse_hash == base_coarse_hash,
+                "coarse graph identical" + at);
     }
 
     coarsen.row(t, cold_ms, warm_ms, cold.graph.num_nodes(),
-                cold.graph.num_pins(), mem.reserved_bytes() / 1024,
-                mem.peak_used_bytes() / 1024, mem.block_allocations(),
-                mem.oversize_allocations(), mem.oversize_bytes() / 1024);
+                cold.graph.num_pins(), coarse_hash);
   }
   coarsen.print();
   std::cout << "\npeak RSS " << hp::bench::peak_rss_bytes() / (1024 * 1024)

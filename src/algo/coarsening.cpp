@@ -1,8 +1,10 @@
 #include "hyperpart/algo/coarsening.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <numeric>
-#include <unordered_map>
+#include <span>
 
 #include "hyperpart/obs/telemetry.hpp"
 #include "hyperpart/util/overflow.hpp"
@@ -12,9 +14,11 @@ namespace hp {
 
 namespace {
 
+/// Fingerprint of a sorted, duplicate-free projected pin list. Its value
+/// picks the dedup shard and therefore fixes the coarse edge order, so it
+/// must not change: a different fingerprint reorders every hierarchy.
 struct VectorHash {
-  template <typename PinVec>
-  std::size_t operator()(const PinVec& v) const noexcept {
+  std::size_t operator()(std::span<const NodeId> v) const noexcept {
     std::size_t h = v.size();
     for (const NodeId x : v) {
       h ^= x + 0x9e3779b9 + (h << 6) + (h >> 2);
@@ -23,20 +27,9 @@ struct VectorHash {
   }
 };
 
-/// Projected coarse pin lists live in the per-chunk dedup arenas: built,
-/// sorted, and deduplicated in place, then the surviving ones are handed to
-/// the shard merge by pointer (the arenas outlive the merge).
-using ArenaPins = ArenaVector<NodeId>;
-
-/// A coarse pin list awaiting dedup, tagged with its weight.
-struct PendingEdge {
-  ArenaPins pins;
-  Weight weight;
-};
-
 // Shard count for the parallel dedup. Fixed (not thread-derived) so the
-// coarse edge order — shards concatenated in order, first-occurrence order
-// within each shard — is identical for every thread count.
+// coarse edge order — shards concatenated in order, edge-id order within
+// each shard — is identical for every thread count.
 constexpr std::size_t kDedupShards = 32;
 
 // Proposal rounds per level. Round 1 mostly forms pairs (one winner per
@@ -80,34 +73,24 @@ ProposeScratch& propose_scratch(NodeId n) {
 
 CoarseLevel coarsen_once(const Hypergraph& g, Weight max_cluster_weight,
                          std::uint64_t seed,
-                         const Partition* restrict_parts, unsigned threads,
-                         CoarsenMemory* mem) {
+                         const Partition* restrict_parts, unsigned threads) {
   const NodeId n = g.num_nodes();
   const unsigned workers = threads == 0 ? 1 : threads;
-  // Callers that don't hold scratch across levels get a call-local arena —
-  // the bump allocation still collapses this level's many small heap
-  // round-trips into a few block fetches.
-  CoarsenMemory local_mem;
-  CoarsenMemory& scratch_mem = mem != nullptr ? *mem : local_mem;
-  scratch_mem.reset();
-  Arena& seq_arena = scratch_mem.seq();
 
   // --- Parallel clustering rounds ------------------------------------------
   // cluster[v] is the id of the leader node of v's cluster (flat: members
   // point directly at their leader, and a leader that has accepted members
   // never merges away, so no path compression is needed). cweight/csize are
   // maintained for leaders.
-  ArenaVector<NodeId> cluster(n, ArenaAllocator<NodeId>(seq_arena));
+  std::vector<NodeId> cluster(n);
   std::iota(cluster.begin(), cluster.end(), NodeId{0});
-  ArenaVector<Weight> cweight(n, ArenaAllocator<Weight>(seq_arena));
-  ArenaVector<NodeId> csize(n, 1, ArenaAllocator<NodeId>(seq_arena));
+  std::vector<Weight> cweight(n);
+  std::vector<NodeId> csize(n, 1);
   for (NodeId v = 0; v < n; ++v) cweight[v] = g.node_weight(v);
 
-  ArenaVector<NodeId> proposal(n, kInvalidNode,
-                               ArenaAllocator<NodeId>(seq_arena));
-  ArenaVector<double> prio(n, 0.0, ArenaAllocator<double>(seq_arena));
-  ArenaVector<NodeId> winner(n, kInvalidNode,
-                             ArenaAllocator<NodeId>(seq_arena));
+  std::vector<NodeId> proposal(n, kInvalidNode);
+  std::vector<double> prio(n, 0.0);
+  std::vector<NodeId> winner(n, kInvalidNode);
   NodeId clusters = n;
 
   for (int round = 0; round < kProposalRounds; ++round) {
@@ -223,14 +206,12 @@ CoarseLevel coarsen_once(const Hypergraph& g, Weight max_cluster_weight,
   // a parallel fill. Chunk boundaries are a pure function of n, so the
   // numbering is the same for every thread count.
   CoarseLevel level;
-  ArenaVector<NodeId> coarse_id(n, kInvalidNode,
-                                ArenaAllocator<NodeId>(seq_arena));
+  std::vector<NodeId> coarse_id(n, kInvalidNode);
   std::vector<Weight> coarse_node_weight;  // escapes into the coarse graph
   {
     HP_SPAN("contract");
     const std::size_t chunks = num_grain_chunks(n, kStableGrain);
-    ArenaVector<NodeId> chunk_leaders(chunks, 0,
-                                      ArenaAllocator<NodeId>(seq_arena));
+    std::vector<NodeId> chunk_leaders(chunks, 0);
     parallel_for_grain(n, kStableGrain, workers,
                        [&](std::size_t c, std::uint64_t begin,
                            std::uint64_t end) {
@@ -277,94 +258,110 @@ CoarseLevel coarsen_once(const Hypergraph& g, Weight max_cluster_weight,
   }
 
   HP_SPAN("dedup");
-  // Build coarse edges and merge duplicates with sharded hash maps: edge
-  // chunks project their pin lists and scatter them into per-chunk shard
-  // buckets (by pin-list hash), then each shard merges its buckets
-  // independently. Shards only ever see disjoint key sets, so the merge
-  // phase is embarrassingly parallel; within a shard the buckets are
-  // visited in chunk order, which preserves first-occurrence edge order
-  // for every chunking.
+  // Coarse edges straight into CSR (DESIGN.md "CSR-native contraction"):
+  // project every net in place at its fine offset of one ρ-sized buffer,
+  // order the survivors (≥ 2 pins) by shard with a stable counting sort,
+  // merge identical nets per shard in an open-addressing table (hash, then
+  // pins), and prefix-sum the kept nets into the coarse CSR.
   const EdgeId m = g.num_edges();
-  const std::size_t edge_chunks = num_grain_chunks(m, kStableGrain);
-  scratch_mem.ensure_chunks(edge_chunks);
-  using ChunkBuckets = ArenaVector<ArenaVector<PendingEdge>>;
-  std::vector<ChunkBuckets> buckets;
-  buckets.reserve(edge_chunks);
-  for (std::size_t c = 0; c < edge_chunks; ++c) {
-    Arena& a = scratch_mem.chunk(c);
-    ChunkBuckets shard_vec{ArenaAllocator<ArenaVector<PendingEdge>>(a)};
-    shard_vec.reserve(kDedupShards);
-    for (std::size_t s = 0; s < kDedupShards; ++s) {
-      ArenaVector<PendingEdge> bucket{ArenaAllocator<PendingEdge>(a)};
-      // A chunk holds kStableGrain edges spread over kDedupShards buckets;
-      // reserving the expected share avoids growth churn (the bump arena
-      // never reclaims a grown-out-of allocation).
-      bucket.reserve(kStableGrain / kDedupShards);
-      shard_vec.push_back(std::move(bucket));
-    }
-    buckets.push_back(std::move(shard_vec));
-  }
+  std::vector<NodeId> projected(g.num_pins());
+  std::vector<std::uint32_t> net_size(m);
+  std::vector<std::size_t> net_hash(m);
+  const NodeId* const fine_pins = m > 0 ? g.pins(0).data() : nullptr;
+  const auto projected_net = [&](EdgeId e) {
+    return std::span<NodeId>(projected.data() + (g.pins(e).data() - fine_pins),
+                             net_size[e]);
+  };
   parallel_for_grain(
       m, kStableGrain, workers,
-      [&](std::size_t c, std::uint64_t begin, std::uint64_t end) {
-        // Chunk c scatters exclusively into its own arena: zero contention,
-        // and the allocation pattern is independent of the thread count.
-        Arena& chunk_arena = scratch_mem.chunk(c);
-        VectorHash hasher;
+      [&](std::size_t, std::uint64_t begin, std::uint64_t end) {
         for (EdgeId e = static_cast<EdgeId>(begin);
              e < static_cast<EdgeId>(end); ++e) {
-          ArenaPins pins{ArenaAllocator<NodeId>(chunk_arena)};
-          pins.reserve(g.edge_size(e));
-          for (const NodeId v : g.pins(e)) {
-            pins.push_back(level.fine_to_coarse[v]);
-          }
-          std::sort(pins.begin(), pins.end());
-          pins.erase(std::unique(pins.begin(), pins.end()), pins.end());
-          if (pins.size() < 2) continue;
-          const std::size_t shard = hasher(pins) % kDedupShards;
-          buckets[c][shard].push_back({std::move(pins), g.edge_weight(e)});
+          const auto fine = g.pins(e);
+          NodeId* const first = projected.data() + (fine.data() - fine_pins);
+          NodeId* last =
+              std::transform(fine.begin(), fine.end(), first,
+                             [&](NodeId v) { return level.fine_to_coarse[v]; });
+          std::sort(first, last);
+          last = std::unique(first, last);
+          const auto size = static_cast<std::uint32_t>(last - first);
+          net_size[e] = size < 2 ? 0 : size;
+          net_hash[e] = VectorHash{}({first, last});
         }
       });
 
-  std::vector<std::vector<std::vector<NodeId>>> shard_edges(kDedupShards);
-  std::vector<std::vector<Weight>> shard_weights(kDedupShards);
-  if (m > 0) {  // schedule nothing for edgeless graphs — not no-op tasks
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(kDedupShards);
-    for (std::size_t s = 0; s < kDedupShards; ++s) {
-      tasks.push_back([&, s]() {
-        std::unordered_map<ArenaPins, std::size_t, VectorHash> index;
-        auto& edges = shard_edges[s];
-        auto& weights = shard_weights[s];
-        for (std::size_t c = 0; c < edge_chunks; ++c) {
-          for (auto& item : buckets[c][s]) {
-            const auto [it, inserted] =
-                index.try_emplace(std::move(item.pins), edges.size());
-            if (inserted) {
-              // The output pin list escapes this function; copy it out of
-              // the arena-backed key.
-              edges.emplace_back(it->first.begin(), it->first.end());
-              weights.push_back(item.weight);
-            } else {
-              weights[it->second] += item.weight;
-            }
-          }
-        }
-      });
-    }
-    run_parallel(tasks, workers);
+  std::array<std::uint64_t, kDedupShards + 1> shard_begin{};
+  for (EdgeId e = 0; e < m; ++e) {
+    if (net_size[e] != 0) ++shard_begin[net_hash[e] % kDedupShards + 1];
+  }
+  std::partial_sum(shard_begin.begin(), shard_begin.end(),
+                   shard_begin.begin());
+  std::vector<EdgeId> order(shard_begin.back());
+  auto cursor = shard_begin;
+  for (EdgeId e = 0; e < m; ++e) {
+    if (net_size[e] != 0) order[cursor[net_hash[e] % kDedupShards]++] = e;
   }
 
-  std::vector<std::vector<NodeId>> edges;
+  std::vector<Weight> merged_weight(order.size());
+  std::array<std::uint64_t, kDedupShards> shard_kept{};
+  std::vector<std::function<void()>> tasks;
+  for (std::size_t s = 0; s < kDedupShards; ++s) {
+    const std::uint64_t first = shard_begin[s];
+    const std::uint64_t count = shard_begin[s + 1] - first;
+    if (count == 0) continue;
+    tasks.push_back([&, s, first, count]() {
+      constexpr std::uint32_t kEmpty = static_cast<std::uint32_t>(-1);
+      // Slots hold a representative's index within this shard's range.
+      std::vector<std::uint32_t> table(std::bit_ceil(2 * count), kEmpty);
+      const std::uint64_t mask = table.size() - 1;
+      const int shift = 64 - std::countr_zero(table.size());
+      std::uint32_t kept = 0;
+      for (std::uint64_t i = 0; i < count; ++i) {
+        const EdgeId e = order[first + i];
+        const auto net = projected_net(e);
+        for (std::uint64_t slot =
+                 (net_hash[e] * 0x9E3779B97F4A7C15ull) >> shift;
+             ; slot = (slot + 1) & mask) {
+          const std::uint32_t r = table[slot];
+          if (r == kEmpty) {
+            table[slot] = kept;
+            order[first + kept] = e;
+            merged_weight[first + kept] = g.edge_weight(e);
+            ++kept;
+            break;
+          }
+          const EdgeId rep = order[first + r];
+          if (net_hash[rep] == net_hash[e] &&
+              std::ranges::equal(projected_net(rep), net)) {
+            // Saturate like cost_of: heavy duplicates must not wrap.
+            merged_weight[first + r] =
+                sat_add(merged_weight[first + r], g.edge_weight(e));
+            break;
+          }
+        }
+      }
+      shard_kept[s] = kept;
+    });
+  }
+  run_parallel(tasks, workers);
+
+  std::vector<EdgeId> survivors;
+  std::vector<std::uint64_t> offsets{0};
   std::vector<Weight> weights;
   for (std::size_t s = 0; s < kDedupShards; ++s) {
-    edges.insert(edges.end(),
-                 std::make_move_iterator(shard_edges[s].begin()),
-                 std::make_move_iterator(shard_edges[s].end()));
-    weights.insert(weights.end(), shard_weights[s].begin(),
-                   shard_weights[s].end());
+    for (std::uint64_t i = shard_begin[s]; i < shard_begin[s] + shard_kept[s];
+         ++i) {
+      survivors.push_back(order[i]);
+      offsets.push_back(offsets.back() + net_size[order[i]]);
+      weights.push_back(merged_weight[i]);
+    }
   }
-  level.graph = Hypergraph::from_edges(clusters, std::move(edges));
+  std::vector<NodeId> pins(offsets.back());
+  for (std::size_t j = 0; j < survivors.size(); ++j) {
+    std::ranges::copy(projected_net(survivors[j]), pins.begin() + offsets[j]);
+  }
+  level.graph =
+      Hypergraph::from_csr(clusters, std::move(offsets), std::move(pins));
   level.graph.set_edge_weights(std::move(weights));
   level.graph.set_node_weights(std::move(coarse_node_weight));
   HP_COUNTER_ADD("coarsen.coarse_edges", level.graph.num_edges());

@@ -309,7 +309,7 @@ Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
       groups.apply_move(g, v, from, to);
       locked[v] = 1;
       moves.push_back({v, from, to});
-      running -= gain;
+      running = wrap_sub(running, gain);
       if (running < best && all_balanced()) {
         best = running;
         best_prefix = moves.size();
@@ -340,7 +340,7 @@ Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
     HP_TELEMETRY_ONLY(obs_applied += best_prefix;
                       obs_rolled_back += moves.size() - best_prefix;)
     if (best >= start_cost) break;  // pass brought no improvement
-    if (static_cast<double>(start_cost - best) <
+    if (static_cast<double>(sat_sub(start_cost, best)) <
         kMinPassImprovement * static_cast<double>(start_cost)) {
       break;  // converged: the next pass would win even less
     }

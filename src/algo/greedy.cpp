@@ -7,6 +7,7 @@
 
 #include "hyperpart/algo/coarsening.hpp"
 #include "hyperpart/util/addressable_heap.hpp"
+#include "hyperpart/util/overflow.hpp"
 #include "hyperpart/util/rng.hpp"
 
 namespace hp {
@@ -180,7 +181,7 @@ std::optional<Partition> greedy_growing_partition(
         if (g.edge_size(e) > kLargeNetPins) continue;
         for (const NodeId u : g.pins(e)) {
           if (taken[u] || !fits(u)) continue;
-          affinity[u] += g.edge_weight(e);
+          affinity[u] = sat_add(affinity[u], g.edge_weight(e));
           if (touch_stamp[u] != pick) {
             touch_stamp[u] = pick;
             touched.push_back(u);

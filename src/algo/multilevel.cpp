@@ -51,16 +51,13 @@ std::uint32_t coarsen(const Hypergraph& g, const BalanceConstraint& balance,
   const NodeId stop_at = std::max<NodeId>(cfg.coarsen_limit, 4 * balance.k());
   const unsigned threads =
       cfg.fm.threads == 0 ? default_threads() : cfg.fm.threads;
-  // One scratch pool for the whole descent: every level below the first
-  // bump-allocates into the blocks the level above already fetched.
-  CoarsenMemory coarsen_mem;
   std::uint32_t draws = 0;
   const Hypergraph* current = &g;
   while (current->num_nodes() > stop_at) {
     HP_SPAN("coarsen", "level", levels.size());
     ++draws;
-    CoarseLevel next = coarsen_once(*current, max_cluster, rng(),
-                                    restrict_parts, threads, &coarsen_mem);
+    CoarseLevel next =
+        coarsen_once(*current, max_cluster, rng(), restrict_parts, threads);
     // Insufficient shrinkage means clustering is saturated; stop.
     if (next.graph.num_nodes() >
         static_cast<NodeId>(0.95 * current->num_nodes())) {

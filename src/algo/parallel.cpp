@@ -1,31 +1,10 @@
 #include "hyperpart/algo/parallel.hpp"
 
-#include <atomic>
 #include <vector>
 
 #include "hyperpart/util/thread_pool.hpp"
 
 namespace hp {
-
-Weight parallel_cost(const Hypergraph& g, const Partition& p,
-                     CostMetric metric, unsigned threads) {
-  std::atomic<Weight> total{0};
-  parallel_for_chunks(
-      g.num_edges(), threads,
-      [&](std::uint64_t begin, std::uint64_t end) {
-        Weight local = 0;
-        for (EdgeId e = static_cast<EdgeId>(begin);
-             e < static_cast<EdgeId>(end); ++e) {
-          const PartId l = lambda(g, p, e);
-          if (l <= 1) continue;
-          local += metric == CostMetric::kCutNet
-                       ? g.edge_weight(e)
-                       : g.edge_weight(e) * static_cast<Weight>(l - 1);
-        }
-        total.fetch_add(local, std::memory_order_relaxed);
-      });
-  return total.load();
-}
 
 std::optional<Partition> multilevel_partition_multistart(
     const Hypergraph& g, const BalanceConstraint& balance,

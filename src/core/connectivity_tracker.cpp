@@ -86,8 +86,10 @@ void ConnectivityTracker::build_counts(unsigned threads) {
           if (!present_.empty()) present_[e] = mask;
           lambda_[e] = l;
           if (l > 1) {
-            local_cut += g_.edge_weight(e);
-            local_conn += g_.edge_weight(e) * static_cast<Weight>(l - 1);
+            local_cut = wrap_add(local_cut, g_.edge_weight(e));
+            local_conn = wrap_add(
+                local_conn,
+                wrap_mul(g_.edge_weight(e), static_cast<Weight>(l - 1)));
           }
         }
         cut.fetch_add(local_cut, std::memory_order_relaxed);
@@ -115,7 +117,8 @@ ConnectivityTracker::ConnectivityTracker(const Hypergraph& g,
   lambda_.assign(g.num_edges(), 0);
   part_weight_.assign(k_, 0);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    part_weight_[part_[v]] += g.node_weight(v);
+    part_weight_[part_[v]] =
+        wrap_add(part_weight_[part_[v]], g.node_weight(v));
   }
   if (narrow_) {
     build_counts<std::uint16_t>(threads);
@@ -152,14 +155,14 @@ Weight ConnectivityTracker::gain_impl(NodeId v, PartId to,
     if (m == CostMetric::kConnectivity) {
       // Branchless delta rule: +w when the from-part disappears from e,
       // −w when the to-part newly appears.
-      gain += w * (static_cast<Weight>(in_from == 1) -
-                   static_cast<Weight>(in_to == 0));
+      gain = wrap_add(gain, w * (static_cast<Weight>(in_from == 1) -
+                                 static_cast<Weight>(in_to == 0)));
     } else {
       const PartId l = lambda_[e];
       const PartId l_after = l - static_cast<PartId>(in_from == 1) +
                              static_cast<PartId>(in_to == 0);
-      gain +=
-          w * (static_cast<Weight>(l > 1) - static_cast<Weight>(l_after > 1));
+      gain = wrap_add(gain, w * (static_cast<Weight>(l > 1) -
+                                 static_cast<Weight>(l_after > 1)));
     }
   }
   return gain;
@@ -193,13 +196,9 @@ void ConnectivityTracker::move_plain(NodeId v, PartId to) {
     --cf;
     ++ct;
     lambda_[e] = l_after;
-    connectivity_ +=
-        w * (static_cast<Weight>(l_after) - static_cast<Weight>(l_before));
-    cut_net_ += w * (static_cast<Weight>(l_after > 1) -
-                     static_cast<Weight>(l_before > 1));
+    patch_costs(w, l_before, l_after);
   }
-  part_weight_[from] -= g_.node_weight(v);
-  part_weight_[to] += g_.node_weight(v);
+  patch_part_weights(from, to, g_.node_weight(v));
   part_[v] = to;
 }
 
@@ -239,11 +238,7 @@ void ConnectivityTracker::begin_structural_patch(
   }
   for (const EdgeId e : touched) {
     const PartId l = lambda_[e];
-    if (l > 1) {
-      const Weight w = g_.edge_weight(e);
-      cut_net_ -= w;
-      connectivity_ -= w * static_cast<Weight>(l - 1);
-    }
+    if (l > 1) patch_costs(g_.edge_weight(e), l, 1);
   }
   // Gain cache and boundary set are repaired by refilling, not patching.
   cache_enabled_ = false;
@@ -271,11 +266,7 @@ void ConnectivityTracker::recount_net(EdgeId e) {
   }
   if (!present_.empty()) present_[e] = mask;
   lambda_[e] = l;
-  if (l > 1) {
-    const Weight w = g_.edge_weight(e);
-    cut_net_ += w;
-    connectivity_ += w * static_cast<Weight>(l - 1);
-  }
+  if (l > 1) patch_costs(g_.edge_weight(e), 1, l);
 }
 
 void ConnectivityTracker::finish_structural_patch(
@@ -382,9 +373,24 @@ void ConnectivityTracker::rescan_best(NodeId v) noexcept {
   best_to_[v] = best;
 }
 
+void ConnectivityTracker::patch_costs(Weight w, PartId l_before,
+                                      PartId l_after) noexcept {
+  connectivity_ = wrap_add(
+      connectivity_, wrap_mul(w, static_cast<Weight>(l_after) -
+                                     static_cast<Weight>(l_before)));
+  cut_net_ = wrap_add(cut_net_, w * (static_cast<Weight>(l_after > 1) -
+                                     static_cast<Weight>(l_before > 1)));
+}
+
+void ConnectivityTracker::patch_part_weights(PartId from, PartId to,
+                                             Weight w) noexcept {
+  part_weight_[from] = wrap_sub(part_weight_[from], w);
+  part_weight_[to] = wrap_add(part_weight_[to], w);
+}
+
 void ConnectivityTracker::benefit_add(NodeId v, PartId q, Weight w) noexcept {
   const std::size_t row = static_cast<std::size_t>(v) * k_;
-  benefit_[row + q] += w;
+  benefit_[row + q] = wrap_add(benefit_[row + q], w);
   // A grown slot can only steal the argmax (strict: keep the incumbent on
   // ties — the gain is equal either way).
   const PartId b = best_to_[v];
@@ -394,7 +400,8 @@ void ConnectivityTracker::benefit_add(NodeId v, PartId q, Weight w) noexcept {
 }
 
 void ConnectivityTracker::benefit_sub(NodeId v, PartId q, Weight w) noexcept {
-  benefit_[static_cast<std::size_t>(v) * k_ + q] -= w;
+  Weight& slot = benefit_[static_cast<std::size_t>(v) * k_ + q];
+  slot = wrap_sub(slot, w);
   // Only a shrink at the argmax invalidates it; the row is cache-hot right
   // now, so the O(k) rescan is cheap and rare (~1/λ of decreases).
   if (best_to_[v] == q) rescan_best(v);
@@ -406,7 +413,7 @@ void ConnectivityTracker::fill_cache_tables(CostMetric m, unsigned threads) {
     if constexpr (Atomic) {
       std::atomic_ref(slot).fetch_add(w, std::memory_order_relaxed);
     } else {
-      slot += w;
+      slot = wrap_add(slot, w);  // wraps exactly like fetch_add
     }
   };
   const C* counts = counts_data<C>();
@@ -526,10 +533,10 @@ void ConnectivityTracker::apply_connectivity_deltas(EdgeId e, NodeId u,
       if ((from_lone | to_crowded) && x != u) {
         const PartId px = part_[x];
         if (from_lone && px == from) {
-          aux_[x].penalty += w;
+          aux_[x].penalty = wrap_add(aux_[x].penalty, w);
           from_lone = false;
         } else if (to_crowded && px == to) {
-          aux_[x].penalty -= w;
+          aux_[x].penalty = wrap_sub(aux_[x].penalty, w);
           to_crowded = false;
         }
       }
@@ -543,7 +550,7 @@ void ConnectivityTracker::apply_connectivity_deltas(EdgeId e, NodeId u,
   if (from_lone) {
     for (const NodeId x : g_.pins(e)) {
       if (x != u && part_[x] == from) {
-        aux_[x].penalty += w;
+        aux_[x].penalty = wrap_add(aux_[x].penalty, w);
         touch(x);
         break;
       }
@@ -552,7 +559,7 @@ void ConnectivityTracker::apply_connectivity_deltas(EdgeId e, NodeId u,
   if (to_crowded) {
     for (const NodeId x : g_.pins(e)) {
       if (x != u && part_[x] == to) {
-        aux_[x].penalty -= w;
+        aux_[x].penalty = wrap_sub(aux_[x].penalty, w);
         touch(x);
         break;
       }
@@ -571,7 +578,7 @@ void ConnectivityTracker::remove_cut_contributions(EdgeId e, NodeId u) {
   if (l == 1) {
     for (const NodeId x : g_.pins(e)) {
       if (x == u) continue;
-      aux_[x].penalty -= w;
+      aux_[x].penalty = wrap_sub(aux_[x].penalty, w);
       touch(x);
     }
   } else if (l == 2) {
@@ -597,7 +604,7 @@ void ConnectivityTracker::add_cut_contributions(EdgeId e, NodeId u) {
   if (l == 1) {
     for (const NodeId x : g_.pins(e)) {
       if (x == u) continue;
-      aux_[x].penalty += w;
+      aux_[x].penalty = wrap_add(aux_[x].penalty, w);
       touch(x);
     }
   } else if (l == 2) {
@@ -621,9 +628,10 @@ void ConnectivityTracker::rebuild_mover_cache_row(NodeId u) {
   if (cache_metric_ == CostMetric::kConnectivity) {
     Weight p = 0;
     for (const EdgeId e : g_.incident_edges(u)) {
-      p += g_.edge_weight(e) *
-           static_cast<Weight>(counts[static_cast<std::size_t>(e) * k_ + pu] ==
-                               1);
+      p = wrap_add(p, g_.edge_weight(e) *
+                          static_cast<Weight>(
+                              counts[static_cast<std::size_t>(e) * k_ + pu] ==
+                              1));
     }
     aux_[u].penalty = p;
     // The mover's own part changed, which redraws which slots are targets
@@ -639,10 +647,11 @@ void ConnectivityTracker::rebuild_mover_cache_row(NodeId u) {
     const std::size_t base = static_cast<std::size_t>(e) * k_;
     const PartId l = lambda_[e];
     if (l == 1) {
-      if (g_.edge_size(e) >= 2) p += w;
+      if (g_.edge_size(e) >= 2) p = wrap_add(p, w);
     } else if (l == 2 && counts[base + pu] == 1) {
       const auto [a, b] = two_present_parts<C>(e);
-      row[a == pu ? b : a] += w;
+      Weight& slot = row[a == pu ? b : a];
+      slot = wrap_add(slot, w);
     }
   }
   aux_[u].penalty = p;
@@ -705,15 +714,11 @@ void ConnectivityTracker::move_with_cache(NodeId u, PartId to) {
     --cf;
     ++ct;
     lambda_[e] = l_after;
-    connectivity_ +=
-        w * (static_cast<Weight>(l_after) - static_cast<Weight>(l_before));
-    cut_net_ += w * (static_cast<Weight>(l_after > 1) -
-                     static_cast<Weight>(l_before > 1));
+    patch_costs(w, l_before, l_after);
     if (cut_relevant) add_cut_contributions<C>(e, u);
     update_boundary_after_lambda_change(e, l_before, l_after);
   }
-  part_weight_[from] -= g_.node_weight(u);
-  part_weight_[to] += g_.node_weight(u);
+  patch_part_weights(from, to, g_.node_weight(u));
   part_[u] = to;
   rebuild_mover_cache_row<C>(u);
 }
@@ -772,7 +777,7 @@ BatchCommitResult ConnectivityTracker::apply_batch(
       move_with_cache<std::uint32_t>(m.node, m.to);
     }
     ++result.applied;
-    result.total_gain += fresh;
+    result.total_gain = wrap_add(result.total_gain, fresh);
   }
   batch_active_ = false;
   return result;

@@ -9,40 +9,80 @@
 
 namespace hp {
 
+Hypergraph Hypergraph::from_csr(NodeId num_nodes,
+                                std::vector<std::uint64_t> edge_offsets,
+                                std::vector<NodeId> pins) {
+  if (edge_offsets.empty() || edge_offsets.front() != 0) {
+    throw std::invalid_argument("Hypergraph::from_csr: first offset is not 0");
+  }
+  if (!std::is_sorted(edge_offsets.begin(), edge_offsets.end())) {
+    throw std::invalid_argument("Hypergraph::from_csr: offsets decrease");
+  }
+  if (edge_offsets.back() != pins.size()) {
+    throw std::invalid_argument(
+        "Hypergraph::from_csr: last offset is not the pin count");
+  }
+  // Sort and deduplicate each edge where it lies, shifting it left over
+  // the duplicates dropped before it. After the sort an edge's maximum is
+  // its last pin, so one comparison per edge range-checks every pin.
+  const auto at = [&pins](std::uint64_t i) {
+    return pins.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  std::uint64_t read = 0;
+  std::uint64_t write = 0;
+  for (std::size_t e = 1; e < edge_offsets.size(); ++e) {
+    const std::uint64_t end = edge_offsets[e];
+    std::sort(at(read), at(end));
+    const auto unique_end = std::unique(at(read), at(end));
+    if (unique_end != at(read) && *(unique_end - 1) >= num_nodes) {
+      throw std::invalid_argument("Hypergraph::from_csr: pin out of range");
+    }
+    if (write != read) std::copy(at(read), unique_end, at(write));
+    write += static_cast<std::uint64_t>(unique_end - at(read));
+    edge_offsets[e] = write;
+    read = end;
+  }
+  pins.resize(write);
+
+  Hypergraph g;
+  g.edge_offsets_ = std::move(edge_offsets);
+  g.pins_ = std::move(pins);
+  g.build_incidence(num_nodes);
+  return g;
+}
+
 Hypergraph Hypergraph::from_edges(NodeId num_nodes,
                                   std::vector<std::vector<NodeId>> edges) {
-  Hypergraph g;
-  g.edge_offsets_.assign(1, 0);
-  g.edge_offsets_.reserve(edges.size() + 1);
+  std::vector<std::uint64_t> offsets;
+  offsets.reserve(edges.size() + 1);
+  offsets.push_back(0);
   std::uint64_t total_pins = 0;
-  for (auto& e : edges) {
-    std::sort(e.begin(), e.end());
-    e.erase(std::unique(e.begin(), e.end()), e.end());
+  for (const auto& e : edges) total_pins += e.size();
+  std::vector<NodeId> pins;
+  pins.reserve(total_pins);
+  for (const auto& e : edges) {
     for (const NodeId v : e) {
       if (v >= num_nodes) {
         throw std::invalid_argument("Hypergraph::from_edges: pin out of range");
       }
     }
-    total_pins += e.size();
+    pins.insert(pins.end(), e.begin(), e.end());
+    offsets.push_back(pins.size());
   }
-  g.pins_.reserve(total_pins);
-  for (const auto& e : edges) {
-    g.pins_.insert(g.pins_.end(), e.begin(), e.end());
-    g.edge_offsets_.push_back(g.pins_.size());
-  }
+  return from_csr(num_nodes, std::move(offsets), std::move(pins));
+}
 
-  // Mirror: node -> incident edges, via counting sort over pins.
-  g.node_offsets_.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
-  for (const NodeId v : g.pins_) ++g.node_offsets_[v + 1];
-  std::partial_sum(g.node_offsets_.begin(), g.node_offsets_.end(),
-                   g.node_offsets_.begin());
-  g.incident_.resize(g.pins_.size());
-  std::vector<std::uint64_t> cursor(g.node_offsets_.begin(),
-                                    g.node_offsets_.end() - 1);
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    for (const NodeId v : g.pins(e)) g.incident_[cursor[v]++] = e;
+void Hypergraph::build_incidence(NodeId n) {
+  node_offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (const NodeId v : pins_) ++node_offsets_[v + 1];
+  std::partial_sum(node_offsets_.begin(), node_offsets_.end(),
+                   node_offsets_.begin());
+  incident_.resize(pins_.size());
+  std::vector<std::uint64_t> cursor(node_offsets_.begin(),
+                                    node_offsets_.end() - 1);
+  for (EdgeId e = 0; e < num_edges(); ++e) {
+    for (const NodeId v : pins(e)) incident_[cursor[v]++] = e;
   }
-  return g;
 }
 
 std::uint32_t Hypergraph::max_degree() const noexcept {
@@ -169,18 +209,7 @@ void Hypergraph::apply_structural_batch(std::vector<EdgeRewrite> rewrites,
 
   edge_offsets_ = std::move(edge_offsets);
   pins_ = std::move(pins);
-
-  // Rebuild the incidence mirror exactly as from_edges does.
-  node_offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (const NodeId v : pins_) ++node_offsets_[v + 1];
-  std::partial_sum(node_offsets_.begin(), node_offsets_.end(),
-                   node_offsets_.begin());
-  incident_.assign(pins_.size(), 0);
-  std::vector<std::uint64_t> cursor(node_offsets_.begin(),
-                                    node_offsets_.end() - 1);
-  for (EdgeId e = 0; e < m_after; ++e) {
-    for (const NodeId v : this->pins(e)) incident_[cursor[v]++] = e;
-  }
+  build_incidence(n);
 }
 
 namespace {

@@ -1,8 +1,6 @@
 #pragma once
-// Shared-memory parallel entry points: parallel cost evaluation (edges
-// chunked across threads) and embarrassingly-parallel multi-start
-// multilevel partitioning. Deterministic for fixed seeds regardless of the
-// thread count.
+// Embarrassingly-parallel multi-start multilevel partitioning.
+// Deterministic for fixed seeds regardless of the thread count.
 
 #include <optional>
 
@@ -10,10 +8,6 @@
 #include "hyperpart/core/metrics.hpp"
 
 namespace hp {
-
-/// cost(g, p, metric) computed with edge ranges split across `threads`.
-[[nodiscard]] Weight parallel_cost(const Hypergraph& g, const Partition& p,
-                                   CostMetric metric, unsigned threads);
 
 /// Run `starts` independent multilevel searches (seeds cfg.seed + i) on up
 /// to `threads` threads; return the best-cost feasible result. The outcome

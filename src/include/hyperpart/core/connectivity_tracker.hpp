@@ -33,6 +33,7 @@
 #include "hyperpart/core/hypergraph.hpp"
 #include "hyperpart/core/metrics.hpp"
 #include "hyperpart/core/partition.hpp"
+#include "hyperpart/util/overflow.hpp"
 
 namespace hp {
 
@@ -167,8 +168,8 @@ class ConnectivityTracker {
     const std::size_t idx = static_cast<std::size_t>(v) * k_ + to;
     const NodeAux& a = aux_[v];
     return cache_metric_ == CostMetric::kConnectivity
-               ? a.penalty + benefit_[idx] - a.degw
-               : benefit_[idx] - a.penalty;
+               ? wrap_sub(wrap_add(a.penalty, benefit_[idx]), a.degw)
+               : wrap_sub(benefit_[idx], a.penalty);
   }
 
   /// O(1) best cached move of v: the part maximizing cached_gain(v, ·) and
@@ -251,6 +252,10 @@ class ConnectivityTracker {
   template <bool Atomic, typename C>
   void fill_cache_tables(CostMetric m, unsigned threads);
   void rescan_best(NodeId v) noexcept;
+  /// Patch cut_net_ / connectivity_ for one net of weight w whose λ went
+  /// from l_before to l_after (wrapping: see util/overflow.hpp).
+  void patch_costs(Weight w, PartId l_before, PartId l_after) noexcept;
+  void patch_part_weights(PartId from, PartId to, Weight w) noexcept;
   void benefit_add(NodeId v, PartId q, Weight w) noexcept;
   void benefit_sub(NodeId v, PartId q, Weight w) noexcept;
   template <typename C>

@@ -44,9 +44,22 @@ class Hypergraph {
  public:
   Hypergraph() = default;
 
-  /// Build from an explicit pin list. Pins within an edge must be distinct
-  /// (duplicates are removed); empty edges are kept (they are never cut).
-  /// Throws std::invalid_argument on out-of-range pins.
+  /// Build from CSR buffers: the pins of edge e are
+  /// pins[edge_offsets[e], edge_offsets[e + 1]), so there are
+  /// edge_offsets.size() - 1 edges. The offsets must start at 0, never
+  /// decrease and end at pins.size(), and every pin must be below
+  /// num_nodes; otherwise std::invalid_argument is thrown. Each edge's
+  /// pins are sorted and deduplicated in place (the buffer is compacted as
+  /// it goes, so shorter edges shift left), empty edges are kept (they are
+  /// never cut), and the node -> incident-edges mirror is built from the
+  /// result. Unit weights; attach others with set_*_weights.
+  static Hypergraph from_csr(NodeId num_nodes,
+                             std::vector<std::uint64_t> edge_offsets,
+                             std::vector<NodeId> pins);
+
+  /// Build from one pin list per edge: flattens into CSR and calls
+  /// from_csr. Throws std::invalid_argument("Hypergraph::from_edges: pin
+  /// out of range") on out-of-range pins.
   static Hypergraph from_edges(NodeId num_nodes,
                                std::vector<std::vector<NodeId>> edges);
 
@@ -109,7 +122,7 @@ class Hypergraph {
   /// Structural edit batch over a fixed node set: `rewrites` replace the
   /// full pin lists of existing edges (later rewrites of the same edge win),
   /// `appended` adds new edges at ids m, m+1, … in order. Pins are sorted
-  /// and deduplicated here, mirroring from_edges. Both CSR sides are rebuilt
+  /// and deduplicated here, mirroring from_csr. Both CSR sides are rebuilt
   /// in one pass — O(n + m + ρ) — and the object keeps its address, so
   /// ConnectivityTrackers referencing this graph stay valid and can be
   /// patched per touched net (the partitioning service's structural-delta
@@ -133,6 +146,10 @@ class Hypergraph {
   [[nodiscard]] std::string summary() const;
 
  private:
+  /// Rebuild node_offsets_ / incident_ for n nodes from edge_offsets_ and
+  /// pins_ (counting sort over the pins, O(n + ρ)).
+  void build_incidence(NodeId n);
+
   std::vector<std::uint64_t> edge_offsets_{0};
   std::vector<NodeId> pins_;
   std::vector<std::uint64_t> node_offsets_{0};

@@ -7,6 +7,13 @@
 // Saturation keeps every comparison made downstream (cost ordering,
 // capacity checks, FENNEL scores) directionally correct: an overflowed sum
 // pins to the extreme instead of wrapping to the other sign.
+//
+// Running totals that are patched by +Δ and later by −Δ (the connectivity
+// tracker's costs, part weights and gain-cache rows) cannot saturate: a
+// clamped value would not patch back. They use the wrap_* forms instead —
+// two's-complement arithmetic modulo 2^N, the semantics std::atomic's
+// fetch_add already has — which is defined for every input and exact
+// whenever the true result fits.
 
 #include <cstdint>
 #include <limits>
@@ -52,6 +59,30 @@ template <class T>
   } else {
     return std::numeric_limits<T>::min();
   }
+}
+
+/// a + b modulo 2^N (two's complement): never UB, exact when it fits.
+template <class T>
+[[nodiscard]] constexpr T wrap_add(T a, T b) noexcept {
+  static_assert(std::is_integral_v<T>);
+  using U = std::make_unsigned_t<std::common_type_t<T, unsigned>>;
+  return static_cast<T>(static_cast<U>(a) + static_cast<U>(b));
+}
+
+/// a - b modulo 2^N (two's complement): never UB, exact when it fits.
+template <class T>
+[[nodiscard]] constexpr T wrap_sub(T a, T b) noexcept {
+  static_assert(std::is_integral_v<T>);
+  using U = std::make_unsigned_t<std::common_type_t<T, unsigned>>;
+  return static_cast<T>(static_cast<U>(a) - static_cast<U>(b));
+}
+
+/// a * b modulo 2^N (two's complement): never UB, exact when it fits.
+template <class T>
+[[nodiscard]] constexpr T wrap_mul(T a, T b) noexcept {
+  static_assert(std::is_integral_v<T>);
+  using U = std::make_unsigned_t<std::common_type_t<T, unsigned>>;
+  return static_cast<T>(static_cast<U>(a) * static_cast<U>(b));
 }
 
 }  // namespace hp

@@ -68,17 +68,27 @@ Hypergraph read_hmetis(std::istream& in) {
   int fmt = 0;
   header >> num_edges >> num_nodes;
   if (!header) reader.fail("bad header (expected '<edges> <nodes> [fmt]')");
-  header >> fmt;  // optional
-  if (!header.eof() && header.fail()) fmt = 0;
+  if (num_edges >= kInvalidEdge) {
+    reader.fail("edge count " + std::to_string(num_edges) +
+                " exceeds the limit " + std::to_string(kInvalidEdge - 1));
+  }
+  if (num_nodes >= kInvalidNode) {
+    reader.fail("node count " + std::to_string(num_nodes) +
+                " exceeds the limit " + std::to_string(kInvalidNode - 1));
+  }
+  // The fmt code is optional, but a present one must be a number.
+  if (!(header >> fmt) && !header.eof()) reader.fail("non-numeric fmt code");
   if (fmt != 0 && fmt != 1 && fmt != 10 && fmt != 11) {
     reader.fail("unknown fmt code " + std::to_string(fmt));
   }
   const bool edge_weights = fmt == 1 || fmt == 11;
   const bool node_weights = fmt == 10 || fmt == 11;
 
-  std::vector<std::vector<NodeId>> edges;
+  // The parser's buffers grow with the data actually read, never with the
+  // header's counts, so a lying m cannot force a huge allocation.
+  std::vector<std::uint64_t> offsets{0};
+  std::vector<NodeId> pins;
   std::vector<Weight> ew;
-  edges.reserve(num_edges);
   for (std::uint64_t e = 0; e < num_edges; ++e) {
     if (!reader.next(line)) {
       throw std::runtime_error(
@@ -93,7 +103,6 @@ Hypergraph read_hmetis(std::istream& in) {
       if (w < 0) reader.fail("negative edge weight");
       ew.push_back(w);
     }
-    std::vector<NodeId> pins;
     std::uint64_t v = 0;
     while (ls >> v) {
       if (v == 0 || v > num_nodes) {
@@ -103,15 +112,15 @@ Hypergraph read_hmetis(std::istream& in) {
       pins.push_back(static_cast<NodeId>(v - 1));
     }
     if (!fully_consumed(ls)) reader.fail("invalid token in pin list");
-    if (pins.empty()) reader.fail("edge has no pins");
-    edges.push_back(std::move(pins));
+    if (pins.size() == offsets.back()) reader.fail("edge has no pins");
+    offsets.push_back(pins.size());
   }
 
-  Hypergraph g = Hypergraph::from_edges(static_cast<NodeId>(num_nodes),
-                                        std::move(edges));
+  Hypergraph g = Hypergraph::from_csr(static_cast<NodeId>(num_nodes),
+                                      std::move(offsets), std::move(pins));
   if (edge_weights) g.set_edge_weights(std::move(ew));
   if (node_weights) {
-    std::vector<Weight> nw(num_nodes, 1);
+    std::vector<Weight> nw;
     for (std::uint64_t v = 0; v < num_nodes; ++v) {
       if (!reader.next(line)) {
         throw std::runtime_error(
@@ -123,7 +132,7 @@ Hypergraph read_hmetis(std::istream& in) {
       if (!(ls >> w)) reader.fail("invalid node weight");
       if (w < 0) reader.fail("negative node weight");
       if (!fully_consumed(ls)) reader.fail("trailing tokens after node weight");
-      nw[v] = w;
+      nw.push_back(w);
     }
     g.set_node_weights(std::move(nw));
   }

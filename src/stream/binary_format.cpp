@@ -256,12 +256,9 @@ Weight MappedHypergraph::total_node_weight() const noexcept {
 }
 
 Hypergraph MappedHypergraph::materialize() const {
-  std::vector<std::vector<NodeId>> edges(num_edges_);
-  for (EdgeId e = 0; e < num_edges_; ++e) {
-    const auto p = pins(e);
-    edges[e].assign(p.begin(), p.end());
-  }
-  Hypergraph g = Hypergraph::from_edges(num_nodes_, std::move(edges));
+  Hypergraph g = Hypergraph::from_csr(
+      num_nodes_, {edge_offsets_, edge_offsets_ + num_edges_ + 1},
+      {pins_, pins_ + num_pins_});
   if (node_weights_ != nullptr) {
     g.set_node_weights({node_weights_, node_weights_ + num_nodes_});
   }

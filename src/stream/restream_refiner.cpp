@@ -81,34 +81,34 @@ constexpr unsigned kWaveChunks = 8;
   const auto ghost = [window](PartId q, std::uint32_t j) -> NodeId {
     return window + 2 * q + j;
   };
-  std::vector<std::vector<NodeId>> local_edges;
-  local_edges.reserve(edges.size());
+  std::vector<std::uint64_t> local_offsets{0};
+  local_offsets.reserve(edges.size() + 1);
+  std::vector<NodeId> local_pins;
   std::vector<Weight> local_edge_weights;
   local_edge_weights.reserve(edges.size());
   std::vector<std::uint32_t> out_count(k, 0);
   std::vector<PartId> out_touched;
   for (const EdgeId e : edges) {
-    std::vector<NodeId> local;
     for (const NodeId u : g.pins(e)) {
       if (u >= begin && u < end) {
-        local.push_back(u - begin);
+        local_pins.push_back(u - begin);
       } else {
         const PartId q = p[u];
         if (out_count[q]++ == 0) out_touched.push_back(q);
       }
     }
     for (const PartId q : out_touched) {
-      local.push_back(ghost(q, 0));
-      if (out_count[q] >= 2) local.push_back(ghost(q, 1));
+      local_pins.push_back(ghost(q, 0));
+      if (out_count[q] >= 2) local_pins.push_back(ghost(q, 1));
       out_count[q] = 0;
     }
     out_touched.clear();
-    local_edges.push_back(std::move(local));
+    local_offsets.push_back(local_pins.size());
     local_edge_weights.push_back(g.edge_weight(e));
   }
 
-  Hypergraph local_g =
-      Hypergraph::from_edges(window + 2 * k, std::move(local_edges));
+  Hypergraph local_g = Hypergraph::from_csr(
+      window + 2 * k, std::move(local_offsets), std::move(local_pins));
   local_g.set_edge_weights(std::move(local_edge_weights));
   {
     // Ghosts carry weight 0 so they never perturb weight bookkeeping.

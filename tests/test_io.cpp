@@ -109,6 +109,23 @@ TEST(HmetisIo, ErrorsCarryLineNumbers) {
 
   // Unknown fmt code.
   EXPECT_NE(hmetis_error("1 2 7\n1 2\n").find("fmt"), std::string::npos);
+
+  // A non-numeric fmt token is rejected, not read as fmt 0.
+  const std::string bad_fmt = hmetis_error("1 2 x\n1 2\n");
+  EXPECT_NE(bad_fmt.find("line 1"), std::string::npos) << bad_fmt;
+  EXPECT_NE(bad_fmt.find("fmt"), std::string::npos) << bad_fmt;
+
+  // A node count past the NodeId range is rejected on the header line
+  // instead of wrapping (4294967301 used to parse as n = 5).
+  const std::string wide_n = hmetis_error("1 4294967301\n4294967301 1\n");
+  EXPECT_NE(wide_n.find("line 1"), std::string::npos) << wide_n;
+  EXPECT_NE(wide_n.find("node count"), std::string::npos) << wide_n;
+
+  // An edge count past the EdgeId range is rejected before any buffer is
+  // sized from it (it used to die in std::bad_alloc).
+  const std::string wide_m = hmetis_error("99999999999 2\n1 2\n");
+  EXPECT_NE(wide_m.find("line 1"), std::string::npos) << wide_m;
+  EXPECT_NE(wide_m.find("edge count"), std::string::npos) << wide_m;
 }
 
 TEST(HmetisIo, ToleratesCrlfAndTrailingBlankLines) {

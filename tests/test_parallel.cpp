@@ -12,7 +12,6 @@
 #include "hyperpart/dag/hyperdag.hpp"
 #include "hyperpart/io/dag_families.hpp"
 #include "hyperpart/io/generators.hpp"
-#include "hyperpart/util/rng.hpp"
 #include "hyperpart/util/thread_pool.hpp"
 
 namespace hp {
@@ -203,22 +202,6 @@ TEST(Fm, NeverWorsensStartAndStaysBalanced) {
     EXPECT_LE(refined_cost, cost(g, *start, CostMetric::kConnectivity));
     EXPECT_TRUE(balance.satisfied(g, a));
     EXPECT_EQ(refined_cost, cost(g, a, CostMetric::kConnectivity));
-  }
-}
-
-TEST(Parallel, CostMatchesSequentialAcrossThreadCounts) {
-  const Hypergraph g = random_hypergraph(200, 400, 2, 6, 3);
-  Rng rng{4};
-  std::vector<PartId> assign(200);
-  for (auto& a : assign) a = static_cast<PartId>(rng.next_below(4));
-  const Partition p(std::move(assign), 4);
-  for (const CostMetric metric :
-       {CostMetric::kCutNet, CostMetric::kConnectivity}) {
-    const Weight expected = cost(g, p, metric);
-    for (const unsigned threads : {1u, 2u, 4u, 16u}) {
-      EXPECT_EQ(parallel_cost(g, p, metric, threads), expected)
-          << "threads " << threads;
-    }
   }
 }
 

@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
+#include "hyperpart/algo/coarsening.hpp"
+#include "hyperpart/algo/multilevel.hpp"
 #include "hyperpart/core/balance.hpp"
 #include "hyperpart/core/hypergraph.hpp"
 #include "hyperpart/core/metrics.hpp"
@@ -100,6 +104,39 @@ TEST(WeightOverflow, SaturatedSumsKeepBalanceChecksDirectional) {
   p.assign(2, 1);
   const auto b = BalanceConstraint::with_capacity(2, kMax / 2, 0.0);
   EXPECT_FALSE(b.satisfied(g, p));
+}
+
+/// A 400-node path plus two identical 300-pin nets of weight 2^62. The big
+/// nets exceed kLargeNetPins, so clustering never rates them and they reach
+/// the coarse-edge dedup intact, where their weights merge: 2^63 must
+/// saturate to INT64_MAX instead of wrapping negative.
+Hypergraph path_with_heavy_twin_nets() {
+  std::vector<std::vector<NodeId>> edges;
+  for (NodeId v = 0; v + 1 < 400; ++v) edges.push_back({v, v + 1});
+  std::vector<NodeId> big(300);
+  for (NodeId v = 0; v < 300; ++v) big[v] = v;
+  edges.push_back(big);
+  edges.push_back(big);
+  Hypergraph g = Hypergraph::from_edges(400, std::move(edges));
+  std::vector<Weight> ew(g.num_edges(), 1);
+  ew[399] = ew[400] = Weight{1} << 62;
+  g.set_edge_weights(std::move(ew));
+  return g;
+}
+
+TEST(WeightOverflow, DedupMergeSaturates) {
+  const Hypergraph g = path_with_heavy_twin_nets();
+  const CoarseLevel level = coarsen_once(g, 100, 1);
+  Weight heaviest = 0;
+  for (EdgeId e = 0; e < level.graph.num_edges(); ++e) {
+    heaviest = std::max(heaviest, level.graph.edge_weight(e));
+  }
+  EXPECT_EQ(heaviest, kMax);
+
+  const auto balance = BalanceConstraint::for_graph(g, 2, 0.03, true);
+  const auto p = multilevel_partition(g, balance);
+  ASSERT_TRUE(p.has_value());
+  EXPECT_TRUE(balance.satisfied(g, *p));
 }
 
 }  // namespace
