@@ -267,9 +267,8 @@ HP_BENCH_CASE(structural_churn,
   const double update_ms = timer.millis();
   ctx.check(up.ok, "structural batch applies (" + up.error + ")");
   ctx.check(up.structural == deltas.size(), "all deltas counted structural");
-  ctx.check(up.trackers_patched == 1 && up.trackers_staled == 0,
-            "2% churn stays under the patch threshold: tracker repaired "
-            "per net, not staled");
+  ctx.check(up.trackers_patched == 1,
+            "2% churn: the cached tracker is repaired per net");
   ctx.check(up.version == 1, "update bumped the graph version");
 
   // The patched CSR must equal a from-scratch rebuild of the same state.

@@ -54,15 +54,19 @@ void collect_present_parts(const C* row, PartId k, PartId lambda,
 template <typename C>
 void ConnectivityTracker::build_counts(unsigned threads) {
   // Each edge's counts/λ slice is independent, so the edge loop shards
-  // cleanly; the totals are integer sums and therefore identical for every
-  // chunking.
-  std::atomic<Weight> cut{0};
-  std::atomic<Weight> conn{0};
+  // cleanly into one chunk per thread; the exact per-chunk totals are summed
+  // in chunk order.
+  struct Totals {
+    WideWeight cut = 0;
+    WideWeight conn = 0;
+  };
   C* counts = counts_data<C>();
-  parallel_for_chunks(
-      g_.num_edges(), threads, [&](std::uint64_t begin, std::uint64_t end) {
-        Weight local_cut = 0;
-        Weight local_conn = 0;
+  const std::uint64_t m = g_.num_edges();
+  const unsigned t = std::max(1u, threads);
+  const Totals totals = parallel_reduce_stable(
+      m, (m + t - 1) / t, t, Totals{},
+      [&](std::uint64_t begin, std::uint64_t end) {
+        Totals local;
         for (EdgeId e = static_cast<EdgeId>(begin);
              e < static_cast<EdgeId>(end); ++e) {
           const std::size_t base = static_cast<std::size_t>(e) * k_;
@@ -86,17 +90,17 @@ void ConnectivityTracker::build_counts(unsigned threads) {
           if (!present_.empty()) present_[e] = mask;
           lambda_[e] = l;
           if (l > 1) {
-            local_cut = wrap_add(local_cut, g_.edge_weight(e));
-            local_conn = wrap_add(
-                local_conn,
-                wrap_mul(g_.edge_weight(e), static_cast<Weight>(l - 1)));
+            local.cut += g_.edge_weight(e);
+            local.conn += static_cast<WideWeight>(g_.edge_weight(e)) * (l - 1);
           }
         }
-        cut.fetch_add(local_cut, std::memory_order_relaxed);
-        conn.fetch_add(local_conn, std::memory_order_relaxed);
+        return local;
+      },
+      [](Totals acc, Totals chunk) {
+        return Totals{acc.cut + chunk.cut, acc.conn + chunk.conn};
       });
-  cut_net_ = cut.load();
-  connectivity_ = conn.load();
+  cut_net_ = totals.cut;
+  connectivity_ = totals.conn;
 }
 
 ConnectivityTracker::ConnectivityTracker(const Hypergraph& g,
@@ -224,16 +228,15 @@ Partition ConnectivityTracker::to_partition() const {
   return Partition{std::vector<PartId>(part_.begin(), part_.end()), k_};
 }
 
-void ConnectivityTracker::begin_structural_patch(
-    std::span<const EdgeId> touched) {
+void ConnectivityTracker::begin_net_patch(std::span<const EdgeId> touched) {
   if (patch_edges_before_ != kInvalidEdge) {
-    throw std::logic_error("begin_structural_patch: patch already active");
+    throw std::logic_error("begin_net_patch: patch already active");
   }
   patch_edges_before_ = g_.num_edges();
   for (const EdgeId e : touched) {
     if (e >= patch_edges_before_) {
       patch_edges_before_ = kInvalidEdge;
-      throw std::invalid_argument("begin_structural_patch: edge out of range");
+      throw std::invalid_argument("begin_net_patch: edge out of range");
     }
   }
   for (const EdgeId e : touched) {
@@ -269,16 +272,15 @@ void ConnectivityTracker::recount_net(EdgeId e) {
   if (l > 1) patch_costs(g_.edge_weight(e), 1, l);
 }
 
-void ConnectivityTracker::finish_structural_patch(
-    std::span<const EdgeId> touched) {
+void ConnectivityTracker::finish_net_patch(std::span<const EdgeId> touched) {
   if (patch_edges_before_ == kInvalidEdge) {
-    throw std::logic_error("finish_structural_patch: no active patch");
+    throw std::logic_error("finish_net_patch: no active patch");
   }
   const EdgeId m_before = patch_edges_before_;
   patch_edges_before_ = kInvalidEdge;
   const EdgeId m_after = g_.num_edges();
   if (m_after < m_before) {
-    throw std::logic_error("finish_structural_patch: edge count shrank");
+    throw std::logic_error("finish_net_patch: edge count shrank");
   }
   // A patch can grow a net past what the narrow table holds; widen before
   // recounting so the counts stay exact.
@@ -375,11 +377,10 @@ void ConnectivityTracker::rescan_best(NodeId v) noexcept {
 
 void ConnectivityTracker::patch_costs(Weight w, PartId l_before,
                                       PartId l_after) noexcept {
-  connectivity_ = wrap_add(
-      connectivity_, wrap_mul(w, static_cast<Weight>(l_after) -
-                                     static_cast<Weight>(l_before)));
-  cut_net_ = wrap_add(cut_net_, w * (static_cast<Weight>(l_after > 1) -
-                                     static_cast<Weight>(l_before > 1)));
+  connectivity_ += static_cast<WideWeight>(w) *
+                   (static_cast<Weight>(l_after) - static_cast<Weight>(l_before));
+  cut_net_ += static_cast<WideWeight>(w) * (static_cast<Weight>(l_after > 1) -
+                                            static_cast<Weight>(l_before > 1));
 }
 
 void ConnectivityTracker::patch_part_weights(PartId from, PartId to,

@@ -71,17 +71,24 @@ class ConnectivityTracker {
     return narrow_ ? counts16_[i] : counts32_[i];
   }
   /// True while the pin counts live in the half-width uint16 table (every
-  /// net has at most 65535 pins — the common case; a structural patch that
+  /// net has at most 65535 pins — the common case; a net patch that
   /// grows a net past that widens the table in place).
   [[nodiscard]] bool narrow_counts() const noexcept { return narrow_; }
   /// λ_e under the current assignment.
   [[nodiscard]] PartId lambda(EdgeId e) const noexcept { return lambda_[e]; }
 
-  [[nodiscard]] Weight cut_net_cost() const noexcept { return cut_net_; }
+  /// Cost totals, clamped to Weight: they equal cost_of() on the same
+  /// partition, which saturates. exact_cost() is the unclamped sum.
+  [[nodiscard]] Weight cut_net_cost() const noexcept {
+    return clamp_weight(cut_net_);
+  }
   [[nodiscard]] Weight connectivity_cost() const noexcept {
-    return connectivity_;
+    return clamp_weight(connectivity_);
   }
   [[nodiscard]] Weight cost(CostMetric m) const noexcept {
+    return clamp_weight(exact_cost(m));
+  }
+  [[nodiscard]] WideWeight exact_cost(CostMetric m) const noexcept {
     return m == CostMetric::kCutNet ? cut_net_ : connectivity_;
   }
 
@@ -109,30 +116,30 @@ class ConnectivityTracker {
   /// graph changed by `delta` (via Hypergraph::update_node_weight on the
   /// same graph object this tracker references). Pin counts, λ, both cost
   /// totals, and the gain cache are independent of node weights, so the
-  /// tracker stays exact — this is what lets the partitioning service run
-  /// ΔFM on a cached tracker after a weight-only update instead of
-  /// rebuilding it.
+  /// tracker stays exact, gain cache included.
   void apply_node_weight_delta(NodeId v, Weight delta) noexcept {
-    part_weight_[part_[v]] = sat_add(part_weight_[part_[v]], delta);
+    part_weight_[part_[v]] = wrap_add(part_weight_[part_[v]], delta);
   }
 
-  /// Structural patch, phase 1 of 2. Called BEFORE the underlying graph
-  /// mutates (via Hypergraph::apply_structural_batch on the same object
-  /// this tracker references), with the DISTINCT ids of every EXISTING net
-  /// whose pin list is about to change. Subtracts those nets' contributions
-  /// from both cost totals and drops the gain cache — per-net repair of the
-  /// n×k gain tables costs as much as refilling them, so refiners simply
+  /// Net patch, phase 1 of 2, for any change to nets' pins or weights.
+  /// Called BEFORE the underlying graph mutates (via
+  /// Hypergraph::apply_structural_batch / update_edge_weight on the same
+  /// object this tracker references), with the DISTINCT ids of every
+  /// EXISTING net about to change. Subtracts those nets' contributions from
+  /// both cost totals and drops the gain cache — per-net repair of the n×k
+  /// gain tables costs as much as refilling them, so refiners simply
   /// re-enable the cache on their next run (rebalance_with_tracker /
-  /// delta_fm_refine already do). Part weights are untouched: structural
-  /// deltas never change the node set.
-  void begin_structural_patch(std::span<const EdgeId> touched);
+  /// delta_fm_refine already do). Part weights are untouched: net changes
+  /// never change the node set.
+  void begin_net_patch(std::span<const EdgeId> touched);
 
   /// Phase 2, called AFTER the graph mutated. Resizes the per-net tables to
   /// the new edge count, recomputes pin counts / λ / present-parts rows for
   /// the touched nets and for every net appended since phase 1, and adds
-  /// their contributions back. The tracker is exact again afterwards
-  /// (modulo the dropped gain cache), which verify_cache_integrity checks.
-  void finish_structural_patch(std::span<const EdgeId> touched);
+  /// their contributions back: O(touched pins + k · touched nets). The
+  /// tracker then equals ConnectivityTracker(g, to_partition()) in counts,
+  /// λ, both costs and part weights, with no gain cache.
+  void finish_net_patch(std::span<const EdgeId> touched);
 
   /// Deterministic commit phase of a synchronous move round. Applies the
   /// proposals in the given (already prioritized) order; each is
@@ -253,7 +260,7 @@ class ConnectivityTracker {
   void fill_cache_tables(CostMetric m, unsigned threads);
   void rescan_best(NodeId v) noexcept;
   /// Patch cut_net_ / connectivity_ for one net of weight w whose λ went
-  /// from l_before to l_after (wrapping: see util/overflow.hpp).
+  /// from l_before to l_after (exact: see util/overflow.hpp).
   void patch_costs(Weight w, PartId l_before, PartId l_after) noexcept;
   void patch_part_weights(PartId from, PartId to, Weight w) noexcept;
   void benefit_add(NodeId v, PartId q, Weight w) noexcept;
@@ -272,7 +279,7 @@ class ConnectivityTracker {
   void boundary_insert(NodeId v);
   void boundary_erase(NodeId v);
   /// Copy the uint16 table into the wide one and drop the narrow layout;
-  /// called when a structural patch grows some net past 65535 pins.
+  /// called when a net patch grows some net past 65535 pins.
   void widen_counts();
   /// The two present parts (a < b) of an edge with λ_e == 2, via the
   /// present-parts bitset when k ≤ 64 and a count scan otherwise.
@@ -296,8 +303,8 @@ class ConnectivityTracker {
   std::vector<std::uint64_t> present_;
   std::vector<PartId> lambda_;
   std::vector<Weight> part_weight_;
-  Weight cut_net_ = 0;
-  Weight connectivity_ = 0;
+  WideWeight cut_net_ = 0;
+  WideWeight connectivity_ = 0;
 
   // All per-node scalar cache state, interleaved into one 32-byte record so
   // the threshold rules of a move (penalty bump, boundary counter, touch
@@ -322,7 +329,7 @@ class ConnectivityTracker {
   std::vector<NodeId> touched_;   // gains changed by last move
   std::uint64_t epoch_ = 0;
   bool batch_active_ = false;  // apply_batch: accumulate touched_ over moves
-  // begin_structural_patch .. finish_structural_patch bracket: the edge
+  // begin_net_patch .. finish_net_patch bracket: the edge
   // count at phase 1, so phase 2 knows which nets were appended in between.
   EdgeId patch_edges_before_ = kInvalidEdge;
 };

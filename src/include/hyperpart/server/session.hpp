@@ -26,14 +26,14 @@
 //     unique lock. `update` takes the unique lock for its whole critical
 //     section since it writes the graph itself. It patches the snapshots
 //     and the graph fingerprint by the touched terms only, so a
-//     weight-only update holds the lock for O(Δ) work (Δ = the pins of
-//     the updated nets plus the updated nodes); a structural batch adds
-//     the graph's O(n + m + ρ) CSR rebuild.
+//     weight-only update holds the lock for O(Δ) work per cache entry
+//     (Δ = the updated nodes plus the pins and k counts of the updated
+//     nets); a structural batch adds the graph's O(n + m + ρ) CSR rebuild.
 //
 // Repartition fallback ladder (documented in DESIGN.md):
 //   1. ΔFM      — change fraction ≤ kDeltaFmMaxFraction and a cached
-//                 tracker exists: patch/rebuild the tracker, restore
-//                 balance, boundary-FM. No coarsening at all.
+//                 tracker exists: restore balance, boundary-FM on the
+//                 tracker update() kept exact. No coarsening at all.
 //   2. V-cycle  — change fraction ≤ kVcycleMaxFraction: partition-aware
 //                 V-cycles seeded from the cached partition.
 //   3. full     — fresh multilevel run (also the fallback whenever a rung
@@ -46,16 +46,15 @@
 // — the bound the fuzz oracle's `incremental` leg enforces.
 //
 // Structural deltas (add_net / remove_net / add_pins / remove_pins) keep
-// the node set fixed: removed nets are tombstoned (empty pins, weight 0,
-// id preserved), new nets append at ids m, m+1, …. Cached partitions
-// therefore stay complete across structural updates, and fresh trackers
-// are patched per touched net (begin/finish_structural_patch) rather than
-// rebuilt — unless the batch's pin volume exceeds
-// kStructuralPatchMaxFraction of ρ, in which case trackers are marked
-// stale and the ladder's existing rebuild path takes over. Every
-// successful update bumps the session's monotone version(), echoed in all
-// responses; evaluate can pin an expected version (optimistic snapshot
-// read).
+// the node set fixed: removed nets are tombstoned (empty pin list, weight
+// 0, id preserved), new nets append at ids m, m+1, …. Cached partitions
+// therefore stay complete across structural updates. Every cached tracker
+// is exact after every update: node-weight changes patch its part weights,
+// and every net whose pins or weight change goes through one net patch
+// (ConnectivityTracker::begin_net_patch / finish_net_patch), which
+// recounts only the touched and appended nets. Every successful update
+// bumps the session's monotone version(), echoed in all responses;
+// evaluate can pin an expected version (optimistic snapshot read).
 
 #include <atomic>
 #include <cstdint>
@@ -72,24 +71,14 @@
 #include "hyperpart/core/connectivity_tracker.hpp"
 #include "hyperpart/core/metrics.hpp"
 #include "hyperpart/core/partition.hpp"
+#include "hyperpart/util/overflow.hpp"
 #include "hyperpart/util/shared_mutex.hpp"
 
 namespace hp::server {
 
-/// Exact accumulator of the session's maintained sums (see Snapshot).
-using WideWeight = __int128;
-
 /// Change-fraction thresholds of the repartition ladder.
 inline constexpr double kDeltaFmMaxFraction = 0.05;
 inline constexpr double kVcycleMaxFraction = 0.5;
-
-/// Patchability threshold of structural updates: when the pin volume a
-/// batch touches (old pins + new pins of rewritten nets, plus appended
-/// pins) exceeds this fraction of the graph's total pins, cached trackers
-/// are marked stale instead of patched per net — past that point the
-/// O(touched-pins · k) repair approaches the O(ρ) from-partition rebuild
-/// that staleness already buys, with none of the rebuild's simplicity.
-inline constexpr double kStructuralPatchMaxFraction = 0.2;
 
 /// Request-side partitioning config. (k, epsilon, metric, seed) key the
 /// session cache; `threads` deliberately does not — every algorithm in this
@@ -154,10 +143,9 @@ struct UpdateOutcome {
   std::uint64_t structural = 0;  ///< structural deltas among them
   double change_fraction = 0.0;  ///< accumulated units / (n + m), max entry
   std::uint64_t version = 0;     ///< graph version after the update
-  /// How cached trackers absorbed the structural part: per-net patch or
-  /// staleness fallback (batch exceeded kStructuralPatchMaxFraction).
+  /// Cached trackers repaired by the batch's net patch (0 for a batch of
+  /// node-weight changes only, which patch part weights in O(1)).
   std::uint64_t trackers_patched = 0;
-  std::uint64_t trackers_staled = 0;
 };
 
 class GraphSession {
@@ -228,11 +216,10 @@ class GraphSession {
   /// counted over the entry's partition), a structural delta by
   /// subtracting each touched net's old contribution before the rewrite
   /// and adding the new one after. Node-weight changes also patch cached
-  /// trackers' part weights; edge-weight changes mark trackers stale.
-  /// Structural deltas patch each fresh tracker per touched net
-  /// (begin/finish_structural_patch) while the graph rebuilds its CSR in
-  /// place, falling back to staleness when the batch's pin volume exceeds
-  /// kStructuralPatchMaxFraction of ρ.
+  /// trackers' part weights. The distinct existing nets that structural
+  /// deltas rewrite or edge-weight changes target go through ONE net patch
+  /// on every cached tracker (begin_net_patch before the graph mutates,
+  /// finish_net_patch after), so every tracker is exact afterwards.
   /// Structural deltas are applied in the order given; appended nets take
   /// ids m, m+1, … and cannot be targeted by other deltas of the same
   /// batch. Bumps version() on success. Requires the mutator slot.
@@ -253,7 +240,7 @@ class GraphSession {
       std::optional<std::uint64_t> expected_version = std::nullopt);
 
   /// Reader: per-entry cache facts — key, method of last production, cost,
-  /// staleness — serialized by the Server into the stats response.
+  /// currency — serialized by the Server into the stats response.
   struct EntryStats {
     PartId k = 0;
     double epsilon = 0.0;
@@ -262,7 +249,6 @@ class GraphSession {
     Weight cost = 0;
     std::string method;
     bool tracker_cached = false;
-    bool tracker_stale = false;
     std::size_t hierarchy_levels = 0;
     bool current = false;  ///< built against the current graph content
   };
@@ -270,8 +256,8 @@ class GraphSession {
 
   /// Test/fuzz hook: recompute the graph fingerprint, the total node weight
   /// and every entry's snapshot from scratch and compare them with the
-  /// maintained values; rebuild every fresh cached tracker and compare
-  /// costs, part weights, and λ values against the incremental state.
+  /// maintained values; rebuild every cached tracker and compare costs,
+  /// part weights, and λ values against the incremental state.
   /// Returns false (with a reason) on the first mismatch.
   [[nodiscard]] bool verify_cache_integrity(std::string* why) const;
 
@@ -304,8 +290,7 @@ class GraphSession {
 
   struct Entry {
     MultilevelHierarchy hierarchy;
-    std::unique_ptr<ConnectivityTracker> tracker;
-    bool tracker_stale = false;  ///< edge weights changed since tracker built
+    std::unique_ptr<ConnectivityTracker> tracker;  ///< mirrors `partition`
     Partition partition;
     Weight cost = 0;               ///< cost at commit time (stats reports it)
     Snapshot live;                 ///< patched by every update; readers' view
@@ -323,13 +308,16 @@ class GraphSession {
   [[nodiscard]] MultilevelConfig ml_config(const SessionConfig& cfg) const;
   /// Relaxed ε-balance over the maintained total node weight, O(1).
   [[nodiscard]] BalanceConstraint balance_for(const SessionConfig& cfg) const;
-  /// Snapshot of the partition `tracker` mirrors, whose cost is `cost`:
-  /// O(k).
-  [[nodiscard]] static Snapshot snapshot_of(const ConnectivityTracker& tracker,
-                                            Weight cost);
   PartitionOutcome run_full(const SessionConfig& cfg, const CacheKey& key,
                             bool include_parts);
-  void commit_entry(const CacheKey& key, Entry entry);
+  /// Publish a rung's result as the entry for `key` under one brief unique
+  /// lock: the partition, its O(k) snapshot taken from the tracker, and the
+  /// commit-time keys. `tracker`
+  /// must mirror `p`; nullptr keeps the entry's own tracker, which the ΔFM
+  /// rung refined in place. A `hierarchy` replaces the cached one.
+  Entry& commit(const CacheKey& key, Partition p, std::string method,
+                std::unique_ptr<ConnectivityTracker> tracker = nullptr,
+                std::optional<MultilevelHierarchy> hierarchy = std::nullopt);
   PartitionOutcome outcome_from(const Entry& e, const SessionConfig& cfg,
                                 std::string method, bool cache_hit,
                                 double fraction, bool include_parts) const;

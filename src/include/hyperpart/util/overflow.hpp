@@ -9,17 +9,33 @@
 // pins to the extreme instead of wrapping to the other sign.
 //
 // Running totals that are patched by +Δ and later by −Δ (the connectivity
-// tracker's costs, part weights and gain-cache rows) cannot saturate: a
+// tracker's part weights and gain-cache rows) cannot saturate: a
 // clamped value would not patch back. They use the wrap_* forms instead —
 // two's-complement arithmetic modulo 2^N, the semantics std::atomic's
 // fetch_add already has — which is defined for every input and exact
 // whenever the true result fits.
+//
+// Totals that are read as values, not only compared — the tracker's two
+// cost totals and the session's snapshots — are kept exact in WideWeight
+// instead and clamped on read: an int64 term sum cannot leave 128 bits, and
+// the clamp of an exact sum of non-negative terms equals the saturating
+// sat_add accumulation of the same terms.
 
 #include <cstdint>
 #include <limits>
 #include <type_traits>
 
 namespace hp {
+
+/// Exact accumulator for sums of int64 weights.
+using WideWeight = __int128;
+
+/// The saturating int64 view of an exact wide sum.
+[[nodiscard]] constexpr std::int64_t clamp_weight(WideWeight x) noexcept {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  return x >= kMax ? kMax : x <= kMin ? kMin : static_cast<std::int64_t>(x);
+}
 
 /// a + b, clamped to the representable range instead of overflowing.
 template <class T>

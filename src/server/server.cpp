@@ -116,7 +116,6 @@ struct MutatorSlot {
   out.set("edges", static_cast<std::int64_t>(session.num_edges()));
   out.set("trackers_patched",
           static_cast<std::int64_t>(result.trackers_patched));
-  out.set("trackers_staled", static_cast<std::int64_t>(result.trackers_staled));
   return out;
 }
 
@@ -383,7 +382,6 @@ json::Value Server::stats_response() {
         ev.set("cost", e.cost);
         ev.set("method", e.method);
         ev.set("tracker_cached", e.tracker_cached);
-        ev.set("tracker_stale", e.tracker_stale);
         ev.set("hierarchy_levels",
                static_cast<std::int64_t>(e.hierarchy_levels));
         ev.set("current", e.current);
@@ -398,9 +396,8 @@ json::Value Server::stats_response() {
   for (const char* name :
        {"server.cache_hits", "server.cache_misses",
         "server.repartition.delta_fm", "server.repartition.vcycle",
-        "server.repartition.full", "server.tracker_rebuilds",
-        "server.updates", "server.structural_updates",
-        "server.tracker_patches"}) {
+        "server.repartition.full", "server.updates",
+        "server.structural_updates", "server.tracker_patches"}) {
     counters.set(name, hp::obs::counter(name));
   }
   out.set("counters", std::move(counters));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -13,18 +12,11 @@
 #include "hyperpart/core/fingerprint.hpp"
 #include "hyperpart/obs/telemetry.hpp"
 #include "hyperpart/stream/binary_format.hpp"
+#include "hyperpart/util/overflow.hpp"
 
 namespace hp::server {
 
 namespace {
-
-/// The saturating Weight view of an exact non-negative sum: what the
-/// from-scratch sat_add accumulations (cost_of, part_weights,
-/// total_node_weight) report for the same terms.
-[[nodiscard]] Weight clamp_weight(WideWeight x) noexcept {
-  constexpr Weight kMax = std::numeric_limits<Weight>::max();
-  return x >= kMax ? kMax : static_cast<Weight>(x);
-}
 
 /// Net e's exact term of cost_of(g, p, metric): O(|e|).
 [[nodiscard]] WideWeight cost_term(const Hypergraph& g, const Partition& p,
@@ -33,6 +25,12 @@ namespace {
   if (l <= 1) return 0;
   const WideWeight w = g.edge_weight(e);
   return metric == CostMetric::kCutNet ? w : w * (l - 1);
+}
+
+/// The ladder's quality guard: rungs 1 and 2 commit at most 3 · before + 4,
+/// saturating for costs near INT64_MAX.
+[[nodiscard]] Weight quality_bound(Weight before) noexcept {
+  return sat_add<Weight>(sat_mul<Weight>(3, before), 4);
 }
 
 [[nodiscard]] FmConfig fm_for(const SessionConfig& cfg) {
@@ -86,12 +84,6 @@ BalanceConstraint GraphSession::balance_for(const SessionConfig& cfg) const {
                                              cfg.epsilon, /*relaxed=*/true);
 }
 
-GraphSession::Snapshot GraphSession::snapshot_of(
-    const ConnectivityTracker& tracker, Weight cost) {
-  const std::vector<Weight>& weights = tracker.part_weights();
-  return Snapshot{cost, {weights.begin(), weights.end()}};
-}
-
 PartitionOutcome GraphSession::outcome_from(const Entry& e,
                                             const SessionConfig& cfg,
                                             std::string method, bool cache_hit,
@@ -115,9 +107,24 @@ PartitionOutcome GraphSession::outcome_from(const Entry& e,
   return out;
 }
 
-void GraphSession::commit_entry(const CacheKey& key, Entry entry) {
+GraphSession::Entry& GraphSession::commit(
+    const CacheKey& key, Partition p, std::string method,
+    std::unique_ptr<ConnectivityTracker> tracker,
+    std::optional<MultilevelHierarchy> hierarchy) {
+  const ConnectivityTracker& t = tracker ? *tracker : *cache_.at(key).tracker;
+  const std::vector<Weight>& weights = t.part_weights();
+  Snapshot live{t.exact_cost(key.metric), {weights.begin(), weights.end()}};
   std::unique_lock lock(mu_);
-  cache_[key] = std::move(entry);
+  Entry& e = cache_[key];
+  if (hierarchy) e.hierarchy = std::move(*hierarchy);
+  if (tracker) e.tracker = std::move(tracker);
+  e.cost = clamp_weight(live.cost);
+  e.live = std::move(live);
+  e.partition = std::move(p);
+  e.method = std::move(method);
+  e.built_hash = graph_hash_;
+  e.built_units = change_units_;
+  return e;
 }
 
 PartitionOutcome GraphSession::run_full(const SessionConfig& cfg,
@@ -126,28 +133,21 @@ PartitionOutcome GraphSession::run_full(const SessionConfig& cfg,
   // The admitted mutator reads g_ without a lock: update() is the only
   // writer and it needs the mutator slot we hold.
   const BalanceConstraint balance = balance_for(cfg);
-  Entry entry;
+  MultilevelHierarchy hierarchy;
   std::optional<Partition> p =
-      multilevel_partition_cached(g_, balance, ml_config(cfg), &entry.hierarchy);
+      multilevel_partition_cached(g_, balance, ml_config(cfg), &hierarchy);
   if (!p) {
     PartitionOutcome out;
     out.version = version();
     out.error = "no feasible partition (capacity too tight for node weights)";
     return out;
   }
-  entry.tracker = std::make_unique<ConnectivityTracker>(g_, *p, cfg.threads);
-  entry.tracker->enable_gain_cache(cfg.metric, cfg.threads);
-  entry.cost = entry.tracker->cost(cfg.metric);
-  entry.live = snapshot_of(*entry.tracker, entry.cost);
-  entry.partition = std::move(*p);
-  entry.method = "full";
-  entry.built_hash = graph_hash_;
-  entry.built_units = change_units_;
+  auto tracker = std::make_unique<ConnectivityTracker>(g_, *p, cfg.threads);
+  tracker->enable_gain_cache(cfg.metric, cfg.threads);
   HP_COUNTER_ADD("server.cache_misses", 1);
-  PartitionOutcome out =
-      outcome_from(entry, cfg, "full", false, 0.0, include_parts);
-  commit_entry(key, std::move(entry));
-  return out;
+  const Entry& e = commit(key, std::move(*p), "full", std::move(tracker),
+                          std::move(hierarchy));
+  return outcome_from(e, cfg, "full", false, 0.0, include_parts);
 }
 
 PartitionOutcome GraphSession::partition(const SessionConfig& cfg,
@@ -187,19 +187,7 @@ PartitionOutcome GraphSession::partition(const SessionConfig& cfg,
       }
     }
     if (p && balance.satisfied(p->part_weights(g_))) {
-      const Weight cost = tracker->cost(cfg.metric);
-      Snapshot live = snapshot_of(*tracker, cost);
-      {
-        std::unique_lock lock(mu_);
-        e.tracker = std::move(tracker);
-        e.tracker_stale = false;
-        e.cost = cost;
-        e.live = std::move(live);
-        e.partition = std::move(*p);
-        e.method = "hierarchy";
-        e.built_hash = graph_hash_;
-        e.built_units = change_units_;
-      }
+      commit(key, std::move(*p), "hierarchy", std::move(tracker));
       HP_COUNTER_ADD("server.cache_hits", 1);
       return outcome_from(e, cfg, "hierarchy", true, frac, include_parts);
     }
@@ -228,21 +216,8 @@ PartitionOutcome GraphSession::repartition(const SessionConfig& cfg,
 
   // Rung 1: ΔFM on the cached tracker.
   if (frac <= kDeltaFmMaxFraction && e.tracker) {
-    if (e.tracker_stale) {
-      // Edge weights (or, past the patchability threshold, net structure)
-      // changed under this tracker — rebuild from the cached partition
-      // (O(pins), no coarsening). The partition itself stays valid: the
-      // node set never changes.
-      auto fresh =
-          std::make_unique<ConnectivityTracker>(g_, e.partition, cfg.threads);
-      std::unique_lock lock(mu_);
-      e.tracker = std::move(fresh);
-      e.tracker_stale = false;
-      HP_COUNTER_ADD("server.tracker_rebuilds", 1);
-    }
     // Quality-guard baseline: the cached partition's cost on the *current*
-    // graph. The tracker is exact here (just rebuilt, or node-only drift
-    // which never touches edge-based costs), so this is O(1).
+    // graph. update() keeps every tracker exact, so this is O(1).
     const Weight before = e.tracker->cost(cfg.metric);
     // ΔFM mutates the tracker's *contents* without a lock — readers never
     // dereference trackers, only the committed fields (partition, cost,
@@ -250,23 +225,14 @@ PartitionOutcome GraphSession::repartition(const SessionConfig& cfg,
     Partition p;
     std::optional<Weight> cost =
         delta_fm_refine(g_, *e.tracker, p, balance, fm_for(cfg));
-    if (cost && *cost > 3 * before + 4) {
+    if (cost && *cost > quality_bound(before)) {
       // Rebalancing dug the partition into a hole (documented bound in
       // DESIGN.md: a rung may cost at most 3 · before + 4). Escalate.
       HP_COUNTER_ADD("server.repartition.quality_fallbacks", 1);
       cost.reset();
     }
     if (cost) {
-      Snapshot live = snapshot_of(*e.tracker, *cost);
-      {
-        std::unique_lock lock(mu_);
-        e.cost = *cost;
-        e.live = std::move(live);
-        e.partition = std::move(p);
-        e.method = "delta_fm";
-        e.built_hash = graph_hash_;
-        e.built_units = change_units_;
-      }
+      commit(key, std::move(p), "delta_fm");
       HP_COUNTER_ADD("server.cache_hits", 1);
       HP_COUNTER_ADD("server.repartition.delta_fm", 1);
       return outcome_from(e, cfg, "delta_fm", true, frac, include_parts);
@@ -291,7 +257,7 @@ PartitionOutcome GraphSession::repartition(const SessionConfig& cfg,
     }
     if (feasible) {
       const Weight cost = vcycle_refine(g_, p, balance, ml_config(cfg));
-      if (cost > 3 * before + 4) {
+      if (cost > quality_bound(before)) {
         // Same quality guard as the ΔFM rung: never commit a result more
         // than 3 · before + 4 worse than what the cache already had.
         HP_COUNTER_ADD("server.repartition.quality_fallbacks", 1);
@@ -302,18 +268,7 @@ PartitionOutcome GraphSession::repartition(const SessionConfig& cfg,
       // rebuild so the next ΔFM starts exact.
       auto fresh = std::make_unique<ConnectivityTracker>(g_, p, cfg.threads);
       fresh->enable_gain_cache(cfg.metric, cfg.threads);
-      Snapshot live = snapshot_of(*fresh, cost);
-      {
-        std::unique_lock lock(mu_);
-        e.tracker = std::move(fresh);
-        e.tracker_stale = false;
-        e.cost = cost;
-        e.live = std::move(live);
-        e.partition = std::move(p);
-        e.method = "vcycle";
-        e.built_hash = graph_hash_;
-        e.built_units = change_units_;
-      }
+      commit(key, std::move(p), "vcycle", std::move(fresh));
       HP_COUNTER_ADD("server.cache_hits", 1);
       HP_COUNTER_ADD("server.repartition.vcycle", 1);
       return outcome_from(e, cfg, "vcycle", true, frac, include_parts);
@@ -460,20 +415,6 @@ UpdateOutcome GraphSession::update(std::span<const WeightUpdate> node_updates,
     }
   }
 
-  // Patchability: per-net tracker repair costs O(touched pins · k); once the
-  // batch rewrites a sizable share of all pins, marking trackers stale (and
-  // letting repartition rebuild from the cached partition in O(ρ)) is both
-  // cheaper and simpler. Threshold argument in DESIGN.md.
-  std::uint64_t touched_volume = 0;
-  for (const auto& [e, pins] : touched) {
-    touched_volume += g_.edge_size(e) + pins.size();
-  }
-  for (const auto& a : appended) touched_volume += a.pins.size();
-  const bool patchable =
-      static_cast<double>(touched_volume) <=
-      kStructuralPatchMaxFraction *
-          std::max<double>(1.0, static_cast<double>(g_.num_pins()));
-
   std::unique_lock lock(mu_);
   // Everything below patches the fingerprint and the snapshots by the
   // touched terms only; the new fingerprint is published once at the end.
@@ -496,48 +437,42 @@ UpdateOutcome GraphSession::update(std::span<const WeightUpdate> node_updates,
     hash += node_term(u.id, u.weight) - node_term(u.id, old);
     total_weight_ += delta;
     // Node weights never enter pin counts, λ, costs, or the gain cache —
-    // patching the part weights keeps every snapshot and fresh tracker
-    // exact.
+    // patching the part weights keeps every snapshot and tracker exact.
     for (auto& [key, entry] : cache_) {
       const PartId q = entry.partition[u.id];
       if (q < entry.partition.k()) entry.live.part_weights[q] += delta;
-      if (entry.tracker && !entry.tracker_stale) {
-        entry.tracker->apply_node_weight_delta(u.id, delta);
-      }
+      if (entry.tracker) entry.tracker->apply_node_weight_delta(u.id, delta);
     }
   }
 
-  if (!structural.empty()) {
-    std::vector<EdgeId> touched_ids;
-    touched_ids.reserve(touched.size());
-    std::vector<EdgeRewrite> rewrites;
-    rewrites.reserve(touched.size());
-    for (auto& [e, pins] : touched) {
-      touched_ids.push_back(e);
-      rewrites.push_back(EdgeRewrite{e, std::move(pins)});
-    }
-    // Phase 1 BEFORE the graph mutates: the old pin lists and λ values are
-    // still live, so each touched net's fingerprint term and cost
-    // contribution can be subtracted exactly — from the snapshots here and
-    // from every fresh tracker below.
+  // One net patch for every existing net whose pins or weight change:
+  // subtract its terms while the old pins, weight and λ are live, mutate,
+  // then add the new terms back — in the fingerprint, in every snapshot and
+  // in every tracker. Appended nets only enter at the end.
+  if (!structural.empty() || !edge_updates.empty()) {
+    std::vector<EdgeId> patched;
+    patched.reserve(touched.size() + edge_updates.size());
+    for (const auto& [e, pins] : touched) patched.push_back(e);
+    for (const WeightUpdate& u : edge_updates) patched.push_back(u.id);
+    std::sort(patched.begin(), patched.end());
+    patched.erase(std::unique(patched.begin(), patched.end()), patched.end());
     const EdgeId m_before = g_.num_edges();
     hash -= shape_term(g_.num_nodes(), m_before);
-    for (const EdgeId e : touched_ids) account_net(e, -1);
-    std::vector<ConnectivityTracker*> patching;
+    for (const EdgeId e : patched) account_net(e, -1);
     for (auto& [key, entry] : cache_) {
       if (!entry.tracker) continue;
-      if (patchable && !entry.tracker_stale) {
-        entry.tracker->begin_structural_patch(touched_ids);
-        patching.push_back(entry.tracker.get());
-        ++out.trackers_patched;
-      } else if (!entry.tracker_stale) {
-        entry.tracker_stale = true;
-        ++out.trackers_staled;
-      }
+      entry.tracker->begin_net_patch(patched);
+      ++out.trackers_patched;
     }
-    g_.apply_structural_batch(std::move(rewrites), std::move(appended));
-    if (g_.num_edges() > net_removed_.size()) {
+    if (!structural.empty()) {
+      std::vector<EdgeRewrite> rewrites;
+      rewrites.reserve(touched.size());
+      for (auto& [e, pins] : touched) {
+        rewrites.push_back(EdgeRewrite{e, std::move(pins)});
+      }
+      g_.apply_structural_batch(std::move(rewrites), std::move(appended));
       net_removed_.resize(g_.num_edges(), 0);
+      HP_COUNTER_ADD("server.structural_updates", 1);
     }
     for (const EdgeId e : removed_now) {
       // Tombstone: empty pin list (already applied) + weight 0, so the net
@@ -545,28 +480,17 @@ UpdateOutcome GraphSession::update(std::span<const WeightUpdate> node_updates,
       g_.update_edge_weight(e, 0);
       net_removed_[e] = 1;
     }
-    // Phase 2 AFTER the tombstone weights land: a removed net re-enters
-    // the totals with λ = 0, i.e. not at all, whatever its weight.
-    for (ConnectivityTracker* t : patching) {
-      t->finish_structural_patch(touched_ids);
+    for (const WeightUpdate& u : edge_updates) {
+      g_.update_edge_weight(u.id, u.weight);
+    }
+    for (auto& [key, entry] : cache_) {
+      if (entry.tracker) entry.tracker->finish_net_patch(patched);
     }
     hash += shape_term(g_.num_nodes(), g_.num_edges());
-    for (const EdgeId e : touched_ids) account_net(e, +1);
+    for (const EdgeId e : patched) account_net(e, +1);
     for (EdgeId e = m_before; e < g_.num_edges(); ++e) account_net(e, +1);
-    HP_COUNTER_ADD("server.structural_updates", 1);
     HP_COUNTER_ADD("server.tracker_patches",
                    static_cast<std::int64_t>(out.trackers_patched));
-  }
-
-  for (const WeightUpdate& u : edge_updates) {
-    // λ_e is counted over each entry's partition, so the snapshot patch is
-    // exact whether the entry's tracker is fresh, stale or absent.
-    account_net(u.id, -1);
-    g_.update_edge_weight(u.id, u.weight);
-    account_net(u.id, +1);
-    for (auto& [key, entry] : cache_) {
-      if (entry.tracker) entry.tracker_stale = true;
-    }
   }
   change_units_ +=
       node_updates.size() + edge_updates.size() + structural.size();
@@ -625,7 +549,6 @@ std::vector<GraphSession::EntryStats> GraphSession::entry_stats() const {
     s.cost = e.cost;
     s.method = e.method;
     s.tracker_cached = e.tracker != nullptr;
-    s.tracker_stale = e.tracker_stale;
     s.hierarchy_levels = e.hierarchy.levels.size();
     s.current = e.built_hash == graph_hash_;
     stats.push_back(std::move(s));
@@ -675,7 +598,7 @@ bool GraphSession::verify_cache_integrity(std::string* why) const {
       }
       return false;
     }
-    if (!e.tracker || e.tracker_stale) continue;
+    if (!e.tracker) continue;
     const ConnectivityTracker fresh(g_, e.partition);
     for (PartId q = 0; q < fresh.k(); ++q) {
       if (fresh.part_weight(q) != e.tracker->part_weight(q)) {
@@ -693,9 +616,14 @@ bool GraphSession::verify_cache_integrity(std::string* why) const {
       return false;
     }
     for (EdgeId edge = 0; edge < g_.num_edges(); ++edge) {
-      if (fresh.lambda(edge) != e.tracker->lambda(edge)) {
+      bool same = fresh.lambda(edge) == e.tracker->lambda(edge);
+      for (PartId q = 0; q < fresh.k() && same; ++q) {
+        same = fresh.pins_in_part(edge, q) == e.tracker->pins_in_part(edge, q);
+      }
+      if (!same) {
         if (why) {
-          *why = tag.str() + "lambda mismatch at edge " + std::to_string(edge);
+          *why = tag.str() + "lambda or pin counts mismatch at edge " +
+                 std::to_string(edge);
         }
         return false;
       }

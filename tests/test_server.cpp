@@ -20,11 +20,13 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "hyperpart/algo/incremental.hpp"
 #include "hyperpart/algo/multilevel.hpp"
 #include "hyperpart/core/balance.hpp"
 #include "hyperpart/core/fingerprint.hpp"
@@ -302,32 +304,31 @@ TEST(SessionTest, RepartitionFallsBackToFullAfterLargeUpdate) {
   s->release_mutator();
 }
 
-TEST(SessionTest, EdgeWeightUpdateInvalidatesTrackerButDeltaFmRecovers) {
+TEST(SessionTest, EdgeWeightUpdatePatchesTrackerAndDeltaFmRuns) {
   auto s = session_of(1000, 46);
   const SessionConfig cfg = small_cfg();
   ASSERT_TRUE(s->try_acquire_mutator());
   ASSERT_TRUE(s->partition(cfg, false).ok);
 
-  // A handful of edge-weight changes: trackers go stale (costs and gain
-  // caches depend on edge weights) yet the fraction stays in the ΔFM rung,
-  // so repartition must rebuild the tracker and still run incrementally.
+  // A handful of edge-weight changes: costs depend on edge weights, so the
+  // cached tracker is repaired by one net patch over the 8 nets, and the
+  // fraction stays in the ΔFM rung.
   const Hypergraph probe = random_hypergraph(1000, 1000, 2, 6, 46);
   std::vector<WeightUpdate> edge_updates;
   for (std::uint32_t e = 0; e < 8; ++e) {
     edge_updates.push_back({e, probe.edge_weight(e) + 2});
   }
-  ASSERT_TRUE(s->update({}, edge_updates).ok);
-
-  const auto stats = s->entry_stats();
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_TRUE(stats[0].tracker_stale);
+  const auto up = s->update({}, edge_updates);
+  ASSERT_TRUE(up.ok) << up.error;
+  EXPECT_EQ(up.trackers_patched, 1u);
+  std::string why;
+  EXPECT_TRUE(s->verify_cache_integrity(&why)) << why;
 
   const auto re = s->repartition(cfg);
   EXPECT_TRUE(re.ok);
   EXPECT_EQ(re.method, "delta_fm");
   s->release_mutator();
 
-  std::string why;
   EXPECT_TRUE(s->verify_cache_integrity(&why)) << why;
   // The recomputed cost must account for the new edge weights exactly.
   const auto ev = s->evaluate(cfg);
@@ -406,13 +407,8 @@ TEST(SessionTest, StructuralAddNetPatchesTrackerAndDeltaFmRecovers) {
   EXPECT_EQ(up.structural, 2u);
   EXPECT_EQ(up.version, 1u);
   EXPECT_EQ(s->num_edges(), 1002u);
-  // A 5-pin batch is far below the patch threshold: the cached tracker is
-  // repaired per net, never marked stale.
+  // The cached tracker is repaired per net.
   EXPECT_EQ(up.trackers_patched, 1u);
-  EXPECT_EQ(up.trackers_staled, 0u);
-  const auto stats = s->entry_stats();
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_FALSE(stats[0].tracker_stale);
   std::string why;
   EXPECT_TRUE(s->verify_cache_integrity(&why)) << why;
 
@@ -525,9 +521,6 @@ TEST(SessionTest, InvalidDeltaRollsBackTheWholeBatch) {
   EXPECT_EQ(s->version(), ver0);
   EXPECT_EQ(s->num_edges(), m0);
   EXPECT_FALSE(s->net_removed(0));
-  const auto stats = s->entry_stats();
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_FALSE(stats[0].tracker_stale);
   std::string why;
   EXPECT_TRUE(s->verify_cache_integrity(&why)) << why;
   // The cache entry is still a clean hit for the unchanged graph.
@@ -535,15 +528,14 @@ TEST(SessionTest, InvalidDeltaRollsBackTheWholeBatch) {
   s->release_mutator();
 }
 
-TEST(SessionTest, OversizeStructuralBatchMarksTrackersStale) {
+TEST(SessionTest, OversizeStructuralBatchIsPatched) {
   auto s = session_of(300, 55);
   const SessionConfig cfg = small_cfg();
   ASSERT_TRUE(s->try_acquire_mutator());
   ASSERT_TRUE(s->partition(cfg, false).ok);
 
-  // Tombstone a third of all nets: the touched pin volume blows through
-  // kStructuralPatchMaxFraction, so the tracker falls back to staleness
-  // instead of per-net patching.
+  // Tombstone a third of all nets: however large the batch, the tracker is
+  // repaired by the same per-net patch and stays exact.
   std::vector<StructuralDelta> deltas(100);
   for (EdgeId e = 0; e < 100; ++e) {
     deltas[e].kind = StructuralDelta::Kind::kRemoveNet;
@@ -551,18 +543,14 @@ TEST(SessionTest, OversizeStructuralBatchMarksTrackersStale) {
   }
   const auto up = s->update({}, {}, deltas);
   ASSERT_TRUE(up.ok) << up.error;
-  EXPECT_EQ(up.trackers_patched, 0u);
-  EXPECT_EQ(up.trackers_staled, 1u);
-  const auto stats = s->entry_stats();
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_TRUE(stats[0].tracker_stale);
+  EXPECT_EQ(up.trackers_patched, 1u);
+  std::string why;
+  EXPECT_TRUE(s->verify_cache_integrity(&why)) << why;
 
-  // Repartition rebuilds from the cached partition and recovers.
   const auto re = s->repartition(cfg);
   EXPECT_TRUE(re.ok) << re.error;
   EXPECT_TRUE(re.balanced);
   s->release_mutator();
-  std::string why;
   EXPECT_TRUE(s->verify_cache_integrity(&why)) << why;
 }
 
@@ -650,7 +638,7 @@ TEST(SessionTest, EvaluateIsExactAfterEveryUpdateKind) {
   // evaluate answers from the snapshot each update patches, never from a
   // recount. Four entries (k = 2 and 4, each under both metrics) are
   // checked after every row against cost() on an independent rebuild: node
-  // and edge weights, per-net patched and staled structural batches,
+  // and edge weights, small and oversize structural batches,
   // tombstones, appended nets and weight updates on them, and a mixed
   // batch; then once more after a repartition commits new partitions.
   const Hypergraph g0 = random_hypergraph(500, 500, 2, 6, 60);
@@ -729,9 +717,7 @@ TEST(SessionTest, EvaluateIsExactAfterEveryUpdateKind) {
                          delta(K::kRemoveNet, 10, {}),
                          delta(K::kAddPins, 11, {499}),
                          delta(K::kRemovePins, 12, {mirror.pins[12][0]})});
-    // Below kStructuralPatchMaxFraction: every tracker repaired per net.
     EXPECT_EQ(up.trackers_patched, cfgs.size());
-    EXPECT_EQ(up.trackers_staled, 0u);
   }
   run("edge weights", {}, {{3, 11}, {4, 0}, {3, 5}, {250, 7}}, {});
   run("weight on an appended net", {}, {{500, 3}}, {});
@@ -743,12 +729,11 @@ TEST(SessionTest, EvaluateIsExactAfterEveryUpdateKind) {
     for (EdgeId e = 100; e < 300; ++e) {
       many.push_back(delta(K::kRemoveNet, e, {}));
     }
-    const auto up = run("staled structural", {}, {}, many);
-    // Above the patch threshold: every fresh tracker falls back to stale.
-    EXPECT_EQ(up.trackers_staled, cfgs.size());
-    EXPECT_EQ(up.trackers_patched, 0u);
+    const auto up = run("oversize structural", {}, {}, many);
+    // Two fifths of all nets in one batch take the same per-net patch.
+    EXPECT_EQ(up.trackers_patched, cfgs.size());
   }
-  run("weights under stale trackers", {{6, 5}}, {{30, 4}}, {});
+  run("weights after the oversize batch", {{6, 5}}, {{30, 4}}, {});
   repartition_all("after the second repartition");
   run("mixed after repartition", {{7, 2}}, {{31, 9}},
       {delta(K::kAddPins, 32, {0})});
@@ -802,6 +787,117 @@ TEST(SessionTest, EvaluateStaysExactThroughSaturatingWeights) {
   EXPECT_EQ(ev.part_weights, first.part_weights);
   EXPECT_TRUE(s->verify_cache_integrity(&why)) << why;
   s->release_mutator();
+}
+
+TEST(SessionTest, RepartitionStaysExactThroughSaturatingNets) {
+  // Three nets spanning every node at weight INT64_MAX / 2 push the true
+  // cost past INT64_MAX. The committed snapshot must still be the exact
+  // sum (reported clamped, like cost()), and the quality guard's
+  // 3 · before + 4 must saturate instead of overflowing.
+  const Hypergraph g = random_hypergraph(300, 300, 2, 6, 41);
+  auto s = GraphSession::from_graph(g, "saturating");
+  Mirror mirror(g);
+  const SessionConfig cfg = small_cfg();
+  ASSERT_TRUE(s->try_acquire_mutator());
+  ASSERT_TRUE(s->partition(cfg, false).ok);
+
+  std::vector<NodeId> all(300);
+  std::iota(all.begin(), all.end(), NodeId{0});
+  std::vector<StructuralDelta> heavy(3);
+  for (StructuralDelta& d : heavy) {
+    d.kind = StructuralDelta::Kind::kAddNet;
+    d.pins = all;
+    d.weight = std::numeric_limits<Weight>::max() / 2;
+  }
+  ASSERT_TRUE(s->update({}, {}, heavy).ok);
+  mirror.apply({}, {}, heavy);
+  const auto re = s->repartition(cfg, true);
+  ASSERT_TRUE(re.ok) << re.error;
+  s->release_mutator();
+
+  const Hypergraph rebuilt = mirror.rebuild();
+  const Partition p(std::vector<PartId>(re.parts.begin(), re.parts.end()),
+                    cfg.k);
+  const auto ev = s->evaluate(cfg);
+  ASSERT_TRUE(ev.ok) << ev.error;
+  EXPECT_EQ(ev.cost, cost(rebuilt, p, cfg.metric));
+  EXPECT_EQ(ev.cost, std::numeric_limits<Weight>::max());
+  EXPECT_EQ(re.cost, ev.cost);
+  std::string why;
+  EXPECT_TRUE(s->verify_cache_integrity(&why)) << why;
+}
+
+TEST(SessionTest, NetPatchEqualsFreshTrackerAndDeltaFm) {
+  // One batch with a duplicate edge id, edge-weight updates on nets the
+  // same batch rewrites, a tombstone and an appended net. Every patched
+  // tracker must equal a fresh one (verify_cache_integrity compares λ, pin
+  // counts, both costs and part weights), and ΔFM from the patched tracker
+  // must land on the same partition as ΔFM from a fresh tracker built on
+  // an independent rebuild of the graph.
+  const Hypergraph g0 = random_hypergraph(400, 400, 2, 6, 62);
+  auto s = GraphSession::from_graph(g0, "net-patch");
+  Mirror mirror(g0);
+  std::vector<SessionConfig> cfgs;
+  std::vector<Partition> cached;
+  ASSERT_TRUE(s->try_acquire_mutator());
+  for (const CostMetric metric :
+       {CostMetric::kConnectivity, CostMetric::kCutNet}) {
+    SessionConfig cfg = small_cfg();
+    cfg.metric = metric;
+    const auto out = s->partition(cfg, true);
+    ASSERT_TRUE(out.ok) << out.error;
+    cfgs.push_back(cfg);
+    cached.emplace_back(std::vector<PartId>(out.parts.begin(), out.parts.end()),
+                        cfg.k);
+  }
+
+  const std::vector<WeightUpdate> edges = {{5, 9}, {7, 3}, {5, 2}, {12, 4}};
+  std::vector<StructuralDelta> deltas(4);
+  deltas[0].kind = StructuralDelta::Kind::kAddPins;
+  deltas[0].net = 12;
+  for (NodeId v = 0; v < 400 && deltas[0].pins.size() < 3; ++v) {
+    if (std::find(mirror.pins[12].begin(), mirror.pins[12].end(), v) ==
+        mirror.pins[12].end()) {
+      deltas[0].pins.push_back(v);
+    }
+  }
+  deltas[1].kind = StructuralDelta::Kind::kRemovePins;
+  deltas[1].net = 7;
+  deltas[1].pins = {mirror.pins[7][0]};
+  deltas[2].kind = StructuralDelta::Kind::kRemoveNet;
+  deltas[2].net = 20;
+  deltas[3].kind = StructuralDelta::Kind::kAddNet;
+  deltas[3].pins = {1, 50, 99, 300};
+  deltas[3].weight = 5;
+  const auto up = s->update({}, edges, deltas);
+  ASSERT_TRUE(up.ok) << up.error;
+  EXPECT_EQ(up.trackers_patched, cfgs.size());
+  mirror.apply({}, edges, deltas);
+  std::string why;
+  EXPECT_TRUE(s->verify_cache_integrity(&why)) << why;
+
+  const Hypergraph rebuilt = mirror.rebuild();
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    const SessionConfig& cfg = cfgs[i];
+    ConnectivityTracker fresh(rebuilt, cached[i]);
+    FmConfig fm;
+    fm.metric = cfg.metric;
+    Partition expect;
+    const auto expect_cost = delta_fm_refine(
+        rebuilt, fresh, expect,
+        BalanceConstraint::for_graph(rebuilt, cfg.k, cfg.epsilon, true), fm);
+    ASSERT_TRUE(expect_cost.has_value());
+
+    const auto re = s->repartition(cfg, true);
+    ASSERT_TRUE(re.ok) << re.error;
+    EXPECT_EQ(re.method, "delta_fm");
+    EXPECT_EQ(re.cost, *expect_cost);
+    EXPECT_TRUE(std::equal(re.parts.begin(), re.parts.end(),
+                           expect.raw().begin(), expect.raw().end()))
+        << to_string(cfg.metric);
+  }
+  s->release_mutator();
+  EXPECT_TRUE(s->verify_cache_integrity(&why)) << why;
 }
 
 TEST(SessionTest, HierarchyReuseIsBitIdenticalToFreshRun) {
@@ -1015,7 +1111,7 @@ TEST(ServerTest, StructuralUpdateAndVersionPinningOverSocket) {
   EXPECT_EQ(updated->find("version")->as_int(), 1);
   EXPECT_EQ(updated->find("edges")->as_int(), 302);
   EXPECT_EQ(updated->find("trackers_patched")->as_int(), 1);
-  EXPECT_EQ(updated->find("trackers_staled")->as_int(), 0);
+  EXPECT_EQ(updated->find("trackers_staled"), nullptr);
 
   // Pinned evaluate: the stale version is refused with the current one
   // echoed; the current version answers.

@@ -223,7 +223,7 @@ TEST(TrackerFlat, WideCountsOver65535Pins) {
 
 TEST(TrackerFlat, StructuralPatchWidensMidRun) {
   // Start narrow (every net small), then a structural patch grows net 0 to
-  // 70k pins: finish_structural_patch must widen the table in place and
+  // 70k pins: finish_net_patch must widen the table in place and
   // stay exact, through further moves and a cache re-enable.
   const NodeId n = 70000;
   const Hypergraph small = wide_graph(n, 5);  // net 0 has only 5 pins
@@ -259,9 +259,9 @@ TEST(TrackerFlat, StructuralPatchWidensMidRun) {
   appended.push_back({{5, 600, 70, 8}, 2});
   const std::vector<EdgeId> touched = {0, 1};
 
-  tracker.begin_structural_patch(touched);
+  tracker.begin_net_patch(touched);
   g.apply_structural_batch(std::move(rewrites), std::move(appended));
-  tracker.finish_structural_patch(touched);
+  tracker.finish_net_patch(touched);
   ref.resync();
 
   EXPECT_FALSE(tracker.narrow_counts());  // widened by the patch
