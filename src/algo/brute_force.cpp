@@ -15,14 +15,12 @@ std::optional<ExactResult> brute_force_partition(
   Partition current(n, k);
   std::vector<Weight> load(k, 0);
 
+  // The standard metrics compare exact Weights: a double stops telling
+  // costs apart past 2^53, far inside the weight budget.
   double best_cost = std::numeric_limits<double>::infinity();
+  Weight best_weight = std::numeric_limits<Weight>::max();
   std::optional<Partition> best;
   std::uint64_t leaves = 0;
-
-  const auto leaf_cost = [&](const Partition& p) -> double {
-    if (opts.custom_cost) return opts.custom_cost(p);
-    return static_cast<double>(cost(g, p, opts.metric));
-  };
 
   const auto recurse = [&](auto&& self, NodeId v, PartId max_used) -> void {
     if (v == n) {
@@ -31,10 +29,18 @@ std::optional<ExactResult> brute_force_partition(
           !opts.extra_constraints->satisfied(g, current)) {
         return;
       }
-      const double c = leaf_cost(current);
-      if (c < best_cost) {
-        best_cost = c;
-        best = current;
+      if (opts.custom_cost) {
+        const double c = opts.custom_cost(current);
+        if (c < best_cost) {
+          best_cost = c;
+          best = current;
+        }
+      } else {
+        const Weight c = cost(g, current, opts.metric);
+        if (c < best_weight) {
+          best_weight = c;
+          best = current;
+        }
       }
       return;
     }
@@ -53,8 +59,10 @@ std::optional<ExactResult> brute_force_partition(
 
   if (!best) return std::nullopt;
   ExactResult res;
-  res.cost = static_cast<Weight>(std::llround(best_cost));
-  res.cost_value = best_cost;
+  res.cost = opts.custom_cost ? static_cast<Weight>(std::llround(best_cost))
+                              : best_weight;
+  res.cost_value =
+      opts.custom_cost ? best_cost : static_cast<double>(best_weight);
   res.partition = std::move(*best);
   res.leaves_evaluated = leaves;
   return res;

@@ -7,7 +7,6 @@
 #include <span>
 
 #include "hyperpart/obs/telemetry.hpp"
-#include "hyperpart/util/overflow.hpp"
 #include "hyperpart/util/thread_pool.hpp"
 
 namespace hp {
@@ -140,9 +139,7 @@ CoarseLevel coarsen_once(const Hypergraph& g, Weight max_cluster_weight,
             for (const NodeId l : scratch.touched) {
               const double r = scratch.rating[l];
               scratch.rating[l] = 0.0;
-              if (sat_add(cweight[l], cweight[v]) > max_cluster_weight) {
-                continue;
-              }
+              if (cweight[l] + cweight[v] > max_cluster_weight) continue;
               // Target tie-break: rating desc, then seed-salted hash asc,
               // then leader id asc — total order, independent of the
               // touched-list visit order.
@@ -185,7 +182,7 @@ CoarseLevel coarsen_once(const Hypergraph& g, Weight max_cluster_weight,
       if (l == kInvalidNode || winner[l] != v) continue;
       if (cluster[v] != v || csize[v] != 1) continue;  // v accepted a member
       if (cluster[l] != l) continue;  // target merged away this round
-      if (sat_add(cweight[l], cweight[v]) > max_cluster_weight) continue;
+      if (cweight[l] + cweight[v] > max_cluster_weight) continue;
       cluster[v] = l;
       cweight[l] += cweight[v];
       csize[l] += csize[v];
@@ -333,9 +330,7 @@ CoarseLevel coarsen_once(const Hypergraph& g, Weight max_cluster_weight,
           const EdgeId rep = order[first + r];
           if (net_hash[rep] == net_hash[e] &&
               std::ranges::equal(projected_net(rep), net)) {
-            // Saturate like cost_of: heavy duplicates must not wrap.
-            merged_weight[first + r] =
-                sat_add(merged_weight[first + r], g.edge_weight(e));
+            merged_weight[first + r] += g.edge_weight(e);
             break;
           }
         }

@@ -7,7 +7,6 @@
 #include "hyperpart/core/connectivity_tracker.hpp"
 #include "hyperpart/obs/telemetry.hpp"
 #include "hyperpart/util/addressable_heap.hpp"
-#include "hyperpart/util/overflow.hpp"
 #include "hyperpart/util/thread_pool.hpp"
 
 namespace hp {
@@ -48,8 +47,7 @@ class GroupWeights {
                                    PartId to) const {
     if (cs_ == nullptr) return true;
     for (const std::uint32_t j : groups_of_[v]) {
-      if (sat_add(weights_[j * k_ + to], g.node_weight(v)) >
-          cs_->group(j).capacity) {
+      if (weights_[j * k_ + to] + g.node_weight(v) > cs_->group(j).capacity) {
         return false;
       }
     }
@@ -146,7 +144,7 @@ Weight sync_fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
               if (q == from || tracker.cached_gain(v, q) != gain) continue;
               const std::uint64_t rq = tie_rank(v, q);
               if (best_q != k && rq >= best_r) continue;
-              if (sat_add(tracker.part_weight(q), vw) > capacity) continue;
+              if (tracker.part_weight(q) + vw > capacity) continue;
               best_q = q;
               best_r = rq;
             }
@@ -212,7 +210,7 @@ Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     max_node_weight = std::max(max_node_weight, g.node_weight(v));
   }
-  const Weight slack_capacity = sat_add(balance.capacity(), max_node_weight);
+  const Weight slack_capacity = balance.capacity() + max_node_weight;
   GroupWeights groups(g, p, cfg.extra_constraints);
   std::vector<std::uint8_t> locked(g.num_nodes(), 0);
   std::vector<AppliedMove> moves;
@@ -239,7 +237,7 @@ Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
       if (q == from || tracker.cached_gain(v, q) != key) continue;
       const std::uint64_t rq = tie_rank(v, q);
       if (best_q != k && rq >= best_r) continue;
-      if (sat_add(tracker.part_weight(q), vw) > slack_capacity ||
+      if (tracker.part_weight(q) + vw > slack_capacity ||
           !groups.move_feasible(g, v, q)) {
         continue;
       }
@@ -309,7 +307,7 @@ Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
       groups.apply_move(g, v, from, to);
       locked[v] = 1;
       moves.push_back({v, from, to});
-      running = wrap_sub(running, gain);
+      running -= gain;
       if (running < best && all_balanced()) {
         best = running;
         best_prefix = moves.size();
@@ -340,7 +338,7 @@ Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
     HP_TELEMETRY_ONLY(obs_applied += best_prefix;
                       obs_rolled_back += moves.size() - best_prefix;)
     if (best >= start_cost) break;  // pass brought no improvement
-    if (static_cast<double>(sat_sub(start_cost, best)) <
+    if (static_cast<double>(start_cost - best) <
         kMinPassImprovement * static_cast<double>(start_cost)) {
       break;  // converged: the next pass would win even less
     }

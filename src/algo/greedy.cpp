@@ -7,7 +7,6 @@
 
 #include "hyperpart/algo/coarsening.hpp"
 #include "hyperpart/util/addressable_heap.hpp"
-#include "hyperpart/util/overflow.hpp"
 #include "hyperpart/util/rng.hpp"
 
 namespace hp {
@@ -181,7 +180,7 @@ std::optional<Partition> greedy_growing_partition(
         if (g.edge_size(e) > kLargeNetPins) continue;
         for (const NodeId u : g.pins(e)) {
           if (taken[u] || !fits(u)) continue;
-          affinity[u] = sat_add(affinity[u], g.edge_weight(e));
+          affinity[u] += g.edge_weight(e);
           if (touch_stamp[u] != pick) {
             touch_stamp[u] = pick;
             touched.push_back(u);

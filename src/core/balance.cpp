@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
-#include "hyperpart/util/overflow.hpp"
+#include "hyperpart/util/weight_budget.hpp"
 
 namespace hp {
 
@@ -14,18 +13,16 @@ namespace {
 /// floor((1+eps)·total/k) with a guard against floating-point error on exact
 /// integer thresholds: the paper's constructions choose sizes so that the
 /// threshold is an exact integer, and a naive floor() could land one short.
-/// The result is clamped to the Weight range — near-INT64_MAX totals with a
-/// large epsilon would otherwise overflow the float-to-int cast (UB).
+/// The result is clamped to the weight budget: every part of an in-budget
+/// graph fits below it, and a huge epsilon then can neither overflow the
+/// float-to-int cast nor a capacity-plus-node-weight sum.
 [[nodiscard]] Weight threshold(Weight total, PartId k, double epsilon,
                                bool relaxed) {
   const long double x =
       (1.0L + static_cast<long double>(epsilon)) *
       static_cast<long double>(total) / static_cast<long double>(k);
   const long double y = relaxed ? std::ceil(x - 1e-9L) : std::floor(x + 1e-9L);
-  constexpr long double kMax =
-      static_cast<long double>(std::numeric_limits<Weight>::max());
-  if (y >= kMax) return std::numeric_limits<Weight>::max();
-  if (y <= -kMax) return std::numeric_limits<Weight>::min();
+  if (y >= static_cast<long double>(kWeightBudget)) return kWeightBudget;
   return static_cast<Weight>(y);
 }
 
@@ -55,7 +52,7 @@ BalanceConstraint BalanceConstraint::with_capacity(PartId k, Weight capacity,
   BalanceConstraint b;
   b.k_ = k;
   b.epsilon_ = epsilon;
-  b.capacity_ = capacity;
+  b.capacity_ = std::min(capacity, kWeightBudget);
   return b;
 }
 
@@ -77,7 +74,7 @@ ConstraintSet ConstraintSet::for_subsets(
   ConstraintSet cs;
   for (auto& nodes : subsets) {
     Weight total = 0;
-    for (const NodeId v : nodes) total = sat_add(total, g.node_weight(v));
+    for (const NodeId v : nodes) total += g.node_weight(v);
     const auto cap =
         BalanceConstraint::for_total_weight(total, k, epsilon, relaxed)
             .capacity();
@@ -97,7 +94,7 @@ std::size_t ConstraintSet::first_violated(const Hypergraph& g,
     std::fill(in_part.begin(), in_part.end(), Weight{0});
     for (const NodeId v : groups_[j].nodes) {
       const PartId q = p[v];
-      if (q < p.k()) in_part[q] = sat_add(in_part[q], g.node_weight(v));
+      if (q < p.k()) in_part[q] += g.node_weight(v);
     }
     for (const Weight w : in_part) {
       if (w > groups_[j].capacity) return j;

@@ -8,7 +8,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "hyperpart/util/overflow.hpp"
 #include "hyperpart/util/prefetch.hpp"
 #include "hyperpart/util/thread_pool.hpp"
 
@@ -54,11 +53,11 @@ void collect_present_parts(const C* row, PartId k, PartId lambda,
 template <typename C>
 void ConnectivityTracker::build_counts(unsigned threads) {
   // Each edge's counts/λ slice is independent, so the edge loop shards
-  // cleanly into one chunk per thread; the exact per-chunk totals are summed
-  // in chunk order.
+  // cleanly into one chunk per thread; the per-chunk totals are summed in
+  // chunk order.
   struct Totals {
-    WideWeight cut = 0;
-    WideWeight conn = 0;
+    Weight cut = 0;
+    Weight conn = 0;
   };
   C* counts = counts_data<C>();
   const std::uint64_t m = g_.num_edges();
@@ -91,7 +90,7 @@ void ConnectivityTracker::build_counts(unsigned threads) {
           lambda_[e] = l;
           if (l > 1) {
             local.cut += g_.edge_weight(e);
-            local.conn += static_cast<WideWeight>(g_.edge_weight(e)) * (l - 1);
+            local.conn += g_.edge_weight(e) * (l - 1);
           }
         }
         return local;
@@ -121,8 +120,7 @@ ConnectivityTracker::ConnectivityTracker(const Hypergraph& g,
   lambda_.assign(g.num_edges(), 0);
   part_weight_.assign(k_, 0);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    part_weight_[part_[v]] =
-        wrap_add(part_weight_[part_[v]], g.node_weight(v));
+    part_weight_[part_[v]] += g.node_weight(v);
   }
   if (narrow_) {
     build_counts<std::uint16_t>(threads);
@@ -159,14 +157,14 @@ Weight ConnectivityTracker::gain_impl(NodeId v, PartId to,
     if (m == CostMetric::kConnectivity) {
       // Branchless delta rule: +w when the from-part disappears from e,
       // −w when the to-part newly appears.
-      gain = wrap_add(gain, w * (static_cast<Weight>(in_from == 1) -
-                                 static_cast<Weight>(in_to == 0)));
+      gain += w * (static_cast<Weight>(in_from == 1) -
+                   static_cast<Weight>(in_to == 0));
     } else {
       const PartId l = lambda_[e];
       const PartId l_after = l - static_cast<PartId>(in_from == 1) +
                              static_cast<PartId>(in_to == 0);
-      gain = wrap_add(gain, w * (static_cast<Weight>(l > 1) -
-                                 static_cast<Weight>(l_after > 1)));
+      gain += w * (static_cast<Weight>(l > 1) -
+                   static_cast<Weight>(l_after > 1));
     }
   }
   return gain;
@@ -377,21 +375,21 @@ void ConnectivityTracker::rescan_best(NodeId v) noexcept {
 
 void ConnectivityTracker::patch_costs(Weight w, PartId l_before,
                                       PartId l_after) noexcept {
-  connectivity_ += static_cast<WideWeight>(w) *
-                   (static_cast<Weight>(l_after) - static_cast<Weight>(l_before));
-  cut_net_ += static_cast<WideWeight>(w) * (static_cast<Weight>(l_after > 1) -
-                                            static_cast<Weight>(l_before > 1));
+  connectivity_ +=
+      w * (static_cast<Weight>(l_after) - static_cast<Weight>(l_before));
+  cut_net_ += w * (static_cast<Weight>(l_after > 1) -
+                   static_cast<Weight>(l_before > 1));
 }
 
 void ConnectivityTracker::patch_part_weights(PartId from, PartId to,
                                              Weight w) noexcept {
-  part_weight_[from] = wrap_sub(part_weight_[from], w);
-  part_weight_[to] = wrap_add(part_weight_[to], w);
+  part_weight_[from] -= w;
+  part_weight_[to] += w;
 }
 
 void ConnectivityTracker::benefit_add(NodeId v, PartId q, Weight w) noexcept {
   const std::size_t row = static_cast<std::size_t>(v) * k_;
-  benefit_[row + q] = wrap_add(benefit_[row + q], w);
+  benefit_[row + q] += w;
   // A grown slot can only steal the argmax (strict: keep the incumbent on
   // ties — the gain is equal either way).
   const PartId b = best_to_[v];
@@ -401,8 +399,7 @@ void ConnectivityTracker::benefit_add(NodeId v, PartId q, Weight w) noexcept {
 }
 
 void ConnectivityTracker::benefit_sub(NodeId v, PartId q, Weight w) noexcept {
-  Weight& slot = benefit_[static_cast<std::size_t>(v) * k_ + q];
-  slot = wrap_sub(slot, w);
+  benefit_[static_cast<std::size_t>(v) * k_ + q] -= w;
   // Only a shrink at the argmax invalidates it; the row is cache-hot right
   // now, so the O(k) rescan is cheap and rare (~1/λ of decreases).
   if (best_to_[v] == q) rescan_best(v);
@@ -414,7 +411,7 @@ void ConnectivityTracker::fill_cache_tables(CostMetric m, unsigned threads) {
     if constexpr (Atomic) {
       std::atomic_ref(slot).fetch_add(w, std::memory_order_relaxed);
     } else {
-      slot = wrap_add(slot, w);  // wraps exactly like fetch_add
+      slot += w;
     }
   };
   const C* counts = counts_data<C>();
@@ -534,10 +531,10 @@ void ConnectivityTracker::apply_connectivity_deltas(EdgeId e, NodeId u,
       if ((from_lone | to_crowded) && x != u) {
         const PartId px = part_[x];
         if (from_lone && px == from) {
-          aux_[x].penalty = wrap_add(aux_[x].penalty, w);
+          aux_[x].penalty += w;
           from_lone = false;
         } else if (to_crowded && px == to) {
-          aux_[x].penalty = wrap_sub(aux_[x].penalty, w);
+          aux_[x].penalty -= w;
           to_crowded = false;
         }
       }
@@ -551,7 +548,7 @@ void ConnectivityTracker::apply_connectivity_deltas(EdgeId e, NodeId u,
   if (from_lone) {
     for (const NodeId x : g_.pins(e)) {
       if (x != u && part_[x] == from) {
-        aux_[x].penalty = wrap_add(aux_[x].penalty, w);
+        aux_[x].penalty += w;
         touch(x);
         break;
       }
@@ -560,7 +557,7 @@ void ConnectivityTracker::apply_connectivity_deltas(EdgeId e, NodeId u,
   if (to_crowded) {
     for (const NodeId x : g_.pins(e)) {
       if (x != u && part_[x] == to) {
-        aux_[x].penalty = wrap_sub(aux_[x].penalty, w);
+        aux_[x].penalty -= w;
         touch(x);
         break;
       }
@@ -579,7 +576,7 @@ void ConnectivityTracker::remove_cut_contributions(EdgeId e, NodeId u) {
   if (l == 1) {
     for (const NodeId x : g_.pins(e)) {
       if (x == u) continue;
-      aux_[x].penalty = wrap_sub(aux_[x].penalty, w);
+      aux_[x].penalty -= w;
       touch(x);
     }
   } else if (l == 2) {
@@ -605,7 +602,7 @@ void ConnectivityTracker::add_cut_contributions(EdgeId e, NodeId u) {
   if (l == 1) {
     for (const NodeId x : g_.pins(e)) {
       if (x == u) continue;
-      aux_[x].penalty = wrap_add(aux_[x].penalty, w);
+      aux_[x].penalty += w;
       touch(x);
     }
   } else if (l == 2) {
@@ -629,10 +626,9 @@ void ConnectivityTracker::rebuild_mover_cache_row(NodeId u) {
   if (cache_metric_ == CostMetric::kConnectivity) {
     Weight p = 0;
     for (const EdgeId e : g_.incident_edges(u)) {
-      p = wrap_add(p, g_.edge_weight(e) *
-                          static_cast<Weight>(
-                              counts[static_cast<std::size_t>(e) * k_ + pu] ==
-                              1));
+      p += g_.edge_weight(e) *
+           static_cast<Weight>(
+               counts[static_cast<std::size_t>(e) * k_ + pu] == 1);
     }
     aux_[u].penalty = p;
     // The mover's own part changed, which redraws which slots are targets
@@ -648,11 +644,10 @@ void ConnectivityTracker::rebuild_mover_cache_row(NodeId u) {
     const std::size_t base = static_cast<std::size_t>(e) * k_;
     const PartId l = lambda_[e];
     if (l == 1) {
-      if (g_.edge_size(e) >= 2) p = wrap_add(p, w);
+      if (g_.edge_size(e) >= 2) p += w;
     } else if (l == 2 && counts[base + pu] == 1) {
       const auto [a, b] = two_present_parts<C>(e);
-      Weight& slot = row[a == pu ? b : a];
-      slot = wrap_add(slot, w);
+      row[a == pu ? b : a] += w;
     }
   }
   aux_[u].penalty = p;
@@ -768,7 +763,7 @@ BatchCommitResult ConnectivityTracker::apply_batch(
     }
     const Weight fresh = cached_gain(m.node, m.to);
     if (fresh < min_gain ||
-        sat_add(part_weight_[m.to], g_.node_weight(m.node)) > capacity) {
+        part_weight_[m.to] + g_.node_weight(m.node) > capacity) {
       ++result.conflicted;
       continue;
     }
@@ -778,7 +773,7 @@ BatchCommitResult ConnectivityTracker::apply_batch(
       move_with_cache<std::uint32_t>(m.node, m.to);
     }
     ++result.applied;
-    result.total_gain = wrap_add(result.total_gain, fresh);
+    result.total_gain += fresh;
   }
   batch_active_ = false;
   return result;

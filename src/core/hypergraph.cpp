@@ -5,7 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "hyperpart/util/overflow.hpp"
+#include "hyperpart/util/weight_budget.hpp"
 
 namespace hp {
 
@@ -99,17 +99,21 @@ std::uint32_t Hypergraph::max_edge_size() const noexcept {
 
 Weight Hypergraph::total_node_weight() const noexcept {
   if (node_weights_.empty()) return static_cast<Weight>(num_nodes());
-  return std::accumulate(
-      node_weights_.begin(), node_weights_.end(), Weight{0},
-      [](Weight a, Weight b) { return sat_add(a, b); });
+  return std::accumulate(node_weights_.begin(), node_weights_.end(),
+                         Weight{0});
 }
 
 void Hypergraph::set_node_weights(std::vector<Weight> w) {
   if (w.size() != num_nodes()) {
     throw std::invalid_argument("set_node_weights: size mismatch");
   }
+  BudgetSum total;
   for (const Weight x : w) {
     if (x < 0) throw std::invalid_argument("set_node_weights: negative weight");
+    if (!total.add(x)) {
+      throw std::invalid_argument(
+          "set_node_weights: node weights exceed the weight budget 2^61");
+    }
   }
   node_weights_ = std::move(w);
 }
@@ -118,8 +122,15 @@ void Hypergraph::set_edge_weights(std::vector<Weight> w) {
   if (w.size() != num_edges()) {
     throw std::invalid_argument("set_edge_weights: size mismatch");
   }
-  for (const Weight x : w) {
-    if (x < 0) throw std::invalid_argument("set_edge_weights: negative weight");
+  BudgetSum total;
+  for (EdgeId e = 0; e < num_edges(); ++e) {
+    if (w[e] < 0) {
+      throw std::invalid_argument("set_edge_weights: negative weight");
+    }
+    if (!total.add(w[e], edge_size(e))) {
+      throw std::invalid_argument(
+          "set_edge_weights: net weights exceed the weight budget 2^61");
+    }
   }
   edge_weights_ = std::move(w);
 }
@@ -286,6 +297,14 @@ bool Hypergraph::validate() const noexcept {
   if (!node_weights_.empty() && node_weights_.size() != n) return false;
   if (!edge_weights_.empty() && edge_weights_.size() != num_edges()) {
     return false;
+  }
+  BudgetSum node_sum;
+  for (NodeId v = 0; v < n; ++v) {
+    if (!node_sum.add(node_weight(v))) return false;
+  }
+  BudgetSum net_sum;
+  for (EdgeId e = 0; e < num_edges(); ++e) {
+    if (!net_sum.add(edge_weight(e), edge_size(e))) return false;
   }
   return true;
 }

@@ -40,8 +40,7 @@ Weight sum_external_degrees(const Hypergraph& g, const Partition& p) {
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     const PartId l = lambda(g, p, e);
     if (l > 1) {
-      total = sat_add(total, sat_mul(g.edge_weight(e),
-                                     static_cast<Weight>(l)));
+      total += g.edge_weight(e) * static_cast<Weight>(l);
     }
   }
   return total;

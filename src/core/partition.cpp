@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "hyperpart/util/overflow.hpp"
 
 namespace hp {
 
@@ -14,7 +13,7 @@ bool Partition::complete() const noexcept {
 std::vector<Weight> Partition::part_weights(const Hypergraph& g) const {
   std::vector<Weight> w(k_, 0);
   for (NodeId v = 0; v < num_nodes(); ++v) {
-    if (part_[v] < k_) w[part_[v]] = sat_add(w[part_[v]], g.node_weight(v));
+    if (part_[v] < k_) w[part_[v]] += g.node_weight(v);
   }
   return w;
 }

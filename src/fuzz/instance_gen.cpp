@@ -12,6 +12,7 @@
 #include "hyperpart/reduction/spes.hpp"
 #include "hyperpart/reduction/spes_reduction.hpp"
 #include "hyperpart/util/rng.hpp"
+#include "hyperpart/util/weight_budget.hpp"
 #include "hyperpart/workload/workload.hpp"
 
 namespace hp::fuzz {
@@ -28,6 +29,7 @@ const char* to_string(Family f) noexcept {
     case Family::kNetlist: return "netlist";
     case Family::kDataflow: return "dataflow";
     case Family::kPowerLaw: return "powerlaw";
+    case Family::kNearBudget: return "budget";
   }
   return "?";
 }
@@ -57,6 +59,7 @@ std::uint64_t family_tag(Family f) noexcept {
     case Family::kNetlist: return 0x6e65746c'776f726bULL;
     case Family::kDataflow: return 0x64617461'776f726bULL;
     case Family::kPowerLaw: return 0x706f7765'776f726bULL;
+    case Family::kNearBudget: return 0x62756467'65747774ULL;
   }
   return 0;
 }
@@ -127,6 +130,34 @@ Hypergraph random_skewed_graph(Rng& rng, const GenOptions& opts) {
     }
     g.set_node_weights(std::move(w));
   }
+  return g;
+}
+
+/// Uniform structure whose node and net weights are drawn in
+/// [1, max_weight] and scaled by one factor per side, so that W_V and W_E
+/// land in [B/2, B − kNearBudgetHeadroom]: the plain int64 sums of the
+/// weight model then run near the top of the range the budget allows.
+Hypergraph near_budget_graph(Rng& rng, const GenOptions& opts) {
+  Hypergraph g = random_uniform_graph(rng, opts);
+  const auto scaled = [&](std::size_t count, auto pins_of) {
+    std::vector<Weight> w(count);
+    Weight raw = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      w[i] = 1 + static_cast<Weight>(rng.next_below(
+                     static_cast<std::uint64_t>(opts.max_weight)));
+      raw += budget_term(w[i], pins_of(i));
+    }
+    // Scaling floors the target by less than `raw`, far below the headroom.
+    constexpr Weight kLow = kWeightBudget / 2 + kNearBudgetHeadroom;
+    constexpr Weight kSpan = kWeightBudget / 2 - 2 * kNearBudgetHeadroom;
+    const Weight target = kLow + static_cast<Weight>(rng.next_below(kSpan));
+    for (Weight& x : w) x *= target / raw;
+    return w;
+  };
+  g.set_node_weights(scaled(g.num_nodes(), [](std::size_t) { return 1; }));
+  g.set_edge_weights(scaled(g.num_edges(), [&](std::size_t e) {
+    return g.edge_size(static_cast<EdgeId>(e));
+  }));
   return g;
 }
 
@@ -284,6 +315,9 @@ FuzzInstance generate_instance(std::uint64_t seed, const GenOptions& opts) {
       break;
     case Family::kPowerLaw:
       inst.graph = workload_graph(workload::Family::kPowerLaw, rng, opts);
+      break;
+    case Family::kNearBudget:
+      inst.graph = near_budget_graph(rng, opts);
       break;
   }
   draw_problem(inst, rng, k_near_n);

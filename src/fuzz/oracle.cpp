@@ -31,6 +31,7 @@
 #include "hyperpart/stream/restream_refiner.hpp"
 #include "hyperpart/stream/stream_partitioner.hpp"
 #include "hyperpart/util/rng.hpp"
+#include "hyperpart/util/weight_budget.hpp"
 
 namespace hp::fuzz {
 
@@ -449,6 +450,14 @@ void incremental_leg(Checker& c) {
       mirror_ew[e] = g0.edge_weight(e);
     }
     for (NodeId v = 0; v < n0; ++v) mirror_nw[v] = g0.node_weight(v);
+    // W_E of the mirror's current pins and weights.
+    const auto mirror_net_load = [&] {
+      Weight load = 0;
+      for (std::size_t e = 0; e < mirror_pins.size(); ++e) {
+        load += budget_term(mirror_ew[e], mirror_pins[e].size());
+      }
+      return load;
+    };
     const auto rebuild_mirror = [&] {
       Hypergraph h = Hypergraph::from_edges(n0, mirror_pins);
       for (NodeId v = 0; v < n0; ++v) h.update_node_weight(v, mirror_nw[v]);
@@ -556,10 +565,20 @@ void incremental_leg(Checker& c) {
                 gen_add_net();
                 break;
               }
-              d.kind = server::StructuralDelta::Kind::kAddPins;
-              d.net = e;
               const std::uint64_t want =
                   1 + rng.next_below(std::min<std::uint64_t>(2, absent.size()));
+              // Growing a heavy net may not eat into the budget's headroom,
+              // so the batch stays valid; the over-budget probe below covers
+              // rejection.
+              BudgetSum grown(mirror_net_load() -
+                              budget_term(mirror_ew[e], mirror_pins[e].size()));
+              if (!grown.add(mirror_ew[e], mirror_pins[e].size() + want) ||
+                  grown.value() > kWeightBudget - fuzz::kNearBudgetHeadroom) {
+                gen_add_net();
+                break;
+              }
+              d.kind = server::StructuralDelta::Kind::kAddPins;
+              d.net = e;
               for (std::uint64_t t = 0; t < want; ++t) {
                 const auto idx =
                     static_cast<std::size_t>(rng.next_below(absent.size()));
@@ -696,6 +715,25 @@ void incremental_leg(Checker& c) {
           const auto outdated = session->evaluate(cfg, false, ver - 1);
           c.check(!outdated.ok, "incremental-version",
                   "evaluate accepted an outdated expected version");
+        }
+        if (round == c.opts.incremental_rounds) {
+          // Over-budget probe, once per run: a net one unit past the weight
+          // budget must be rejected by name and change nothing.
+          std::vector<server::StructuralDelta> over(1);
+          over[0].kind = server::StructuralDelta::Kind::kAddNet;
+          over[0].pins = {0};
+          over[0].weight = kWeightBudget - mirror_net_load() + 1;
+          const auto up_over = session->update({}, {}, over);
+          std::string why_over;
+          const bool clean =
+              !up_over.ok &&
+              up_over.error.find("weight budget") != std::string::npos &&
+              session->graph_hash() == graph_fingerprint(shadow) &&
+              session->version() == ver &&
+              session->verify_cache_integrity(&why_over);
+          c.check(clean, "incremental-budget",
+                  "over-budget batch not rejected cleanly: " + up_over.error +
+                      why_over);
         }
       }
       // Quality baseline the ladder guards against: the cached partition's

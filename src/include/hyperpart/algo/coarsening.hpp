@@ -11,7 +11,8 @@
 // proposals are pure functions of frozen state over fixed-grain chunks,
 // the contraction hierarchy is bit-identical at 1 or N threads. The coarse
 // hypergraph aggregates node weights, restricts pins to clusters, and
-// merges identical hyperedges by summing weights (saturating). Contraction
+// merges identical hyperedges by summing weights (within the weight budget
+// of the fine level: nets only shrink or merge). Contraction
 // is CSR-native: projected pin lists live in one flat buffer at their fine
 // offsets, a per-net fingerprint shards them, each shard resolves
 // duplicates in an open-addressing table, and a prefix sum lays the

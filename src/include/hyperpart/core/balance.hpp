@@ -19,8 +19,9 @@ namespace hp {
 
 class BalanceConstraint {
  public:
-  /// Capacity (1+eps)·W/k over the graph's total node weight W. When
-  /// `relaxed`, the ceiling is used instead of the floor.
+  /// Capacity (1+eps)·W/k over the graph's total node weight W, clamped to
+  /// kWeightBudget. When `relaxed`, the ceiling is used instead of the
+  /// floor.
   static BalanceConstraint for_graph(const Hypergraph& g, PartId k,
                                      double epsilon, bool relaxed = false);
 
@@ -29,7 +30,8 @@ class BalanceConstraint {
                                             double epsilon,
                                             bool relaxed = false);
 
-  /// Explicit per-part capacity.
+  /// Explicit per-part capacity. Like the formula above, it is clamped to
+  /// the weight budget, which every part of an in-budget graph fits under.
   static BalanceConstraint with_capacity(PartId k, Weight capacity,
                                          double epsilon = 0.0);
 

@@ -33,7 +33,6 @@
 #include "hyperpart/core/hypergraph.hpp"
 #include "hyperpart/core/metrics.hpp"
 #include "hyperpart/core/partition.hpp"
-#include "hyperpart/util/overflow.hpp"
 
 namespace hp {
 
@@ -77,18 +76,14 @@ class ConnectivityTracker {
   /// λ_e under the current assignment.
   [[nodiscard]] PartId lambda(EdgeId e) const noexcept { return lambda_[e]; }
 
-  /// Cost totals, clamped to Weight: they equal cost_of() on the same
-  /// partition, which saturates. exact_cost() is the unclamped sum.
-  [[nodiscard]] Weight cut_net_cost() const noexcept {
-    return clamp_weight(cut_net_);
-  }
+  /// Cost totals; they equal cost_of() on the same partition. Both are
+  /// below the graph's W_E, so the patched int64 sums never overflow on an
+  /// in-budget graph (util/weight_budget.hpp).
+  [[nodiscard]] Weight cut_net_cost() const noexcept { return cut_net_; }
   [[nodiscard]] Weight connectivity_cost() const noexcept {
-    return clamp_weight(connectivity_);
+    return connectivity_;
   }
   [[nodiscard]] Weight cost(CostMetric m) const noexcept {
-    return clamp_weight(exact_cost(m));
-  }
-  [[nodiscard]] WideWeight exact_cost(CostMetric m) const noexcept {
     return m == CostMetric::kCutNet ? cut_net_ : connectivity_;
   }
 
@@ -118,7 +113,7 @@ class ConnectivityTracker {
   /// totals, and the gain cache are independent of node weights, so the
   /// tracker stays exact, gain cache included.
   void apply_node_weight_delta(NodeId v, Weight delta) noexcept {
-    part_weight_[part_[v]] = wrap_add(part_weight_[part_[v]], delta);
+    part_weight_[part_[v]] += delta;
   }
 
   /// Net patch, phase 1 of 2, for any change to nets' pins or weights.
@@ -175,8 +170,8 @@ class ConnectivityTracker {
     const std::size_t idx = static_cast<std::size_t>(v) * k_ + to;
     const NodeAux& a = aux_[v];
     return cache_metric_ == CostMetric::kConnectivity
-               ? wrap_sub(wrap_add(a.penalty, benefit_[idx]), a.degw)
-               : wrap_sub(benefit_[idx], a.penalty);
+               ? a.penalty + benefit_[idx] - a.degw
+               : benefit_[idx] - a.penalty;
   }
 
   /// O(1) best cached move of v: the part maximizing cached_gain(v, ·) and
@@ -260,7 +255,7 @@ class ConnectivityTracker {
   void fill_cache_tables(CostMetric m, unsigned threads);
   void rescan_best(NodeId v) noexcept;
   /// Patch cut_net_ / connectivity_ for one net of weight w whose λ went
-  /// from l_before to l_after (exact: see util/overflow.hpp).
+  /// from l_before to l_after.
   void patch_costs(Weight w, PartId l_before, PartId l_after) noexcept;
   void patch_part_weights(PartId from, PartId to, Weight w) noexcept;
   void benefit_add(NodeId v, PartId q, Weight w) noexcept;
@@ -303,8 +298,8 @@ class ConnectivityTracker {
   std::vector<std::uint64_t> present_;
   std::vector<PartId> lambda_;
   std::vector<Weight> part_weight_;
-  WideWeight cut_net_ = 0;
-  WideWeight connectivity_ = 0;
+  Weight cut_net_ = 0;
+  Weight connectivity_ = 0;
 
   // All per-node scalar cache state, interleaved into one 32-byte record so
   // the threshold rules of a move (penalty bump, boundary counter, touch

@@ -106,16 +106,20 @@ class Hypergraph {
     return !edge_weights_.empty();
   }
 
-  /// Attach node weights (size must equal num_nodes(); all weights >= 0).
+  /// Attach node weights (size must equal num_nodes(); all weights >= 0;
+  /// W_V = Σ w(v) within kWeightBudget, util/weight_budget.hpp).
   void set_node_weights(std::vector<Weight> w);
-  /// Attach edge weights (size must equal num_edges(); all weights >= 0).
+  /// Attach edge weights (size must equal num_edges(); all weights >= 0;
+  /// W_E = Σ w(e)·max(|e|, 1) over the current pins within kWeightBudget).
   void set_edge_weights(std::vector<Weight> w);
 
   /// In-place single-weight updates (w >= 0; throws std::invalid_argument
   /// otherwise). Materialize the lazy unit-weight vector on first use. The
   /// partitioning service uses these for dynamic updates so that the graph
   /// object — and every ConnectivityTracker referencing it — keeps its
-  /// address and CSR structure; only the weight changes.
+  /// address and CSR structure; only the weight changes. These and
+  /// apply_structural_batch leave the weight budget to the caller
+  /// (GraphSession::update checks the prospective sums first).
   void update_node_weight(NodeId v, Weight w);
   void update_edge_weight(EdgeId e, Weight w);
 
@@ -139,7 +143,8 @@ class Hypergraph {
   [[nodiscard]] std::uint64_t content_hash() const noexcept;
 
   /// Internal consistency check (offsets sorted, pins in range, mirror
-  /// structure matches). Used by tests and after deserialization.
+  /// structure matches, weights non-negative and within the weight
+  /// budget). Used by tests and after deserialization.
   [[nodiscard]] bool validate() const noexcept;
 
   /// Human-readable one-line summary: n, m, ρ, Δ.

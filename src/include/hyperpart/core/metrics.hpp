@@ -13,7 +13,6 @@
 
 #include "hyperpart/core/hypergraph.hpp"
 #include "hyperpart/core/partition.hpp"
-#include "hyperpart/util/overflow.hpp"
 
 namespace hp {
 
@@ -99,24 +98,23 @@ template <class G>
   return false;
 }
 
-/// Total cost under the chosen metric, over any graph type. Accumulates
-/// saturating: adversarial int64-scale edge weights clamp to the Weight
-/// range instead of wrapping into signed-overflow UB.
+/// Total cost under the chosen metric, over any graph type. Below the
+/// graph's W_E, so it fits in Weight on an in-budget graph
+/// (util/weight_budget.hpp).
 template <class G>
 [[nodiscard]] Weight cost_of(const G& g, const Partition& p,
                              CostMetric metric) {
   Weight total = 0;
   if (metric == CostMetric::kCutNet) {
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      if (is_cut_of(g, p, e)) total = sat_add(total, g.edge_weight(e));
+      if (is_cut_of(g, p, e)) total += g.edge_weight(e);
     }
     return total;
   }
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     const PartId l = lambda_of(g, p, e);
     if (l <= 1) continue;
-    total = sat_add(total,
-                    sat_mul(g.edge_weight(e), static_cast<Weight>(l - 1)));
+    total += g.edge_weight(e) * static_cast<Weight>(l - 1);
   }
   return total;
 }

@@ -20,7 +20,9 @@
 // capacity, and k close to n. The application-shaped workload catalogue
 // (src/workload) contributes four more legs — spmv, netlist, dataflow,
 // powerlaw — generated at fuzz sizes through the same WorkloadSpec path the
-// CLI and benches use.
+// CLI and benches use. The budget leg scales weights so that both budget
+// sums sit in the upper half of the weight budget (util/weight_budget.hpp),
+// where every cost, gain and part weight runs near the top of its range.
 //
 // Seeding contract: the seed Rng only SELECTS the family; each family then
 // generates from its own forked stream keyed (seed, family tag). An
@@ -49,19 +51,25 @@ enum class Family : std::uint8_t {
   kNetlist,         ///< workload catalogue: VLSI-style netlists
   kDataflow,        ///< workload catalogue: DNN hyperDAGs (recognition leg)
   kPowerLaw,        ///< workload catalogue: skewed power-law streams
+  kNearBudget,      ///< uniform structure, W_V and W_E in [B/2, B]
 };
 
 inline constexpr Family kAllFamilies[] = {
     Family::kRandomUniform, Family::kRandomSkewed, Family::kHyperDag,
     Family::kGridGadget,    Family::kSpesGadget,   Family::kDegenerate,
     Family::kSpmv,          Family::kNetlist,      Family::kDataflow,
-    Family::kPowerLaw,
+    Family::kPowerLaw,      Family::kNearBudget,
 };
+
+/// The budget family keeps W_V and W_E at least this far below
+/// kWeightBudget, so the small weight and pin changes of the oracle's
+/// incremental leg stay within the budget.
+inline constexpr Weight kNearBudgetHeadroom = Weight{1} << 20;
 
 [[nodiscard]] const char* to_string(Family f) noexcept;
 /// Parse a family name ("random", "skewed", "hyperdag", "grid", "spes",
-/// "degenerate", "spmv", "netlist", "dataflow", "powerlaw"); throws
-/// std::invalid_argument on unknown names.
+/// "degenerate", "spmv", "netlist", "dataflow", "powerlaw", "budget");
+/// throws std::invalid_argument on unknown names.
 [[nodiscard]] Family family_from_string(const std::string& name);
 
 /// One complete fuzz problem: the graph plus everything a solver needs.
@@ -80,7 +88,8 @@ struct GenOptions {
   NodeId max_nodes = 48;
   /// Upper bound on edges for the random families.
   EdgeId max_edges = 96;
-  /// Largest node/edge weight the skewed family draws.
+  /// Largest node/edge weight the skewed family draws (the budget family
+  /// draws in the same range, then scales).
   Weight max_weight = 9;
   /// Restrict generation to these families; empty = all.
   std::vector<Family> families;

@@ -4,7 +4,9 @@
 // Header: "<num_edges> <num_nodes> [fmt]" with fmt ∈ {∅,1,10,11}: 1 = edge
 // weights (first token per edge line), 10 = node weights (one per line after
 // the edges), 11 = both. Node ids are 1-based in the file. '%' starts a
-// comment line.
+// comment line. Malformed input, including weights whose running sum
+// passes the weight budget (util/weight_budget.hpp), throws
+// std::runtime_error naming the offending line.
 
 #include <iosfwd>
 #include <string>

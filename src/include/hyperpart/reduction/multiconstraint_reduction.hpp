@@ -33,7 +33,9 @@ struct MulticonstraintReduction {
 
 /// Build the Lemma D.1 instance for k-section (ε = 0) with disjoint node
 /// classes `classes` (each class size must be divisible by k, as in the
-/// lemma). Nodes outside every class keep weight 1.
+/// lemma). Nodes outside every class keep weight 1. Throws
+/// std::invalid_argument when the class weights n₀^i push the total past
+/// the weight budget (set_node_weights), i.e. for too many classes.
 [[nodiscard]] MulticonstraintReduction reduce_multiconstraint_to_section(
     const Hypergraph& g, const std::vector<std::vector<NodeId>>& classes,
     PartId k);

@@ -71,7 +71,6 @@
 #include "hyperpart/core/connectivity_tracker.hpp"
 #include "hyperpart/core/metrics.hpp"
 #include "hyperpart/core/partition.hpp"
-#include "hyperpart/util/overflow.hpp"
 #include "hyperpart/util/shared_mutex.hpp"
 
 namespace hp::server {
@@ -155,7 +154,9 @@ class GraphSession {
   /// unreadable or malformed input.
   static std::unique_ptr<GraphSession> from_file(const std::string& path);
 
-  /// Wrap an in-memory graph (tests, benches).
+  /// Wrap an in-memory graph (tests, benches). Throws
+  /// std::invalid_argument when g is over the weight budget
+  /// (util/weight_budget.hpp).
   static std::unique_ptr<GraphSession> from_graph(Hypergraph g,
                                                   std::string name);
 
@@ -210,7 +211,11 @@ class GraphSession {
   /// place. The whole batch is validated against the prospective final
   /// state before any mutation (atomicity: an invalid delta, including
   /// remove_net / remove_pins on an already-removed net, rejects the batch
-  /// with no effect). Every change patches the graph fingerprint and each
+  /// with no effect); so does a batch whose final node weights or net
+  /// weights (W_V, W_E of util/weight_budget.hpp) would exceed the weight
+  /// budget, checked in O(Δ) against the maintained sums — including an
+  /// add_pins that grows a heavy net without touching any weight. Every
+  /// change patches the graph fingerprint and each
   /// entry's committed snapshot by the touched terms: a node-weight change
   /// in O(1) per entry, an edge-weight change in O(|e|) per entry (λ_e is
   /// counted over the entry's partition), a structural delta by
@@ -254,8 +259,8 @@ class GraphSession {
   };
   [[nodiscard]] std::vector<EntryStats> entry_stats() const;
 
-  /// Test/fuzz hook: recompute the graph fingerprint, the total node weight
-  /// and every entry's snapshot from scratch and compare them with the
+  /// Test/fuzz hook: recompute the graph fingerprint, both budget sums and
+  /// every entry's snapshot from scratch and compare them with the
   /// maintained values; rebuild every cached tracker and compare costs,
   /// part weights, and λ values against the incremental state.
   /// Returns false (with a reason) on the first mismatch.
@@ -279,13 +284,12 @@ class GraphSession {
   static CacheKey key_of(const SessionConfig& cfg);
 
   /// An entry's committed partition measured on the *current* graph: its
-  /// cost under the entry's metric and its k part weights. Updates may
-  /// carry any int64 weight, so the patched sums are kept exact in 128 bits
-  /// and clamped to Weight on read, which equals the saturating
-  /// from-scratch sums (all terms are non-negative).
+  /// cost under the entry's metric and its k part weights. update() keeps
+  /// the graph within the weight budget, so the cost stays below W_E and
+  /// every part weight below W_V, and the patched sums are exact Weights.
   struct Snapshot {
-    WideWeight cost = 0;
-    std::vector<WideWeight> part_weights;
+    Weight cost = 0;
+    std::vector<Weight> part_weights;
   };
 
   struct Entry {
@@ -325,7 +329,8 @@ class GraphSession {
   std::string name_;
   Hypergraph g_;  // address-stable: trackers hold references into it
   std::uint64_t graph_hash_ = 0;  ///< maintained graph_fingerprint(g_)
-  WideWeight total_weight_ = 0;   ///< exact Σ node weights of g_
+  Weight total_weight_ = 0;  ///< W_V = Σ_v w(v) of g_
+  Weight net_load_ = 0;      ///< W_E = Σ_e w(e)·max(|e|, 1) of g_
   std::uint64_t change_units_ = 0;  ///< update entries applied since load
   /// Monotone snapshot counter; written under the unique lock, read by
   /// anyone (responses echo it without taking the session lock).

@@ -129,9 +129,9 @@ class MappedHypergraph {
 
   /// Structural sanity check mirroring Hypergraph::validate(): offsets
   /// start at 0, are monotone and end at ρ; ids are in range; pins are
-  /// sorted and distinct per edge; weights are non-negative. Faults in
-  /// every section, so it runs once per load (require_valid), not per
-  /// open.
+  /// sorted and distinct per edge; weights are non-negative and within the
+  /// weight budget (util/weight_budget.hpp). Faults in every section, so it
+  /// runs once per load (require_valid), not per open.
   [[nodiscard]] bool validate() const noexcept;
 
   /// Advise the kernel to drop this mapping's resident pages

@@ -1,10 +1,13 @@
 #include "hyperpart/io/hmetis_io.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
+
+#include "hyperpart/util/weight_budget.hpp"
 
 namespace hp {
 
@@ -89,6 +92,7 @@ Hypergraph read_hmetis(std::istream& in) {
   std::vector<std::uint64_t> offsets{0};
   std::vector<NodeId> pins;
   std::vector<Weight> ew;
+  BudgetSum net_sum;
   for (std::uint64_t e = 0; e < num_edges; ++e) {
     if (!reader.next(line)) {
       throw std::runtime_error(
@@ -113,6 +117,17 @@ Hypergraph read_hmetis(std::istream& in) {
     }
     if (!fully_consumed(ls)) reader.fail("invalid token in pin list");
     if (pins.size() == offsets.back()) reader.fail("edge has no pins");
+    if (edge_weights) {
+      // The budget counts distinct pins, as from_csr keeps them, so dedup
+      // the net here to name the line whose net crosses the budget.
+      const auto first =
+          pins.begin() + static_cast<std::ptrdiff_t>(offsets.back());
+      std::sort(first, pins.end());
+      pins.erase(std::unique(first, pins.end()), pins.end());
+      if (!net_sum.add(ew.back(), pins.size() - offsets.back())) {
+        reader.fail("net weights exceed the weight budget 2^61");
+      }
+    }
     offsets.push_back(pins.size());
   }
 
@@ -121,6 +136,7 @@ Hypergraph read_hmetis(std::istream& in) {
   if (edge_weights) g.set_edge_weights(std::move(ew));
   if (node_weights) {
     std::vector<Weight> nw;
+    BudgetSum node_sum;
     for (std::uint64_t v = 0; v < num_nodes; ++v) {
       if (!reader.next(line)) {
         throw std::runtime_error(
@@ -132,6 +148,9 @@ Hypergraph read_hmetis(std::istream& in) {
       if (!(ls >> w)) reader.fail("invalid node weight");
       if (w < 0) reader.fail("negative node weight");
       if (!fully_consumed(ls)) reader.fail("trailing tokens after node weight");
+      if (!node_sum.add(w)) {
+        reader.fail("node weights exceed the weight budget 2^61");
+      }
       nw.push_back(w);
     }
     g.set_node_weights(std::move(nw));

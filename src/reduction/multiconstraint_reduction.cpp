@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "hyperpart/reduction/blocks.hpp"
+#include "hyperpart/util/weight_budget.hpp"
 
 namespace hp {
 
@@ -36,15 +37,15 @@ MulticonstraintReduction reduce_multiconstraint_to_section(
   // n0 exceeds the total unit count, so (anything of weight < m_j) sums to
   // strictly less than m_j — the lemma's domination property.
   const std::uint64_t n0 = n + fillers + 1;
+  // A class weight past the weight budget stops growing one above it: the
+  // total is over budget either way, and set_node_weights rejects it.
   std::vector<Weight> weight_of_class(classes.size() + 1, 1);
   for (std::size_t j = 1; j <= classes.size(); ++j) {
     const auto prev = static_cast<std::uint64_t>(weight_of_class[j - 1]);
-    const std::uint64_t w = j == 1 ? n0 : prev * n0;
-    if (w > (1ull << 56)) {
-      throw std::invalid_argument(
-          "reduce_multiconstraint_to_section: too many classes (weight "
-          "overflow)");
-    }
+    const std::uint64_t w =
+        prev > static_cast<std::uint64_t>(kWeightBudget) / n0
+            ? static_cast<std::uint64_t>(kWeightBudget) + 1
+            : prev * n0;
     weight_of_class[j] = static_cast<Weight>(w);
   }
 

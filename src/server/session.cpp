@@ -12,25 +12,25 @@
 #include "hyperpart/core/fingerprint.hpp"
 #include "hyperpart/obs/telemetry.hpp"
 #include "hyperpart/stream/binary_format.hpp"
-#include "hyperpart/util/overflow.hpp"
+#include "hyperpart/util/weight_budget.hpp"
 
 namespace hp::server {
 
 namespace {
 
-/// Net e's exact term of cost_of(g, p, metric): O(|e|).
-[[nodiscard]] WideWeight cost_term(const Hypergraph& g, const Partition& p,
-                                   EdgeId e, CostMetric metric) {
+/// Net e's term of cost_of(g, p, metric): O(|e|).
+[[nodiscard]] Weight cost_term(const Hypergraph& g, const Partition& p,
+                               EdgeId e, CostMetric metric) {
   const PartId l = lambda_of(g, p, e);
   if (l <= 1) return 0;
-  const WideWeight w = g.edge_weight(e);
+  const Weight w = g.edge_weight(e);
   return metric == CostMetric::kCutNet ? w : w * (l - 1);
 }
 
-/// The ladder's quality guard: rungs 1 and 2 commit at most 3 · before + 4,
-/// saturating for costs near INT64_MAX.
+/// The ladder's quality guard: rungs 1 and 2 commit at most 3 · before + 4
+/// (below 2^63 for any cost within the weight budget).
 [[nodiscard]] Weight quality_bound(Weight before) noexcept {
-  return sat_add<Weight>(sat_mul<Weight>(3, before), 4);
+  return 3 * before + 4;
 }
 
 [[nodiscard]] FmConfig fm_for(const SessionConfig& cfg) {
@@ -46,9 +46,21 @@ GraphSession::GraphSession(Hypergraph g, std::string name)
     : name_(std::move(name)),
       g_(std::move(g)),
       graph_hash_(graph_fingerprint(g_)) {
+  BudgetSum nodes;
+  BudgetSum nets;
+  bool fits = true;
   for (NodeId v = 0; v < g_.num_nodes(); ++v) {
-    total_weight_ += g_.node_weight(v);
+    fits &= nodes.add(g_.node_weight(v));
   }
+  for (EdgeId e = 0; e < g_.num_edges(); ++e) {
+    fits &= nets.add(g_.edge_weight(e), g_.edge_size(e));
+  }
+  if (!fits) {
+    throw std::invalid_argument("GraphSession: " + name_ +
+                                " exceeds the weight budget 2^61");
+  }
+  total_weight_ = nodes.value();
+  net_load_ = nets.value();
 }
 
 std::unique_ptr<GraphSession> GraphSession::from_file(const std::string& path) {
@@ -80,8 +92,8 @@ MultilevelConfig GraphSession::ml_config(const SessionConfig& cfg) const {
 BalanceConstraint GraphSession::balance_for(const SessionConfig& cfg) const {
   // Relaxed (ceiling) capacity: a long-lived service should never reject a
   // graph whose exact threshold is a hair below an integer.
-  return BalanceConstraint::for_total_weight(clamp_weight(total_weight_), cfg.k,
-                                             cfg.epsilon, /*relaxed=*/true);
+  return BalanceConstraint::for_total_weight(total_weight_, cfg.k, cfg.epsilon,
+                                             /*relaxed=*/true);
 }
 
 PartitionOutcome GraphSession::outcome_from(const Entry& e,
@@ -93,11 +105,8 @@ PartitionOutcome GraphSession::outcome_from(const Entry& e,
   out.ok = true;
   out.method = std::move(method);
   out.cache_hit = cache_hit;
-  out.cost = clamp_weight(e.live.cost);
-  out.part_weights.reserve(e.live.part_weights.size());
-  for (const WideWeight w : e.live.part_weights) {
-    out.part_weights.push_back(clamp_weight(w));
-  }
+  out.cost = e.live.cost;
+  out.part_weights = e.live.part_weights;
   out.balanced = balance_for(cfg).satisfied(out.part_weights);
   out.change_fraction = fraction;
   out.version = version();
@@ -112,13 +121,12 @@ GraphSession::Entry& GraphSession::commit(
     std::unique_ptr<ConnectivityTracker> tracker,
     std::optional<MultilevelHierarchy> hierarchy) {
   const ConnectivityTracker& t = tracker ? *tracker : *cache_.at(key).tracker;
-  const std::vector<Weight>& weights = t.part_weights();
-  Snapshot live{t.exact_cost(key.metric), {weights.begin(), weights.end()}};
+  Snapshot live{t.cost(key.metric), t.part_weights()};
   std::unique_lock lock(mu_);
   Entry& e = cache_[key];
   if (hierarchy) e.hierarchy = std::move(*hierarchy);
   if (tracker) e.tracker = std::move(tracker);
-  e.cost = clamp_weight(live.cost);
+  e.cost = live.cost;
   e.live = std::move(live);
   e.partition = std::move(p);
   e.method = std::move(method);
@@ -338,6 +346,9 @@ UpdateOutcome GraphSession::update(std::span<const WeightUpdate> node_updates,
         }
         NewEdge ne;
         ne.pins.assign(d.pins.begin(), d.pins.end());
+        std::sort(ne.pins.begin(), ne.pins.end());
+        ne.pins.erase(std::unique(ne.pins.begin(), ne.pins.end()),
+                      ne.pins.end());
         ne.weight = d.weight;
         appended.push_back(std::move(ne));
         break;
@@ -415,6 +426,41 @@ UpdateOutcome GraphSession::update(std::span<const WeightUpdate> node_updates,
     }
   }
 
+  // The weight budget on the batch's final sums, in O(Δ): every touched
+  // node and net swaps its current term for its final one (the last update
+  // of an id wins), and appended nets add theirs.
+  std::map<NodeId, Weight> node_final;
+  for (const WeightUpdate& u : node_updates) node_final[u.id] = u.weight;
+  std::map<EdgeId, Weight> net_final;  // existing nets that change
+  for (const auto& [e, pins] : touched) {
+    net_final[e] = dead(e) ? 0 : g_.edge_weight(e);
+  }
+  for (const WeightUpdate& u : edge_updates) net_final[u.id] = u.weight;
+  Weight node_rest = total_weight_;
+  for (const auto& [v, w] : node_final) node_rest -= g_.node_weight(v);
+  Weight net_rest = net_load_;
+  for (const auto& [e, w] : net_final) {
+    net_rest -= budget_term(g_.edge_weight(e), g_.edge_size(e));
+  }
+  BudgetSum node_sum(node_rest);
+  BudgetSum net_sum(net_rest);
+  bool nodes_fit = true;
+  bool nets_fit = true;
+  for (const auto& [v, w] : node_final) nodes_fit &= node_sum.add(w);
+  for (const auto& [e, w] : net_final) {
+    const auto it = touched.find(e);
+    nets_fit &= net_sum.add(
+        w, it != touched.end() ? it->second.size() : g_.edge_size(e));
+  }
+  for (const NewEdge& a : appended) {
+    nets_fit &= net_sum.add(a.weight, a.pins.size());
+  }
+  if (!nodes_fit || !nets_fit) {
+    out.error = std::string(nodes_fit ? "net" : "node") +
+                " weights exceed the weight budget 2^61";
+    return out;
+  }
+
   std::unique_lock lock(mu_);
   // Everything below patches the fingerprint and the snapshots by the
   // touched terms only; the new fingerprint is published once at the end.
@@ -435,7 +481,6 @@ UpdateOutcome GraphSession::update(std::span<const WeightUpdate> node_updates,
     g_.update_node_weight(u.id, u.weight);
     if (delta == 0) continue;
     hash += node_term(u.id, u.weight) - node_term(u.id, old);
-    total_weight_ += delta;
     // Node weights never enter pin counts, λ, costs, or the gain cache —
     // patching the part weights keeps every snapshot and tracker exact.
     for (auto& [key, entry] : cache_) {
@@ -451,11 +496,7 @@ UpdateOutcome GraphSession::update(std::span<const WeightUpdate> node_updates,
   // in every tracker. Appended nets only enter at the end.
   if (!structural.empty() || !edge_updates.empty()) {
     std::vector<EdgeId> patched;
-    patched.reserve(touched.size() + edge_updates.size());
-    for (const auto& [e, pins] : touched) patched.push_back(e);
-    for (const WeightUpdate& u : edge_updates) patched.push_back(u.id);
-    std::sort(patched.begin(), patched.end());
-    patched.erase(std::unique(patched.begin(), patched.end()), patched.end());
+    for (const auto& [e, w] : net_final) patched.push_back(e);
     const EdgeId m_before = g_.num_edges();
     hash -= shape_term(g_.num_nodes(), m_before);
     for (const EdgeId e : patched) account_net(e, -1);
@@ -492,6 +533,8 @@ UpdateOutcome GraphSession::update(std::span<const WeightUpdate> node_updates,
     HP_COUNTER_ADD("server.tracker_patches",
                    static_cast<std::int64_t>(out.trackers_patched));
   }
+  total_weight_ = node_sum.value();
+  net_load_ = net_sum.value();
   change_units_ +=
       node_updates.size() + edge_updates.size() + structural.size();
   graph_hash_ = hash;
@@ -563,8 +606,12 @@ bool GraphSession::verify_cache_integrity(std::string* why) const {
     if (why) *why = "maintained fingerprint diverges from the graph's CSR";
     return false;
   }
-  if (clamp_weight(total_weight_) != g_.total_node_weight()) {
-    if (why) *why = "maintained total node weight diverges from a recount";
+  Weight net_load = 0;
+  for (EdgeId e = 0; e < g_.num_edges(); ++e) {
+    net_load += budget_term(g_.edge_weight(e), g_.edge_size(e));
+  }
+  if (total_weight_ != g_.total_node_weight() || net_load_ != net_load) {
+    if (why) *why = "maintained budget sums diverge from a recount";
     return false;
   }
   for (const auto& [key, e] : cache_) {
@@ -575,19 +622,14 @@ bool GraphSession::verify_cache_integrity(std::string* why) const {
       return false;
     }
     const Weight expect = cost_of(g_, e.partition, key.metric);
-    if (clamp_weight(e.live.cost) != expect) {
+    if (e.live.cost != expect) {
       if (why) {
-        *why = tag.str() + "snapshot cost " +
-               std::to_string(clamp_weight(e.live.cost)) + " != recomputed " +
-               std::to_string(expect);
+        *why = tag.str() + "snapshot cost " + std::to_string(e.live.cost) +
+               " != recomputed " + std::to_string(expect);
       }
       return false;
     }
-    std::vector<Weight> live_weights;
-    for (const WideWeight w : e.live.part_weights) {
-      live_weights.push_back(clamp_weight(w));
-    }
-    if (live_weights != e.partition.part_weights(g_)) {
+    if (e.live.part_weights != e.partition.part_weights(g_)) {
       if (why) *why = tag.str() + "snapshot part weights != recomputed";
       return false;
     }

@@ -14,7 +14,7 @@
 
 #include "hyperpart/io/hmetis_io.hpp"
 #include "hyperpart/obs/telemetry.hpp"
-#include "hyperpart/util/overflow.hpp"
+#include "hyperpart/util/weight_budget.hpp"
 
 namespace hp::stream {
 
@@ -120,7 +120,8 @@ Hypergraph read_hypergraph_file(const std::string& path) {
 void require_valid(const MappedHypergraph& mapped, const std::string& path) {
   if (!mapped.validate()) {
     throw std::runtime_error(
-        "MappedHypergraph: corrupt offsets, ids or weights in " + path);
+        "MappedHypergraph: corrupt offsets, ids or weights (negative, or "
+        "over the weight budget 2^61) in " + path);
   }
 }
 
@@ -248,7 +249,7 @@ Weight MappedHypergraph::total_node_weight() const noexcept {
   } else {
     Weight total = 0;
     for (NodeId v = 0; v < num_nodes_; ++v) {
-      total = sat_add(total, node_weights_[v]);
+      total += node_weights_[v];
     }
     total_node_weight_ = total;
   }
@@ -288,14 +289,18 @@ bool MappedHypergraph::validate() const noexcept {
       if (p[i - 1] >= p[i]) return false;
     }
   }
+  // Weights must be non-negative and within the weight budget; BudgetSum
+  // rejects both at once.
   if (node_weights_ != nullptr) {
+    BudgetSum total;
     for (NodeId v = 0; v < num_nodes_; ++v) {
-      if (node_weights_[v] < 0) return false;
+      if (!total.add(node_weights_[v])) return false;
     }
   }
   if (edge_weights_ != nullptr) {
+    BudgetSum total;
     for (EdgeId e = 0; e < num_edges_; ++e) {
-      if (edge_weights_[e] < 0) return false;
+      if (!total.add(edge_weights_[e], edge_size(e))) return false;
     }
   }
   return true;

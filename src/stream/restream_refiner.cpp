@@ -6,7 +6,6 @@
 
 #include "hyperpart/core/connectivity_tracker.hpp"
 #include "hyperpart/obs/telemetry.hpp"
-#include "hyperpart/util/overflow.hpp"
 #include "hyperpart/util/thread_pool.hpp"
 
 namespace hp::stream {
@@ -42,13 +41,13 @@ constexpr unsigned kWaveChunks = 8;
     }
     const Weight w = g.edge_weight(e);
     if (metric == CostMetric::kConnectivity) {
-      if (c_from == 1) gain = sat_add(gain, w);  // v leaves: λ_e drops by one
-      if (c_to == 0) gain = sat_sub(gain, w);  // v arrives alone: λ_e grows
+      if (c_from == 1) gain += w;  // v leaves: λ_e drops by one
+      if (c_to == 0) gain -= w;  // v arrives alone: λ_e grows
     } else {
       const bool cut_before = c_from != pins.size();
       const bool cut_after = c_to + 1 != pins.size();
-      if (cut_before && !cut_after) gain = sat_add(gain, w);
-      if (!cut_before && cut_after) gain = sat_sub(gain, w);
+      if (cut_before && !cut_after) gain += w;
+      if (!cut_before && cut_after) gain -= w;
     }
   }
   return gain;
@@ -137,7 +136,7 @@ constexpr unsigned kWaveChunks = 8;
       PartId best = kInvalidPart;
       Weight best_gain = 0;
       for (PartId q = 0; q < k; ++q) {
-        if (q == from || sat_add(pw[q], wv) > balance.capacity()) continue;
+        if (q == from || pw[q] + wv > balance.capacity()) continue;
         const Weight gain = tracker.gain(v, q, cfg.metric);
         if (gain > best_gain) {
           best = q;
@@ -176,7 +175,7 @@ RestreamResult restream_refine(const MappedHypergraph& g, Partition& p,
 
   std::vector<Weight> part_weights(balance.k(), 0);
   for (NodeId v = 0; v < n; ++v) {
-    part_weights[p[v]] = sat_add(part_weights[p[v]], g.node_weight(v));
+    part_weights[p[v]] += g.node_weight(v);
   }
 
   for (int pass = 0; pass < cfg.max_passes; ++pass) {
@@ -212,7 +211,7 @@ RestreamResult restream_refine(const MappedHypergraph& g, Partition& p,
           const PartId from = p[m.v];
           if (from == m.to) continue;
           const Weight wv = g.node_weight(m.v);
-          if (sat_add(part_weights[m.to], wv) > balance.capacity()) continue;
+          if (part_weights[m.to] + wv > balance.capacity()) continue;
           if (exact_gain(g, p, m.v, m.to, cfg.metric) <= 0) continue;
           p.assign(m.v, m.to);
           part_weights[from] -= wv;

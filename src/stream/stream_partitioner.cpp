@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "hyperpart/obs/telemetry.hpp"
-#include "hyperpart/util/overflow.hpp"
 #include "hyperpart/util/rng.hpp"
 
 namespace hp::stream {
@@ -73,14 +72,14 @@ std::optional<StreamResult> stream_partition(const MappedHypergraph& g,
             const PartId q = static_cast<PartId>(std::countr_zero(mask));
             mask &= mask - 1;
             if (benefit[q] == 0) touched.push_back(q);
-            benefit[q] = sat_add(benefit[q], we);
+            benefit[q] += we;
           }
         } else {
           // Hashed sketch: every part sharing a set bit may be present.
           for (PartId q = 0; q < k; ++q) {
             if ((mask >> (q % 64)) & 1u) {
               if (benefit[q] == 0) touched.push_back(q);
-              benefit[q] = sat_add(benefit[q], we);
+              benefit[q] += we;
             }
           }
         }
@@ -96,7 +95,7 @@ std::optional<StreamResult> stream_partition(const MappedHypergraph& g,
       std::uint64_t best_hash = 0;
       for (PartId q = 0; q < k; ++q) {
         const Weight wq = result.part_weights[q];
-        if (sat_add(wq, wv) > capacity) continue;
+        if (wq + wv > capacity) continue;
         const double fill = capacity > 0
                                 ? static_cast<double>(wq) /
                                       static_cast<double>(capacity)
@@ -122,16 +121,16 @@ std::optional<StreamResult> stream_partition(const MappedHypergraph& g,
 
       // Place and update sketches + incremental cost.
       result.partition.assign(v, best);
-      result.part_weights[best] = sat_add(result.part_weights[best], wv);
+      result.part_weights[best] += wv;
       const std::uint64_t bit = std::uint64_t{1} << (best % 64);
       for (const EdgeId e : incident) {
         const std::uint64_t mask = sketch[e];
         if ((mask & bit) != 0) continue;  // part already present (or collides)
         if (mask != 0) {
           const Weight we = g.edge_weight(e);
-          conn_cost = sat_add(conn_cost, we);  // λ_e grows by one
+          conn_cost += we;  // λ_e grows by one
           if (std::popcount(mask) == 1) {
-            cut_cost = sat_add(cut_cost, we);  // λ_e: 1 → 2
+            cut_cost += we;  // λ_e: 1 → 2
           }
         }
         sketch[e] = mask | bit;

@@ -22,6 +22,7 @@
 #include <limits>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +39,7 @@
 #include "hyperpart/server/session.hpp"
 #include "hyperpart/stream/binary_format.hpp"
 #include "hyperpart/util/subprocess.hpp"
+#include "hyperpart/util/weight_budget.hpp"
 
 namespace fs = std::filesystem;
 namespace json = hp::obs::json;
@@ -740,11 +742,84 @@ TEST(SessionTest, EvaluateIsExactAfterEveryUpdateKind) {
   s->release_mutator();
 }
 
-TEST(SessionTest, EvaluateStaysExactThroughSaturatingWeights) {
-  // Updates may carry weights near INT64_MAX. evaluate then reports the
-  // saturated sums a from-scratch count gives, and once the weights come
-  // back down it reports the exact cost again: the patched sums must not
-  // have been clamped along the way.
+TEST(SessionTest, OverBudgetNodeUpdateIsRejected) {
+  // Twelve nodes at INT64_MAX / 4 put W_V far past the weight budget. Such
+  // an update used to commit, and the ΔFM rung's tracker then wrapped a
+  // part weight negative. Now the batch is rejected before anything
+  // changes, and so is an add_pins that grows a heavy net past the budget
+  // without touching any weight.
+  const Hypergraph g = random_hypergraph(300, 300, 2, 6, 41);
+  auto s = GraphSession::from_graph(g, "over-budget");
+  SessionConfig cfg;
+  cfg.k = 2;
+  cfg.epsilon = 10;
+  ASSERT_TRUE(s->try_acquire_mutator());
+  ASSERT_TRUE(s->partition(cfg, false).ok);
+
+  const auto expect_rejected = [&](std::span<const WeightUpdate> nodes,
+                                   std::span<const WeightUpdate> edges,
+                                   std::span<const StructuralDelta> deltas,
+                                   const std::string& row) {
+    const auto before = s->evaluate(cfg);
+    ASSERT_TRUE(before.ok) << row << ": " << before.error;
+    const std::uint64_t version = s->version();
+    const std::uint64_t hash = s->graph_hash();
+    const auto up = s->update(nodes, edges, deltas);
+    EXPECT_FALSE(up.ok) << row;
+    EXPECT_NE(up.error.find("exceed the weight budget"), std::string::npos)
+        << row << ": " << up.error;
+    EXPECT_EQ(s->version(), version) << row;
+    EXPECT_EQ(s->graph_hash(), hash) << row;
+    const auto after = s->evaluate(cfg);
+    ASSERT_TRUE(after.ok) << row << ": " << after.error;
+    EXPECT_EQ(after.cost, before.cost) << row;
+    EXPECT_EQ(after.part_weights, before.part_weights) << row;
+    std::string why;
+    EXPECT_TRUE(s->verify_cache_integrity(&why)) << row << ": " << why;
+  };
+
+  std::vector<WeightUpdate> heavy_nodes;
+  for (NodeId v = 0; v < 12; ++v) {
+    heavy_nodes.push_back({v, std::numeric_limits<Weight>::max() / 4});
+  }
+  expect_rejected(heavy_nodes, {}, {}, "heavy nodes");
+  // The repro's repartition now finds the cache current.
+  const auto re = s->repartition(cfg, false);
+  ASSERT_TRUE(re.ok) << re.error;
+  EXPECT_EQ(re.method, "cached");
+  for (const Weight w : re.part_weights) EXPECT_GE(w, 0);
+
+  // Net 0 takes the largest weight that keeps W_E within the budget; one
+  // more pin in it then crosses the budget with no weight field changed.
+  Weight rest = 0;
+  for (EdgeId e = 1; e < g.num_edges(); ++e) {
+    rest += std::max<Weight>(g.edge_size(e), 1);
+  }
+  const Weight heavy = (kWeightBudget - rest) / g.edge_size(0);
+  const std::vector<WeightUpdate> heavy_net{{0, heavy}};
+  ASSERT_TRUE(s->update({}, heavy_net).ok);
+  NodeId outside = 0;
+  const auto pins0 = g.pins(0);
+  while (std::find(pins0.begin(), pins0.end(), outside) != pins0.end()) {
+    ++outside;
+  }
+  StructuralDelta grow;
+  grow.kind = StructuralDelta::Kind::kAddPins;
+  grow.net = 0;
+  grow.pins = {outside};
+  expect_rejected({}, {}, std::span(&grow, 1), "add_pins on a heavy net");
+  // ΔFM on the heavy net near the top of the budget stays exact.
+  const auto heavy_re = s->repartition(cfg, false);
+  ASSERT_TRUE(heavy_re.ok) << heavy_re.error;
+  std::string why;
+  EXPECT_TRUE(s->verify_cache_integrity(&why)) << why;
+  s->release_mutator();
+}
+
+TEST(SessionTest, EvaluateStaysExactNearTheBudget) {
+  // Updates may carry weights up to the budget. evaluate then reports the
+  // exact sums a from-scratch count gives, and once the weights come back
+  // down it reports the original cost again.
   const Hypergraph g = random_hypergraph(300, 300, 2, 5, 61);
   auto s = GraphSession::from_graph(g, "heavy");
   const SessionConfig cfg = small_cfg();
@@ -755,23 +830,28 @@ TEST(SessionTest, EvaluateStaysExactThroughSaturatingWeights) {
                                         first.parts.end()),
                     cfg.k);
 
-  constexpr Weight kHuge = std::numeric_limits<Weight>::max() / 2;
+  // Five nodes share W_V up to the budget; every net gets the weight that
+  // fills W_E = Σ w·|e| to within one net of it.
+  const Weight heavy_node = (kWeightBudget - (g.num_nodes() - 5)) / 5;
+  const Weight heavy_net =
+      kWeightBudget / static_cast<Weight>(g.num_pins());
   std::vector<WeightUpdate> heavy_nodes, heavy_edges, unit_nodes, unit_edges;
   for (NodeId v = 0; v < 5; ++v) {
-    heavy_nodes.push_back({v, kHuge});
+    heavy_nodes.push_back({v, heavy_node});
     unit_nodes.push_back({v, 1});
   }
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    heavy_edges.push_back({e, kHuge});
+    heavy_edges.push_back({e, heavy_net});
     unit_edges.push_back({e, 1});
   }
   ASSERT_TRUE(s->update(heavy_nodes, heavy_edges).ok);
   Hypergraph heavy = g;
   for (const auto& u : heavy_nodes) heavy.update_node_weight(u.id, u.weight);
   for (const auto& u : heavy_edges) heavy.update_edge_weight(u.id, u.weight);
+  ASSERT_TRUE(heavy.validate());
   auto ev = s->evaluate(cfg);
   ASSERT_TRUE(ev.ok) << ev.error;
-  EXPECT_EQ(ev.cost, std::numeric_limits<Weight>::max());
+  EXPECT_GT(ev.cost, kWeightBudget / 8);
   EXPECT_EQ(ev.cost, cost(heavy, p, cfg.metric));
   EXPECT_EQ(ev.part_weights, p.part_weights(heavy));
   EXPECT_EQ(ev.balanced,
@@ -789,13 +869,12 @@ TEST(SessionTest, EvaluateStaysExactThroughSaturatingWeights) {
   s->release_mutator();
 }
 
-TEST(SessionTest, RepartitionStaysExactThroughSaturatingNets) {
-  // Three nets spanning every node at weight INT64_MAX / 2 push the true
-  // cost past INT64_MAX. The committed snapshot must still be the exact
-  // sum (reported clamped, like cost()), and the quality guard's
-  // 3 · before + 4 must saturate instead of overflowing.
+TEST(SessionTest, RepartitionStaysExactNearTheBudget) {
+  // Three nets spanning every node share what the budget leaves, so the
+  // cost and the quality guard's 3 · before + 4 sit near the top of the
+  // range. The committed snapshot must still equal a from-scratch count.
   const Hypergraph g = random_hypergraph(300, 300, 2, 6, 41);
-  auto s = GraphSession::from_graph(g, "saturating");
+  auto s = GraphSession::from_graph(g, "near-budget");
   Mirror mirror(g);
   const SessionConfig cfg = small_cfg();
   ASSERT_TRUE(s->try_acquire_mutator());
@@ -807,7 +886,7 @@ TEST(SessionTest, RepartitionStaysExactThroughSaturatingNets) {
   for (StructuralDelta& d : heavy) {
     d.kind = StructuralDelta::Kind::kAddNet;
     d.pins = all;
-    d.weight = std::numeric_limits<Weight>::max() / 2;
+    d.weight = (kWeightBudget - static_cast<Weight>(g.num_pins())) / 900;
   }
   ASSERT_TRUE(s->update({}, {}, heavy).ok);
   mirror.apply({}, {}, heavy);
@@ -816,12 +895,13 @@ TEST(SessionTest, RepartitionStaysExactThroughSaturatingNets) {
   s->release_mutator();
 
   const Hypergraph rebuilt = mirror.rebuild();
+  ASSERT_TRUE(rebuilt.validate());
   const Partition p(std::vector<PartId>(re.parts.begin(), re.parts.end()),
                     cfg.k);
   const auto ev = s->evaluate(cfg);
   ASSERT_TRUE(ev.ok) << ev.error;
   EXPECT_EQ(ev.cost, cost(rebuilt, p, cfg.metric));
-  EXPECT_EQ(ev.cost, std::numeric_limits<Weight>::max());
+  EXPECT_GT(ev.cost, kWeightBudget / 400);
   EXPECT_EQ(re.cost, ev.cost);
   std::string why;
   EXPECT_TRUE(s->verify_cache_integrity(&why)) << why;

@@ -11,7 +11,8 @@
 //
 // Fuzz mode generates one seeded instance per run (families: random,
 // skewed, hyperdag, grid, spes, degenerate, plus the workload-catalogue
-// legs spmv, netlist, dataflow, powerlaw) and runs the full differential
+// legs spmv, netlist, dataflow, powerlaw, and budget, whose weights sit near
+// the weight budget) and runs the full differential
 // oracle on it — every heuristic, the streaming round trip, and on small
 // instances the three exact solvers — checking the cross-solver invariants
 // documented in fuzz/oracle.hpp. A failing instance is ddmin-shrunk to a
@@ -124,7 +125,7 @@ int main(int argc, char** argv) {
       .epilogue(
           "replay options: --k --eps --metric --seed --inject-bug\n"
           "families: random skewed hyperdag grid spes degenerate\n"
-          "          spmv netlist dataflow powerlaw\n");
+          "          spmv netlist dataflow powerlaw budget\n");
   cli.parse(argc, argv);
 
   if (!telemetry_path.empty()) {

@@ -49,7 +49,6 @@
 #include "hyperpart/stream/restream_refiner.hpp"
 #include "hyperpart/stream/stream_partitioner.hpp"
 #include "hyperpart/util/cli.hpp"
-#include "hyperpart/util/overflow.hpp"
 #include "hyperpart/util/parse.hpp"
 #include "hyperpart/util/timer.hpp"
 #include "hyperpart/workload/workload.hpp"
@@ -125,7 +124,7 @@ int run_stream(const std::string& bin_path, hp::PartId k, double eps,
             << "\n";
   std::vector<hp::Weight> pw(k, 0);
   for (hp::NodeId v = 0; v < mapped.num_nodes(); ++v) {
-    pw[partition[v]] = hp::sat_add(pw[partition[v]], mapped.node_weight(v));
+    pw[partition[v]] += mapped.node_weight(v);
   }
   std::cout << "part weights     =";
   for (const hp::Weight w : pw) std::cout << ' ' << w;
