@@ -47,9 +47,9 @@ namespace json = hp::obs::json;
 constexpr PartId kParts = 8;
 
 /// Lines of the telemetry span tree under a "coarsen" span ("/coarsen" so
-/// the uncoarsen spans, which legitimately rerun on reuse, don't match).
-/// ΔFM and hierarchy-reuse runs must leave this set — including the "xN"
-/// counts — bit-identical; any full multilevel run changes it.
+/// the uncoarsen spans don't match). A ΔFM run must leave this set —
+/// including the "xN" counts — bit-identical; any full multilevel run
+/// changes it.
 std::string coarsen_lines() {
   std::istringstream in(obs::span_paths());
   std::string line, out;
@@ -119,7 +119,7 @@ HP_BENCH_CASE(incremental_repartition,
   cfg.k = kParts;
   cfg.seed = 7;
 
-  // Baseline full multilevel run (populates hierarchy + tracker caches).
+  // Baseline full multilevel run (populates the tracker cache).
   ctx.check(session->try_acquire_mutator(), "mutator slot starts free");
   Timer timer;
   const auto full = session->partition(cfg, false);
@@ -347,71 +347,6 @@ HP_BENCH_CASE(structural_churn,
             << (incremental_ms > 0 ? reload_ms / incremental_ms : 0)
             << "x), cost " << incremental.cost << " vs scratch " << fresh.cost
             << "\n";
-}
-
-HP_BENCH_CASE(hierarchy_cache,
-              "Hierarchy reuse: partition after a small weight drift skips "
-              "coarsening entirely and replays the cached level stack") {
-  const NodeId n = ctx.smoke() ? 10000 : 100000;
-  const EdgeId m = n;
-  Hypergraph g = random_hypergraph(n, m, 2, 8, 555 + n);
-
-  obs::reset();
-  obs::set_enabled(true);
-
-  auto session = server::GraphSession::from_graph(g, "bench");
-  server::SessionConfig cfg;
-  cfg.k = kParts;
-  cfg.seed = 11;
-
-  ctx.check(session->try_acquire_mutator(), "mutator slot starts free");
-  Timer timer;
-  const auto full = session->partition(cfg, false);
-  const double full_ms = timer.millis();
-  ctx.check(full.ok && full.method == "full", "first partition is full");
-
-  // Identical request, unchanged graph: pure cache hit, no work at all.
-  const auto cached = session->partition(cfg, false);
-  ctx.check(cached.ok && cached.method == "cached" && cached.cache_hit,
-            "repeat request on unchanged graph answers from cache");
-  ctx.check(cached.cost == full.cost, "cached cost identical");
-  session->release_mutator();
-
-  // Small weight drift, then partition again: the hierarchy rung rebuilds
-  // initial+refinement on the cached level stack without any coarsening.
-  const auto updates = perturb(*session, g, 200);
-  ctx.check(!updates.empty(), "0.5% node-weight drift applies");
-
-  const std::string coarsen_before = coarsen_lines();
-  const std::int64_t reuses_before = obs::counter("multilevel.hierarchy_reuses");
-
-  ctx.check(session->try_acquire_mutator(), "mutator slot free after drift");
-  timer = Timer();
-  const auto reused = session->partition(cfg, false);
-  const double reuse_ms = timer.millis();
-  session->release_mutator();
-
-  ctx.check(reused.ok, "hierarchy-reuse partition succeeds");
-  ctx.check(reused.method == "hierarchy",
-            "partition chose the hierarchy rung (got '" + reused.method +
-                "')");
-  ctx.check(reused.balanced, "reused result is balanced");
-  ctx.check(obs::counter("multilevel.hierarchy_reuses") > reuses_before,
-            "multilevel.hierarchy_reuses counter incremented");
-  ctx.check(coarsen_lines() == coarsen_before,
-            "no new coarsen spans during hierarchy reuse");
-
-  auto table = ctx.table({{"n", "n"},
-                          {"m", "m"},
-                          {"k", "k"},
-                          {"method", "method"},
-                          {"cost", "cost"},
-                          {"wall_ms", "ms"}});
-  table.row(n, m, static_cast<unsigned>(kParts), full.method, full.cost,
-            full_ms);
-  table.row(n, m, static_cast<unsigned>(kParts), reused.method, reused.cost,
-            reuse_ms);
-  table.print();
 }
 
 HP_BENCH_CASE(request_throughput,

@@ -6,6 +6,18 @@
 
 namespace hp {
 
+namespace {
+
+/// Restore ε-balance on the tracker's current assignment after node-weight
+/// updates pushed some parts over capacity. Deterministic greedy: while a
+/// part exceeds capacity, move the cheapest node out of the most-overweight
+/// part (max cached gain, ties → lowest node id, then lowest target part)
+/// into the lightest part that can accept it. Zero-weight nodes are never
+/// moved (they cannot reduce the excess). Enables the tracker's gain cache
+/// for `metric` if it is missing or built for the other metric. Returns
+/// false when no sequence of single-node moves can restore feasibility
+/// (e.g. one node alone exceeds the capacity); the tracker is left in
+/// whatever improved-but-infeasible state the loop reached.
 bool rebalance_with_tracker(const Hypergraph& g, ConnectivityTracker& tracker,
                             const BalanceConstraint& balance, CostMetric metric,
                             unsigned threads) {
@@ -57,6 +69,8 @@ bool rebalance_with_tracker(const Hypergraph& g, ConnectivityTracker& tracker,
     HP_COUNTER_ADD("delta_fm.rebalance_moves", 1);
   }
 }
+
+}  // namespace
 
 std::optional<Weight> delta_fm_refine(const Hypergraph& g,
                                       ConnectivityTracker& tracker,

@@ -34,45 +34,6 @@ namespace {
   return coarse;
 }
 
-/// Coarsen g into `levels` until the coarsest level has at most
-/// max(coarsen_limit, 4k) nodes or a level stops shrinking (clustering is
-/// saturated). Clusters are capped so the coarsest level still admits a
-/// balanced partition: never above a third of the per-part capacity. Draws
-/// one rng value per coarsen_once call, including a final saturated
-/// attempt that produces no level, and returns the number of draws. When
-/// `restrict_parts` is given, clusters stay within one of its parts and
-/// `induced` receives the partition each level inherits from it.
-std::uint32_t coarsen(const Hypergraph& g, const BalanceConstraint& balance,
-                      const MultilevelConfig& cfg, Rng& rng,
-                      std::vector<CoarseLevel>& levels,
-                      const Partition* restrict_parts = nullptr,
-                      std::vector<Partition>* induced = nullptr) {
-  const Weight max_cluster = std::max<Weight>(1, balance.capacity() / 3);
-  const NodeId stop_at = std::max<NodeId>(cfg.coarsen_limit, 4 * balance.k());
-  const unsigned threads =
-      cfg.fm.threads == 0 ? default_threads() : cfg.fm.threads;
-  std::uint32_t draws = 0;
-  const Hypergraph* current = &g;
-  while (current->num_nodes() > stop_at) {
-    HP_SPAN("coarsen", "level", levels.size());
-    ++draws;
-    CoarseLevel next =
-        coarsen_once(*current, max_cluster, rng(), restrict_parts, threads);
-    // Insufficient shrinkage means clustering is saturated; stop.
-    if (next.graph.num_nodes() >
-        static_cast<NodeId>(0.95 * current->num_nodes())) {
-      break;
-    }
-    if (restrict_parts != nullptr) {
-      induced->push_back(induce_coarse(*restrict_parts, next));
-      restrict_parts = &induced->back();
-    }
-    levels.push_back(std::move(next));
-    current = &levels.back().graph;
-  }
-  return draws;
-}
-
 /// Project p from the coarsest of `levels` back onto g, refining every
 /// finer level on the way.
 [[nodiscard]] Partition uncoarsen(const Hypergraph& g,
@@ -92,27 +53,42 @@ std::uint32_t coarsen(const Hypergraph& g, const BalanceConstraint& balance,
 
 }  // namespace
 
-std::optional<Partition> multilevel_partition_cached(
-    const Hypergraph& g, const BalanceConstraint& balance,
-    const MultilevelConfig& cfg, MultilevelHierarchy* hierarchy) {
+void coarsen(const Hypergraph& g, const BalanceConstraint& balance,
+             const MultilevelConfig& cfg, Rng& rng,
+             std::vector<CoarseLevel>& levels, const Partition* restrict_parts,
+             std::vector<Partition>* induced) {
+  const Weight max_cluster = std::max<Weight>(1, balance.capacity() / 3);
+  const NodeId stop_at = std::max<NodeId>(cfg.coarsen_limit, 4 * balance.k());
+  const unsigned threads =
+      cfg.fm.threads == 0 ? default_threads() : cfg.fm.threads;
+  const Hypergraph* current = &g;
+  while (current->num_nodes() > stop_at) {
+    HP_SPAN("coarsen", "level", levels.size());
+    CoarseLevel next =
+        coarsen_once(*current, max_cluster, rng(), restrict_parts, threads);
+    // Insufficient shrinkage means clustering is saturated; stop.
+    if (next.graph.num_nodes() >
+        static_cast<NodeId>(0.95 * current->num_nodes())) {
+      break;
+    }
+    if (restrict_parts != nullptr) {
+      induced->push_back(induce_coarse(*restrict_parts, next));
+      restrict_parts = &induced->back();
+    }
+    levels.push_back(std::move(next));
+    current = &levels.back().graph;
+  }
+}
+
+std::optional<Partition> multilevel_partition(const Hypergraph& g,
+                                              const BalanceConstraint& balance,
+                                              const MultilevelConfig& cfg) {
   HP_SPAN("multilevel");
   Rng rng{cfg.seed};
 
   // --- Coarsening phase ---------------------------------------------------
-  MultilevelHierarchy local;
-  MultilevelHierarchy& hier = hierarchy ? *hierarchy : local;
-  if (hier.empty()) {
-    hier.rng_draws = coarsen(g, balance, cfg, rng, hier.levels);
-  } else {
-    // Reuse: the cached levels ARE the coarsening a fresh run would have
-    // produced (callers guarantee graph + capacity + seed match). Replay
-    // the recorded number of rng draws so every downstream random choice —
-    // initial partitioning, FM tie-breaks — sees the same stream as an
-    // uncached run, keeping the partition bit-identical.
-    for (std::uint32_t i = 0; i < hier.rng_draws; ++i) (void)rng();
-    HP_COUNTER_ADD("multilevel.hierarchy_reuses", 1);
-  }
-  const std::vector<CoarseLevel>& levels = hier.levels;
+  std::vector<CoarseLevel> levels;
+  coarsen(g, balance, cfg, rng, levels);
   const Hypergraph& coarsest = levels.empty() ? g : levels.back().graph;
   HP_COUNTER_ADD("multilevel.runs", 1);
   HP_COUNTER_ADD("multilevel.levels",
@@ -142,12 +118,6 @@ std::optional<Partition> multilevel_partition_cached(
 
   // --- Uncoarsening + refinement -------------------------------------------
   return uncoarsen(g, levels, std::move(*best), balance, cfg);
-}
-
-std::optional<Partition> multilevel_partition(const Hypergraph& g,
-                                              const BalanceConstraint& balance,
-                                              const MultilevelConfig& cfg) {
-  return multilevel_partition_cached(g, balance, cfg, nullptr);
 }
 
 Weight vcycle_refine(const Hypergraph& g, Partition& p,

@@ -397,14 +397,15 @@ void exact_leg(Checker& c, const BalanceConstraint& balance,
 }
 
 /// Random update/repartition interleavings through a GraphSession — the
-/// partitioning service's incremental ladder (ΔFM → V-cycle → full). After
-/// every repartition the result must be balanced on the *current* graph,
-/// its reported cost must match an offline recomputation on an
-/// independently mirrored graph, every cached tracker must equal one
-/// rebuilt from scratch, and the cost must stay within the documented
-/// quality bound against a from-scratch multilevel run:
-/// incremental ≤ 3 · scratch + 4. The whole interleaving replays to a
-/// bit-identical cost trace (determinism).
+/// partitioning service's incremental ladder (ΔFM → full). After every
+/// repartition the result must be balanced on the *current* graph, its
+/// reported cost must match an offline recomputation on an independently
+/// mirrored graph, every cached tracker must equal one rebuilt from
+/// scratch, and the cost must stay within the documented quality bound
+/// against a from-scratch multilevel run on the mirror:
+/// incremental ≤ max(3 · scratch + 4, 3 · before + 4). A `full` answer
+/// must equal that scratch run bit for bit (`incremental-full`). The whole
+/// interleaving replays to a bit-identical cost trace (determinism).
 ///
 /// After opts.incremental_rounds weight-only rounds, opts.structural_rounds
 /// structural rounds follow: each sends a batch of add_net / remove_net /
@@ -778,12 +779,23 @@ void incremental_leg(Checker& c) {
       std::string why;
       c.check(session->verify_cache_integrity(&why), "incremental-cache",
               "tracker state diverged after " + out.method + ": " + why);
-      if (const auto scratch =
-              multilevel_partition(shadow, balance, scratch_cfg)) {
-        // The ladder's documented bound: every rung either stays within
+      const auto scratch = multilevel_partition(shadow, balance, scratch_cfg);
+      if (out.method == "full") {
+        // The full rung is the same deterministic multilevel run as this
+        // scratch one on an independent rebuild: equal bit for bit.
+        bool same = false;
+        if (scratch) {
+          const auto want = scratch->raw();
+          same = std::equal(want.begin(), want.end(), out.parts.begin(),
+                            out.parts.end());
+        }
+        c.check(same, "incremental-full",
+                "full repartition differs from the scratch multilevel run");
+      }
+      if (scratch) {
+        // The ladder's documented bound: ΔFM either stays within
         // 3 · before + 4 of the cached partition's current cost or
-        // escalates, bottoming out at a full run — which is the same
-        // deterministic multilevel as this scratch run.
+        // escalates to a full run — which is this scratch run.
         const Weight scratch_cost = cost(shadow, *scratch, cfg.metric);
         const Weight bound =
             std::max(3 * scratch_cost + 4,

@@ -7,11 +7,11 @@
 // the cached part weights shift, patched via apply_node_weight_delta), so
 // "repartition after a small update" does not need to re-run the multilevel
 // pipeline: restore feasibility with a few targeted moves, then let boundary
-// FM polish the result. This is the cheapest rung of the service's fallback
-// ladder (ΔFM → partition-aware V-cycle → full multilevel) documented in
-// DESIGN.md — worst-case quality is bounded by the FM pass itself, and the
-// fuzz oracle's `incremental` leg checks the final tracker state against a
-// rebuilt one plus a documented cost bound versus partitioning from scratch.
+// FM polish the result. This is the first rung of the service's two-rung
+// ladder (ΔFM → full multilevel) documented in DESIGN.md — worst-case
+// quality is bounded by the FM pass itself, and the fuzz oracle's
+// `incremental` leg checks the final tracker state against a rebuilt one
+// plus a documented cost bound versus partitioning from scratch.
 
 #include <optional>
 
@@ -22,27 +22,13 @@
 
 namespace hp {
 
-/// Restore ε-balance on the tracker's current assignment after node-weight
-/// updates pushed some parts over capacity. Deterministic greedy: while a
-/// part exceeds capacity, move the cheapest node out of the most-overweight
-/// part (max cached gain, ties → lowest node id, then lowest target part)
-/// into the lightest part that can accept it. Zero-weight nodes are never
-/// moved (they cannot reduce the excess). Enables the tracker's gain cache
-/// for `metric` if it is missing or built for the other metric. Returns
-/// false when no sequence of single-node moves can restore feasibility
-/// (e.g. one node alone exceeds the capacity); the tracker is left in
-/// whatever improved-but-infeasible state the loop reached.
-bool rebalance_with_tracker(const Hypergraph& g, ConnectivityTracker& tracker,
-                            const BalanceConstraint& balance, CostMetric metric,
-                            unsigned threads = 1);
-
 /// ΔFM: refine the tracker's current assignment in place after an update,
 /// without rebuilding the multilevel hierarchy. Steps: (1) rebalance if any
 /// part exceeds the capacity, (2) run boundary FM on the caller-owned
 /// tracker, (3) export the refined assignment into `p`. Returns the final
 /// cost under cfg.metric, or nullopt when feasibility could not be restored
-/// (callers fall back to the next rung of the ladder). On success the
-/// tracker and `p` agree and the partition satisfies `balance`.
+/// (callers fall back to a full run). On success the tracker and `p` agree
+/// and the partition satisfies `balance`.
 std::optional<Weight> delta_fm_refine(const Hypergraph& g,
                                       ConnectivityTracker& tracker,
                                       Partition& p,

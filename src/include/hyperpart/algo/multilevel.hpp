@@ -11,6 +11,7 @@
 #include "hyperpart/core/balance.hpp"
 #include "hyperpart/core/metrics.hpp"
 #include "hyperpart/core/partition.hpp"
+#include "hyperpart/util/rng.hpp"
 
 namespace hp {
 
@@ -39,30 +40,19 @@ struct MultilevelConfig {
     const Hypergraph& g, const BalanceConstraint& balance,
     const MultilevelConfig& cfg = {});
 
-/// A reusable coarsening hierarchy: the per-level coarse graphs and
-/// fine→coarse maps produced by the coarsening phase. Valid only for the
-/// exact graph contents (and balance capacity / seed) it was built from —
-/// the partitioning service keys cached hierarchies by the request config
-/// and checks them against its maintained graph_fingerprint().
-struct MultilevelHierarchy {
-  std::vector<CoarseLevel> levels;
-  /// Rng draws the coarsening phase consumed when this hierarchy was built
-  /// (one per coarsen_once call, including a final saturated attempt that
-  /// produced no level). Reuse replays exactly this many draws so the rest
-  /// of the pipeline sees the same rng stream as the original run.
-  std::uint32_t rng_draws = 0;
-  [[nodiscard]] bool empty() const noexcept { return levels.empty(); }
-};
-
-/// multilevel_partition with an explicit hierarchy slot. When `hierarchy`
-/// is non-null and non-empty, the coarsening phase is skipped entirely and
-/// the cached levels are reused (no coarsen spans open; the per-level rng
-/// draws are still consumed so the result is bit-identical to a fresh
-/// run). When non-null and empty, the freshly built hierarchy is stored
-/// into it for future reuse. nullptr behaves exactly like
-/// multilevel_partition above.
-[[nodiscard]] std::optional<Partition> multilevel_partition_cached(
-    const Hypergraph& g, const BalanceConstraint& balance,
-    const MultilevelConfig& cfg, MultilevelHierarchy* hierarchy);
+/// The coarsening phase of multilevel_partition: coarsen g into `levels`
+/// until the coarsest level has at most max(coarsen_limit, 4k) nodes or a
+/// level stops shrinking (clustering is saturated). Clusters are capped so
+/// the coarsest level still admits a balanced partition: never above a
+/// third of the per-part capacity. Draws one rng value per coarsen_once
+/// call, including a final saturated attempt that produces no level. When
+/// `restrict_parts` is given, clusters stay within one of its parts and
+/// `induced` receives the partition each level inherits from it (the
+/// partition-aware coarsening of V-cycles).
+void coarsen(const Hypergraph& g, const BalanceConstraint& balance,
+             const MultilevelConfig& cfg, Rng& rng,
+             std::vector<CoarseLevel>& levels,
+             const Partition* restrict_parts = nullptr,
+             std::vector<Partition>* induced = nullptr);
 
 }  // namespace hp

@@ -123,9 +123,8 @@ class ConnectivityTracker {
   /// EXISTING net about to change. Subtracts those nets' contributions from
   /// both cost totals and drops the gain cache — per-net repair of the n×k
   /// gain tables costs as much as refilling them, so refiners simply
-  /// re-enable the cache on their next run (rebalance_with_tracker /
-  /// delta_fm_refine already do). Part weights are untouched: net changes
-  /// never change the node set.
+  /// re-enable the cache on their next run (delta_fm_refine already does).
+  /// Part weights are untouched: net changes never change the node set.
   void begin_net_patch(std::span<const EdgeId> touched);
 
   /// Phase 2, called AFTER the graph mutated. Resizes the per-net tables to

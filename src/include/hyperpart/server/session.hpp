@@ -5,10 +5,10 @@
 // are mmapped via stream::MappedHypergraph and copied into an in-memory
 // Hypergraph so weights can mutate in place while the object keeps its
 // address) plus a cache of partitioning results keyed by the request config
-// (k, ε, metric, seed). Each cache entry stores the coarsening hierarchy,
-// the final partition + cost, and a live ConnectivityTracker reflecting
-// that partition — the state that makes `repartition` after an `update`
-// cheap.
+// (k, ε, metric, seed). Each cache entry stores the final partition + cost
+// and a live ConnectivityTracker reflecting that partition — the state that
+// makes `repartition` after an `update` cheap. No coarse level outlives the
+// multilevel run that built it.
 //
 // Concurrency model (enforced by the Server, asserted here):
 //   * at most ONE mutator (partition / repartition / update) per session at
@@ -20,30 +20,33 @@
 //     and its k part weights — plus the session's total node weight, so an
 //     evaluate is O(k) (O(n) more when it asks for the assignment). They
 //     never read trackers, which the ΔFM rung mutates without the lock;
-//   * the mutator computes under the *shared* lock — cached trackers and
-//     hierarchies are touched exclusively by the single admitted mutator,
-//     so readers never observe them — and commits results under a brief
-//     unique lock. `update` takes the unique lock for its whole critical
-//     section since it writes the graph itself. It patches the snapshots
-//     and the graph fingerprint by the touched terms only, so a
-//     weight-only update holds the lock for O(Δ) work per cache entry
-//     (Δ = the updated nodes plus the pins and k counts of the updated
-//     nets); a structural batch adds the graph's O(n + m + ρ) CSR rebuild.
+//   * the mutator computes under the *shared* lock — cached trackers are
+//     touched exclusively by the single admitted mutator, so readers never
+//     observe them — and commits results under a brief unique lock.
+//     `update` takes the unique lock for its whole critical section since
+//     it writes the graph itself. It patches the snapshots and the graph
+//     fingerprint by the touched terms only, so a weight-only update holds
+//     the lock for O(Δ) work per cache entry (Δ = the updated nodes plus
+//     the pins and k counts of the updated nets); a structural batch adds
+//     the graph's O(n + m + ρ) CSR rebuild.
 //
-// Repartition fallback ladder (documented in DESIGN.md):
-//   1. ΔFM      — change fraction ≤ kDeltaFmMaxFraction and a cached
-//                 tracker exists: restore balance, boundary-FM on the
-//                 tracker update() kept exact. No coarsening at all.
-//   2. V-cycle  — change fraction ≤ kVcycleMaxFraction: partition-aware
-//                 V-cycles seeded from the cached partition.
-//   3. full     — fresh multilevel run (also the fallback whenever a rung
-//                 fails to produce a feasible partition).
-// Quality guard: rungs 1 and 2 escalate rather than commit a result worse
-// than 3 · before + 4, where `before` is the cached partition's cost on the
-// current graph. Combined with rung 3 being a deterministic from-scratch
-// run, every repartition satisfies
+// Two ladders (documented in DESIGN.md). `partition` answers from the cache
+// when the entry was built against the current graph content (by whichever
+// rung), and otherwise runs multilevel_partition from scratch: no state
+// survives between runs that could make a fresh answer depend on the
+// update history. `repartition` reuses work:
+//   1. ΔFM  — change fraction ≤ kDeltaFmMaxFraction and a cached tracker
+//             exists: restore balance, boundary-FM on the tracker update()
+//             kept exact. No coarsening at all.
+//   2. full — fresh multilevel run (also the fallback whenever ΔFM fails to
+//             produce a feasible partition).
+// Quality guard: ΔFM escalates rather than commit a result worse than
+// 3 · before + 4, where `before` is the cached partition's cost on the
+// current graph. Rung 2 is the same deterministic run as `partition`'s, so
+// every repartition satisfies
 //   cost ≤ max(3 · before + 4, cost of a fresh multilevel run)
-// — the bound the fuzz oracle's `incremental` leg enforces.
+// — the bound the fuzz oracle's `incremental` leg enforces, together with
+// `full` answers equal to a from-scratch run bit for bit.
 //
 // Structural deltas (add_net / remove_net / add_pins / remove_pins) keep
 // the node set fixed: removed nets are tombstoned (empty pin list, weight
@@ -75,9 +78,8 @@
 
 namespace hp::server {
 
-/// Change-fraction thresholds of the repartition ladder.
+/// Change-fraction threshold of the repartition ladder's ΔFM rung.
 inline constexpr double kDeltaFmMaxFraction = 0.05;
-inline constexpr double kVcycleMaxFraction = 0.5;
 
 /// Request-side partitioning config. (k, epsilon, metric, seed) key the
 /// session cache; `threads` deliberately does not — every algorithm in this
@@ -120,8 +122,9 @@ struct StructuralDelta {
 struct PartitionOutcome {
   bool ok = false;
   std::string error;
-  /// "cached" | "delta_fm" | "vcycle" | "full" | "hierarchy" — which rung
-  /// produced the result.
+  /// "cached" | "delta_fm" | "full" — how the result was produced: answered
+  /// from the cache entry, refined by the ΔFM rung, or a fresh multilevel
+  /// run.
   std::string method;
   bool cache_hit = false;
   Weight cost = 0;
@@ -193,17 +196,17 @@ class GraphSession {
 
   // --- Operations ----------------------------------------------------------
 
-  /// Full-service partition: cache hit when this exact graph content was
-  /// already partitioned under cfg; after a small weight-only change, the
-  /// cached hierarchy is reused (no coarsening) with a feasibility
-  /// post-check; otherwise a fresh multilevel run. Requires the mutator
-  /// slot. `include_parts` controls whether the assignment is copied into
-  /// the outcome.
+  /// Full-service partition: cache hit when the entry for cfg was built
+  /// against the current graph content; otherwise a fresh multilevel run,
+  /// bit-identical to multilevel_partition on an independent copy of the
+  /// current graph, whatever updates led to it. Requires the mutator slot.
+  /// `include_parts` controls whether the assignment is copied into the
+  /// outcome.
   [[nodiscard]] PartitionOutcome partition(const SessionConfig& cfg,
                                            bool include_parts = true);
 
-  /// Incremental repartition via the ΔFM → V-cycle → full ladder (see file
-  /// header). Requires the mutator slot.
+  /// Incremental repartition via the ΔFM → full ladder (see file header).
+  /// Requires the mutator slot.
   [[nodiscard]] PartitionOutcome repartition(const SessionConfig& cfg,
                                              bool include_parts = true);
 
@@ -254,7 +257,6 @@ class GraphSession {
     Weight cost = 0;
     std::string method;
     bool tracker_cached = false;
-    std::size_t hierarchy_levels = 0;
     bool current = false;  ///< built against the current graph content
   };
   [[nodiscard]] std::vector<EntryStats> entry_stats() const;
@@ -293,7 +295,6 @@ class GraphSession {
   };
 
   struct Entry {
-    MultilevelHierarchy hierarchy;
     std::unique_ptr<ConnectivityTracker> tracker;  ///< mirrors `partition`
     Partition partition;
     Weight cost = 0;               ///< cost at commit time (stats reports it)
@@ -316,12 +317,10 @@ class GraphSession {
                             bool include_parts);
   /// Publish a rung's result as the entry for `key` under one brief unique
   /// lock: the partition, its O(k) snapshot taken from the tracker, and the
-  /// commit-time keys. `tracker`
-  /// must mirror `p`; nullptr keeps the entry's own tracker, which the ΔFM
-  /// rung refined in place. A `hierarchy` replaces the cached one.
+  /// commit-time keys. `tracker` must mirror `p`; nullptr keeps the entry's
+  /// own tracker, which the ΔFM rung refined in place.
   Entry& commit(const CacheKey& key, Partition p, std::string method,
-                std::unique_ptr<ConnectivityTracker> tracker = nullptr,
-                std::optional<MultilevelHierarchy> hierarchy = std::nullopt);
+                std::unique_ptr<ConnectivityTracker> tracker = nullptr);
   PartitionOutcome outcome_from(const Entry& e, const SessionConfig& cfg,
                                 std::string method, bool cache_hit,
                                 double fraction, bool include_parts) const;

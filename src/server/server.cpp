@@ -382,8 +382,6 @@ json::Value Server::stats_response() {
         ev.set("cost", e.cost);
         ev.set("method", e.method);
         ev.set("tracker_cached", e.tracker_cached);
-        ev.set("hierarchy_levels",
-               static_cast<std::int64_t>(e.hierarchy_levels));
         ev.set("current", e.current);
         entries.push_back(std::move(ev));
       }
@@ -395,9 +393,9 @@ json::Value Server::stats_response() {
   json::Value counters{json::Object{}};
   for (const char* name :
        {"server.cache_hits", "server.cache_misses",
-        "server.repartition.delta_fm", "server.repartition.vcycle",
-        "server.repartition.full", "server.updates",
-        "server.structural_updates", "server.tracker_patches"}) {
+        "server.repartition.delta_fm", "server.repartition.full",
+        "server.updates", "server.structural_updates",
+        "server.tracker_patches"}) {
     counters.set(name, hp::obs::counter(name));
   }
   out.set("counters", std::move(counters));

@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "hyperpart/algo/incremental.hpp"
-#include "hyperpart/algo/vcycle.hpp"
 #include "hyperpart/core/fingerprint.hpp"
 #include "hyperpart/obs/telemetry.hpp"
 #include "hyperpart/stream/binary_format.hpp"
@@ -27,8 +26,8 @@ namespace {
   return metric == CostMetric::kCutNet ? w : w * (l - 1);
 }
 
-/// The ladder's quality guard: rungs 1 and 2 commit at most 3 · before + 4
-/// (below 2^63 for any cost within the weight budget).
+/// The ladder's quality guard: ΔFM commits at most 3 · before + 4 (below
+/// 2^63 for any cost within the weight budget).
 [[nodiscard]] Weight quality_bound(Weight before) noexcept {
   return 3 * before + 4;
 }
@@ -118,13 +117,11 @@ PartitionOutcome GraphSession::outcome_from(const Entry& e,
 
 GraphSession::Entry& GraphSession::commit(
     const CacheKey& key, Partition p, std::string method,
-    std::unique_ptr<ConnectivityTracker> tracker,
-    std::optional<MultilevelHierarchy> hierarchy) {
+    std::unique_ptr<ConnectivityTracker> tracker) {
   const ConnectivityTracker& t = tracker ? *tracker : *cache_.at(key).tracker;
   Snapshot live{t.cost(key.metric), t.part_weights()};
   std::unique_lock lock(mu_);
   Entry& e = cache_[key];
-  if (hierarchy) e.hierarchy = std::move(*hierarchy);
   if (tracker) e.tracker = std::move(tracker);
   e.cost = live.cost;
   e.live = std::move(live);
@@ -141,9 +138,7 @@ PartitionOutcome GraphSession::run_full(const SessionConfig& cfg,
   // The admitted mutator reads g_ without a lock: update() is the only
   // writer and it needs the mutator slot we hold.
   const BalanceConstraint balance = balance_for(cfg);
-  MultilevelHierarchy hierarchy;
-  std::optional<Partition> p =
-      multilevel_partition_cached(g_, balance, ml_config(cfg), &hierarchy);
+  std::optional<Partition> p = multilevel_partition(g_, balance, ml_config(cfg));
   if (!p) {
     PartitionOutcome out;
     out.version = version();
@@ -153,8 +148,7 @@ PartitionOutcome GraphSession::run_full(const SessionConfig& cfg,
   auto tracker = std::make_unique<ConnectivityTracker>(g_, *p, cfg.threads);
   tracker->enable_gain_cache(cfg.metric, cfg.threads);
   HP_COUNTER_ADD("server.cache_misses", 1);
-  const Entry& e = commit(key, std::move(*p), "full", std::move(tracker),
-                          std::move(hierarchy));
+  const Entry& e = commit(key, std::move(*p), "full", std::move(tracker));
   return outcome_from(e, cfg, "full", false, 0.0, include_parts);
 }
 
@@ -166,41 +160,6 @@ PartitionOutcome GraphSession::partition(const SessionConfig& cfg,
   if (it != cache_.end() && it->second.built_hash == graph_hash_) {
     HP_COUNTER_ADD("server.cache_hits", 1);
     return outcome_from(it->second, cfg, "cached", true, 0.0, include_parts);
-  }
-  if (it != cache_.end() && !it->second.hierarchy.empty() &&
-      fraction_since(it->second) <= kDeltaFmMaxFraction) {
-    // Weight-only drift small enough that the cached hierarchy is still a
-    // faithful coarsening: re-run initial + uncoarsen phases only. The
-    // coarse levels carry pre-update weights, so the result is feasibility-
-    // checked against the *current* graph before being accepted.
-    // multilevel_partition_cached only READS a non-empty hierarchy, so no
-    // lock is needed around the compute; every entry WRITE below happens
-    // under the unique lock so readers never see a torn entry.
-    Entry& e = it->second;
-    const double frac = fraction_since(e);
-    const BalanceConstraint balance = balance_for(cfg);
-    std::optional<Partition> p =
-        multilevel_partition_cached(g_, balance, ml_config(cfg), &e.hierarchy);
-    std::unique_ptr<ConnectivityTracker> tracker;
-    if (p) {
-      tracker = std::make_unique<ConnectivityTracker>(g_, *p, cfg.threads);
-      tracker->enable_gain_cache(cfg.metric, cfg.threads);
-      if (!balance.satisfied(p->part_weights(g_)) &&
-          rebalance_with_tracker(g_, *tracker, balance, cfg.metric,
-                                 cfg.threads)) {
-        // The coarse levels carried pre-drift weights, so the reused result
-        // can overshoot a part capacity by the drift amount; a gain-guided
-        // rebalance repairs that without touching the hierarchy.
-        *p = tracker->to_partition();
-      }
-    }
-    if (p && balance.satisfied(p->part_weights(g_))) {
-      commit(key, std::move(*p), "hierarchy", std::move(tracker));
-      HP_COUNTER_ADD("server.cache_hits", 1);
-      return outcome_from(e, cfg, "hierarchy", true, frac, include_parts);
-    }
-    std::unique_lock lock(mu_);
-    e.hierarchy = MultilevelHierarchy{};  // proven stale; drop it
   }
   return run_full(cfg, key, include_parts);
 }
@@ -245,45 +204,14 @@ PartitionOutcome GraphSession::repartition(const SessionConfig& cfg,
       HP_COUNTER_ADD("server.repartition.delta_fm", 1);
       return outcome_from(e, cfg, "delta_fm", true, frac, include_parts);
     }
-    // Rebalance failed; the tracker was left in a perturbed state — it no
-    // longer matches e.partition, so it must not be reused below.
+    // ΔFM failed or was rejected; the tracker was left in a perturbed state
+    // that no longer matches e.partition. Drop it, so an infeasible full run
+    // below cannot leave it cached.
     std::unique_lock lock(mu_);
     e.tracker.reset();
   }
 
-  // Rung 2: partition-aware V-cycles seeded from the cached partition.
-  if (frac <= kVcycleMaxFraction && e.partition.complete() &&
-      e.partition.k() == cfg.k) {
-    Partition p = e.partition;
-    bool feasible = balance.satisfied(p.part_weights(g_));
-    auto tracker = std::make_unique<ConnectivityTracker>(g_, p, cfg.threads);
-    const Weight before = tracker->cost(cfg.metric);
-    if (!feasible) {
-      feasible = rebalance_with_tracker(g_, *tracker, balance, cfg.metric,
-                                        cfg.threads);
-      if (feasible) p = tracker->to_partition();
-    }
-    if (feasible) {
-      const Weight cost = vcycle_refine(g_, p, balance, ml_config(cfg));
-      if (cost > quality_bound(before)) {
-        // Same quality guard as the ΔFM rung: never commit a result more
-        // than 3 · before + 4 worse than what the cache already had.
-        HP_COUNTER_ADD("server.repartition.quality_fallbacks", 1);
-        HP_COUNTER_ADD("server.repartition.full", 1);
-        return run_full(cfg, key, include_parts);
-      }
-      // The refined partition differs from the one the tracker mirrors;
-      // rebuild so the next ΔFM starts exact.
-      auto fresh = std::make_unique<ConnectivityTracker>(g_, p, cfg.threads);
-      fresh->enable_gain_cache(cfg.metric, cfg.threads);
-      commit(key, std::move(p), "vcycle", std::move(fresh));
-      HP_COUNTER_ADD("server.cache_hits", 1);
-      HP_COUNTER_ADD("server.repartition.vcycle", 1);
-      return outcome_from(e, cfg, "vcycle", true, frac, include_parts);
-    }
-  }
-
-  // Rung 3: full multilevel.
+  // Rung 2: full multilevel.
   HP_COUNTER_ADD("server.repartition.full", 1);
   return run_full(cfg, key, include_parts);
 }
@@ -592,7 +520,6 @@ std::vector<GraphSession::EntryStats> GraphSession::entry_stats() const {
     s.cost = e.cost;
     s.method = e.method;
     s.tracker_cached = e.tracker != nullptr;
-    s.hierarchy_levels = e.hierarchy.levels.size();
     s.current = e.built_hash == graph_hash_;
     stats.push_back(std::move(s));
   }

@@ -155,10 +155,12 @@ std::vector<std::uint64_t> hierarchy_hashes(const Hypergraph& g, PartId k,
   MultilevelConfig cfg;
   cfg.seed = 5;
   cfg.fm.threads = threads;
-  MultilevelHierarchy hier;
-  (void)multilevel_partition_cached(g, balance, cfg, &hier);
+  // multilevel_partition's coarsening phase, with its rng seeded the same.
+  Rng rng{cfg.seed};
+  std::vector<CoarseLevel> levels;
+  coarsen(g, balance, cfg, rng, levels);
   std::vector<std::uint64_t> hashes;
-  for (const CoarseLevel& level : hier.levels) {
+  for (const CoarseLevel& level : levels) {
     hashes.push_back(level.graph.content_hash());
   }
   return hashes;

@@ -263,47 +263,40 @@ TEST(SessionTest, RepartitionRunsDeltaFmAfterSmallUpdate) {
   EXPECT_TRUE(s->verify_cache_integrity(&why)) << why;
 }
 
-TEST(SessionTest, RepartitionRunsVcycleAfterMediumUpdate) {
-  auto s = session_of(1000, 44);
-  const SessionConfig cfg = small_cfg();
-  ASSERT_TRUE(s->try_acquire_mutator());
-  ASSERT_TRUE(s->partition(cfg, false).ok);
-
-  // 400 units on n + m = 2000: fraction 0.2 — past ΔFM, inside V-cycle.
-  const Hypergraph probe = random_hypergraph(1000, 1000, 2, 6, 44);
-  const auto updates = bump_nodes(probe, 400, 1);
-  ASSERT_TRUE(s->update(updates, {}).ok);
-
-  const auto re = s->repartition(cfg);
-  EXPECT_TRUE(re.ok);
-  EXPECT_EQ(re.method, "vcycle");
-  EXPECT_TRUE(re.balanced);
-  s->release_mutator();
-
-  std::string why;
-  EXPECT_TRUE(s->verify_cache_integrity(&why)) << why;
-}
-
 TEST(SessionTest, RepartitionFallsBackToFullAfterLargeUpdate) {
-  auto s = session_of(500, 45);
-  const SessionConfig cfg = small_cfg();
-  ASSERT_TRUE(s->try_acquire_mutator());
-  ASSERT_TRUE(s->partition(cfg, false).ok);
+  // Past kDeltaFmMaxFraction, repartition runs multilevel from scratch.
+  struct Drift {
+    NodeId n;
+    std::uint64_t seed;
+    NodeId node_units;
+    EdgeId edge_units;
+  };
+  // 400 node units on n + m = 2000: fraction 0.2.
+  // 500 node + 200 edge units on n + m = 1000: fraction 0.7.
+  for (const Drift d : {Drift{1000, 44, 400, 0}, Drift{500, 45, 500, 200}}) {
+    SCOPED_TRACE("n = " + std::to_string(d.n));
+    auto s = session_of(d.n, d.seed);
+    const SessionConfig cfg = small_cfg();
+    ASSERT_TRUE(s->try_acquire_mutator());
+    ASSERT_TRUE(s->partition(cfg, false).ok);
 
-  // 500 node + 200 edge units on n + m = 1000: fraction 0.7 > 0.5.
-  const Hypergraph probe = random_hypergraph(500, 500, 2, 6, 45);
-  auto node_updates = bump_nodes(probe, 500, 1);
-  std::vector<WeightUpdate> edge_updates;
-  for (std::uint32_t e = 0; e < 200; ++e) {
-    edge_updates.push_back({e, probe.edge_weight(e) + 1});
+    const Hypergraph probe = random_hypergraph(d.n, d.n, 2, 6, d.seed);
+    const auto node_updates = bump_nodes(probe, d.node_units, 1);
+    std::vector<WeightUpdate> edge_updates;
+    for (std::uint32_t e = 0; e < d.edge_units; ++e) {
+      edge_updates.push_back({e, probe.edge_weight(e) + 1});
+    }
+    ASSERT_TRUE(s->update(node_updates, edge_updates).ok);
+
+    const auto re = s->repartition(cfg);
+    EXPECT_TRUE(re.ok);
+    EXPECT_EQ(re.method, "full");
+    EXPECT_TRUE(re.balanced);
+    s->release_mutator();
+
+    std::string why;
+    EXPECT_TRUE(s->verify_cache_integrity(&why)) << why;
   }
-  ASSERT_TRUE(s->update(node_updates, edge_updates).ok);
-
-  const auto re = s->repartition(cfg);
-  EXPECT_TRUE(re.ok);
-  EXPECT_EQ(re.method, "full");
-  EXPECT_TRUE(re.balanced);
-  s->release_mutator();
 }
 
 TEST(SessionTest, EdgeWeightUpdatePatchesTrackerAndDeltaFmRuns) {
@@ -980,24 +973,99 @@ TEST(SessionTest, NetPatchEqualsFreshTrackerAndDeltaFm) {
   EXPECT_TRUE(s->verify_cache_integrity(&why)) << why;
 }
 
-TEST(SessionTest, HierarchyReuseIsBitIdenticalToFreshRun) {
-  const Hypergraph g = random_hypergraph(2000, 2000, 2, 6, 50);
-  const auto balance = BalanceConstraint::for_graph(g, 4, 0.1, true);
-  MultilevelConfig cfg;
-  cfg.seed = 9;
+TEST(SessionTest, PartitionIsIndependentOfHistory) {
+  // After node, edge and structural drift — the last one after a ΔFM run
+  // left its state in the entry — every partition must be the
+  // from-scratch multilevel run on an independent rebuild of the graph.
+  const NodeId n = 1000;
+  const Hypergraph g0 = random_hypergraph(n, n, 2, 6, 57);
+  std::vector<std::vector<NodeId>> pins(g0.num_edges());
+  std::vector<Weight> ew(g0.num_edges());
+  std::vector<Weight> nw(n);
+  for (EdgeId e = 0; e < g0.num_edges(); ++e) {
+    pins[e].assign(g0.pins(e).begin(), g0.pins(e).end());
+    ew[e] = g0.edge_weight(e);
+  }
+  for (NodeId v = 0; v < n; ++v) nw[v] = g0.node_weight(v);
 
-  MultilevelHierarchy hier;
-  const auto fresh = multilevel_partition_cached(g, balance, cfg, &hier);
-  ASSERT_TRUE(fresh.has_value());
-  ASSERT_FALSE(hier.empty());
+  auto s = GraphSession::from_graph(g0, "history");
+  const SessionConfig cfg = small_cfg();
+  MultilevelConfig ml;
+  ml.metric = cfg.metric;
+  ml.seed = cfg.seed;
+  ml.fm.threads = cfg.threads;
+  const auto expect_fresh = [&](const char* after) {
+    SCOPED_TRACE(after);
+    Hypergraph rebuilt = Hypergraph::from_edges(n, pins);
+    rebuilt.set_node_weights(nw);
+    rebuilt.set_edge_weights(ew);
+    ASSERT_EQ(s->graph_hash(), graph_fingerprint(rebuilt));
+    const auto fresh = multilevel_partition(
+        rebuilt,
+        BalanceConstraint::for_graph(rebuilt, cfg.k, cfg.epsilon, true), ml);
+    ASSERT_TRUE(fresh.has_value());
+    const auto out = s->partition(cfg, true);
+    ASSERT_TRUE(out.ok) << out.error;
+    EXPECT_EQ(out.method, "full");
+    EXPECT_EQ(out.cost, cost(rebuilt, *fresh, cfg.metric));
+    const auto want = fresh->raw();
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), out.parts.begin(),
+                           out.parts.end()));
+  };
 
-  // Same graph, same config, cached hierarchy: the rng replay must make
-  // the reused run indistinguishable from the fresh one.
-  const auto reused = multilevel_partition_cached(g, balance, cfg, &hier);
-  ASSERT_TRUE(reused.has_value());
-  const auto a = fresh->raw();
-  const auto b = reused->raw();
-  EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+  ASSERT_TRUE(s->try_acquire_mutator());
+  expect_fresh("load");
+
+  // Drifts of 1% of n + m: well inside the ΔFM threshold.
+  std::vector<WeightUpdate> nodes;
+  for (NodeId v = 0; v < 20; ++v) {
+    nw[v * 7] += 2;
+    nodes.push_back({v * 7, nw[v * 7]});
+  }
+  ASSERT_TRUE(s->update(nodes, {}).ok);
+  expect_fresh("node drift");
+
+  std::vector<WeightUpdate> edges;
+  for (EdgeId e = 0; e < 20; ++e) {
+    ew[e * 11] += 1;
+    edges.push_back({e * 11, ew[e * 11]});
+  }
+  ASSERT_TRUE(s->update({}, edges).ok);
+  expect_fresh("edge drift");
+
+  nw[3] += 1;
+  ASSERT_TRUE(s->update(std::vector<WeightUpdate>{{3, nw[3]}}, {}).ok);
+  ASSERT_EQ(s->repartition(cfg, false).method, "delta_fm");
+  std::vector<StructuralDelta> deltas(4);
+  deltas[0].kind = StructuralDelta::Kind::kAddNet;
+  deltas[0].pins = {1, 500, 999};
+  deltas[0].weight = 3;
+  pins.push_back(deltas[0].pins);
+  ew.push_back(3);
+  deltas[1].kind = StructuralDelta::Kind::kRemoveNet;
+  deltas[1].net = 5;
+  pins[5].clear();
+  ew[5] = 0;
+  deltas[2].kind = StructuralDelta::Kind::kRemovePins;
+  deltas[2].net = 9;
+  deltas[2].pins = {pins[9].front()};
+  pins[9].erase(pins[9].begin());
+  deltas[3].kind = StructuralDelta::Kind::kAddPins;
+  deltas[3].net = 12;
+  for (NodeId v = 0; deltas[3].pins.size() < 2; ++v) {
+    if (!std::binary_search(pins[12].begin(), pins[12].end(), v)) {
+      deltas[3].pins.push_back(v);
+    }
+  }
+  for (const NodeId v : deltas[3].pins) {
+    pins[12].insert(std::lower_bound(pins[12].begin(), pins[12].end(), v), v);
+  }
+  ASSERT_TRUE(s->update({}, {}, deltas).ok);
+  expect_fresh("structural drift after a ΔFM run");
+  s->release_mutator();
+
+  std::string why;
+  EXPECT_TRUE(s->verify_cache_integrity(&why)) << why;
 }
 
 // --- Concurrency ------------------------------------------------------------
