@@ -8,8 +8,11 @@
 #include <cstdio>
 #include <exception>
 #include <filesystem>
+#include <iterator>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "hyperpart/algo/annealing.hpp"
@@ -25,6 +28,7 @@
 #include "hyperpart/core/fingerprint.hpp"
 #include "hyperpart/core/metrics.hpp"
 #include "hyperpart/dag/recognition.hpp"
+#include "hyperpart/io/hmetis_io.hpp"
 #include "hyperpart/obs/telemetry.hpp"
 #include "hyperpart/server/session.hpp"
 #include "hyperpart/stream/binary_format.hpp"
@@ -240,6 +244,98 @@ void tracker_leg(Checker& c) {
   c.check(threaded.cut_net_cost() == fresh.cut_net_cost() &&
               threaded.connectivity_cost() == fresh.connectivity_cost(),
           "determinism", "tracker totals depend on construction threads");
+}
+
+/// One seeded edit of hMETIS text: flip a bit, insert or delete a byte,
+/// duplicate a line, or replace the token at a position by a number at or
+/// past a parser limit.
+void mutate_hmetis(std::string& text, Rng& rng) {
+  static constexpr const char* kLimits[] = {
+      "4000000000",          "4294967295",          "4294967296",
+      "2305843009213693952", "2305843009213693953", "9223372036854775808",
+      "18446744073709551615", "18446744073709551616", "-1"};
+  static constexpr std::string_view kBytes = " \t\n\r\v%+-0123456789x";
+  const auto separator = [&text](std::size_t i) {
+    return text[i] == ' ' || text[i] == '\t' || text[i] == '\n';
+  };
+  const std::size_t at = rng.next_below(text.size() + 1);
+  switch (rng.next_below(5)) {
+    case 0:
+      if (at < text.size()) {
+        text[at] = static_cast<char>(text[at] ^ (1 << rng.next_below(8)));
+      }
+      break;
+    case 1:
+      text.insert(at, 1, kBytes[rng.next_below(kBytes.size())]);
+      break;
+    case 2:
+      if (at < text.size()) text.erase(at, 1);
+      break;
+    case 3: {
+      const std::size_t nl =
+          at == 0 ? std::string::npos : text.rfind('\n', at - 1);
+      const std::size_t begin = nl == std::string::npos ? 0 : nl + 1;
+      const std::size_t end = std::min(text.find('\n', begin), text.size());
+      text.insert(begin, text.substr(begin, end - begin) + "\n");
+      break;
+    }
+    default: {
+      std::size_t begin = at;
+      std::size_t end = at;
+      while (begin > 0 && !separator(begin - 1)) --begin;
+      while (end < text.size() && !separator(end)) ++end;
+      text.replace(begin, end - begin,
+                   kLimits[rng.next_below(std::size(kLimits))]);
+      break;
+    }
+  }
+}
+
+/// hMETIS text round trip plus seeded mutants of the written text: the
+/// read-back is bit-identical, and every mutant either throws
+/// std::runtime_error or parses into a graph that passes validate() and
+/// round-trips itself. Nothing else may escape the parser.
+void hmetis_leg(Checker& c) {
+  const Hypergraph& g = c.inst.graph;
+  std::ostringstream out;
+  write_hmetis(out, g);
+  const std::string text = out.str();
+  const auto rewritten = [](const Hypergraph& h) {
+    std::stringstream io;
+    write_hmetis(io, h);
+    return read_hmetis(io).content_hash();
+  };
+  // hMETIS has no empty nets: a graph with one cannot round-trip.
+  bool representable = true;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    representable = representable && g.edge_size(e) > 0;
+  }
+  if (representable) {
+    c.check(rewritten(g) == g.content_hash(), "hmetis",
+            "write_hmetis -> read_hmetis altered the graph");
+  }
+
+  constexpr int kMutants = 8;
+  Rng rng(c.inst.seed ^ 0x4d37ULL);
+  for (int m = 0; m < kMutants; ++m) {
+    std::string mutant = text;
+    const std::uint64_t edits = 1 + rng.next_below(3);
+    for (std::uint64_t i = 0; i < edits; ++i) mutate_hmetis(mutant, rng);
+    const std::string tag = "mutant " + std::to_string(m);
+    std::optional<Hypergraph> h;
+    try {
+      std::istringstream in(mutant);
+      h = read_hmetis(in);
+    } catch (const std::runtime_error&) {
+      continue;  // a rejected mutant is the expected outcome
+    } catch (const std::exception& e) {
+      c.fail("hmetis", tag + " escaped the parser as " + e.what());
+      continue;
+    }
+    c.check(h->validate(), "hmetis", tag + " parsed into an invalid graph");
+    c.check(rewritten(*h) == h->content_hash(), "hmetis",
+            tag + " does not round-trip after parsing");
+  }
 }
 
 void stream_leg(Checker& c, const BalanceConstraint& balance,
@@ -870,6 +966,7 @@ OracleReport run_oracle(const FuzzInstance& inst, const OracleOptions& opts) {
   }
 
   c.leg("tracker", [&] { tracker_leg(c); });
+  c.leg("hmetis", [&] { hmetis_leg(c); });
 
   // Heuristic solvers. Collected partitions/costs feed the exact leg.
   std::vector<std::pair<std::string, Partition>> heuristics;

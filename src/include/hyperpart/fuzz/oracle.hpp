@@ -24,6 +24,10 @@
 //                    OPT / OPT−1) agree with brute force
 //   infeasible       if brute force proves infeasibility, no heuristic may
 //                    return a feasible partition
+//   hmetis           write_hmetis → read_hmetis preserves the graph bit for
+//                    bit; seeded byte mutants of the text either throw
+//                    std::runtime_error or parse into a graph that passes
+//                    validate() and round-trips — nothing else escapes
 //   stream           binary write → mmap round trip preserves the graph and
 //                    all costs; the streamed (k ≤ 64) incremental cost and
 //                    the offline recomputation agree; restream only ever

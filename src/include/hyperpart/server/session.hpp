@@ -31,10 +31,10 @@
 //     the graph's O(n + m + ρ) CSR rebuild.
 //
 // Two ladders (documented in DESIGN.md). `partition` answers from the cache
-// when the entry was built against the current graph content (by whichever
-// rung), and otherwise runs multilevel_partition from scratch: no state
-// survives between runs that could make a fresh answer depend on the
-// update history. `repartition` reuses work:
+// when a full run built the entry against the current graph content, and
+// otherwise runs multilevel_partition from scratch (overwriting a ΔFM
+// entry): no state survives between runs that could make its answer depend
+// on the update history. `repartition` reuses work:
 //   1. ΔFM  — change fraction ≤ kDeltaFmMaxFraction and a cached tracker
 //             exists: restore balance, boundary-FM on the tracker update()
 //             kept exact. No coarsening at all.
@@ -196,8 +196,8 @@ class GraphSession {
 
   // --- Operations ----------------------------------------------------------
 
-  /// Full-service partition: cache hit when the entry for cfg was built
-  /// against the current graph content; otherwise a fresh multilevel run,
+  /// Full-service partition: cache hit when a full run built the entry for
+  /// cfg against the current graph content; otherwise a fresh multilevel run,
   /// bit-identical to multilevel_partition on an independent copy of the
   /// current graph, whatever updates led to it. Requires the mutator slot.
   /// `include_parts` controls whether the assignment is copied into the

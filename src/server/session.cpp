@@ -157,7 +157,10 @@ PartitionOutcome GraphSession::partition(const SessionConfig& cfg,
   HP_SPAN("session.partition");
   const CacheKey key = key_of(cfg);
   auto it = cache_.find(key);
-  if (it != cache_.end() && it->second.built_hash == graph_hash_) {
+  // Only a full run's entry answers: a ΔFM result on the same content
+  // depends on the update history, so it is recomputed and overwritten.
+  if (it != cache_.end() && it->second.built_hash == graph_hash_ &&
+      it->second.method == "full") {
     HP_COUNTER_ADD("server.cache_hits", 1);
     return outcome_from(it->second, cfg, "cached", true, 0.0, include_parts);
   }

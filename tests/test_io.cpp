@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 
+#include "hyperpart/fuzz/instance_gen.hpp"
 #include "hyperpart/io/dag_io.hpp"
 #include "hyperpart/io/generators.hpp"
 #include "hyperpart/io/hmetis_io.hpp"
@@ -126,6 +128,111 @@ TEST(HmetisIo, ErrorsCarryLineNumbers) {
   const std::string wide_m = hmetis_error("99999999999 2\n1 2\n");
   EXPECT_NE(wide_m.find("line 1"), std::string::npos) << wide_m;
   EXPECT_NE(wide_m.find("edge count"), std::string::npos) << wide_m;
+
+  // An in-range n that the input cannot back is rejected on the header
+  // line, before n + 1 incidence offsets are allocated.
+  const std::string huge_n = hmetis_error("1 4000000000\n1\n");
+  EXPECT_NE(huge_n.find("line 1"), std::string::npos) << huge_n;
+  EXPECT_NE(huge_n.find("node count"), std::string::npos) << huge_n;
+
+  // A pin past UINT64_MAX names its line instead of wrapping or vanishing.
+  const std::string wide_pin = hmetis_error("1 2\n1 18446744073709551616\n");
+  EXPECT_NE(wide_pin.find("line 2"), std::string::npos) << wide_pin;
+  EXPECT_NE(wide_pin.find("out of range"), std::string::npos) << wide_pin;
+
+  // Digits glued to junk are an invalid token, not the pin 3.
+  const std::string glued = hmetis_error("1 4\n1 3x\n");
+  EXPECT_NE(glued.find("line 2"), std::string::npos) << glued;
+  EXPECT_NE(glued.find("invalid token"), std::string::npos) << glued;
+}
+
+TEST(HmetisIo, NodeCountMustBeBackedByTheInput) {
+  // Node weights: n lines need 2n - 1 bytes after the header line (5 here).
+  EXPECT_EQ(hmetis_error("0 3 10\n1\n1\n1"), "");
+  const std::string weighted = hmetis_error("0 4 10\n1\n1\n1");
+  EXPECT_NE(weighted.find("line 1"), std::string::npos) << weighted;
+  EXPECT_NE(weighted.find("node count 4"), std::string::npos) << weighted;
+
+  // No node weights: n may pass the byte count (2 here) by the slack.
+  const std::uint64_t cap = 2 + kHmetisIsolatedNodes;
+  std::stringstream at_cap("1 " + std::to_string(cap) + "\n1\n");
+  EXPECT_EQ(read_hmetis(at_cap).num_nodes(), cap);
+  const std::string over =
+      hmetis_error("1 " + std::to_string(cap + 1) + "\n1\n");
+  EXPECT_NE(over.find("line 1"), std::string::npos) << over;
+  EXPECT_NE(over.find("node count"), std::string::npos) << over;
+}
+
+// Parses `text` and returns its content hash; fails the test on an error.
+std::uint64_t hash_of(const std::string& text) {
+  std::stringstream ss(text);
+  return read_hmetis(ss).content_hash();
+}
+
+TEST(HmetisIo, SeparatorsCommentsAndSignsParseAsToday) {
+  const std::uint64_t plain = hash_of("2 4\n1 2\n3 4\n");
+  // No newline at the end of the file.
+  EXPECT_EQ(hash_of("2 4\n1 2\n3 4"), plain);
+  // Tabs, vertical tabs and form feeds separate tokens like spaces.
+  EXPECT_EQ(hash_of("2\t4\n1\v2\n3\f4\t\n"), plain);
+  // '%' comment lines between nets, indented or not.
+  EXPECT_EQ(hash_of("2 4\n% a\n1 2\n  % b\n3 4\n"), plain);
+  // A leading '+' on any number, as operator>> accepts it.
+  EXPECT_EQ(hash_of("+2 +4\n+1 2\n3 +4\n"), plain);
+
+  // Comments inside the node-weight block, and '+' on weights.
+  const std::uint64_t weighted = hash_of("1 2 11\n3 1 2\n4\n5\n");
+  EXPECT_EQ(hash_of("1 2 11\n+3 1 2\n% w\n+4\n%\n5"), weighted);
+}
+
+// write_hmetis -> read_hmetis must give back the same graph bit for bit.
+void expect_round_trip(const Hypergraph& g, const std::string& what) {
+  SCOPED_TRACE(what);
+  std::stringstream ss;
+  write_hmetis(ss, g);
+  const Hypergraph back = read_hmetis(ss);
+  EXPECT_EQ(back.content_hash(), g.content_hash());
+  ASSERT_EQ(back.num_nodes(), g.num_nodes());
+  ASSERT_EQ(back.num_edges(), g.num_edges());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(back.node_weight(v), g.node_weight(v));
+  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    EXPECT_EQ(back.edge_weight(e), g.edge_weight(e));
+  }
+}
+
+TEST(HmetisIo, EveryCorpusFileRoundTrips) {
+  int files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(HYPERPART_CORPUS_DIR)) {
+    if (entry.path().extension() != ".hgr") continue;
+    ++files;
+    expect_round_trip(read_hmetis_file(entry.path().string()),
+                      entry.path().filename().string());
+  }
+  EXPECT_GT(files, 0);
+}
+
+TEST(HmetisIo, EveryFuzzFamilyRoundTrips) {
+  for (const fuzz::Family family : fuzz::kAllFamilies) {
+    fuzz::GenOptions opts;
+    opts.families = {family};
+    // hMETIS has no empty nets, so take the first seed whose graph has none
+    // (the degenerate family cycles through one that does).
+    bool tested = false;
+    for (std::uint64_t seed = 1; !tested && seed <= 16; ++seed) {
+      const fuzz::FuzzInstance inst = fuzz::generate_instance(seed, opts);
+      bool has_empty = false;
+      for (EdgeId e = 0; e < inst.graph.num_edges(); ++e) {
+        has_empty = has_empty || inst.graph.edge_size(e) == 0;
+      }
+      if (has_empty) continue;
+      expect_round_trip(inst.graph, fuzz::to_string(family));
+      tested = true;
+    }
+    EXPECT_TRUE(tested) << fuzz::to_string(family);
+  }
 }
 
 TEST(HmetisIo, ToleratesCrlfAndTrailingBlankLines) {

@@ -974,9 +974,9 @@ TEST(SessionTest, NetPatchEqualsFreshTrackerAndDeltaFm) {
 }
 
 TEST(SessionTest, PartitionIsIndependentOfHistory) {
-  // After node, edge and structural drift — the last one after a ΔFM run
-  // left its state in the entry — every partition must be the
-  // from-scratch multilevel run on an independent rebuild of the graph.
+  // After node, edge and structural drift, and right after a ΔFM run left
+  // its partition in the entry, every partition must be the from-scratch
+  // multilevel run on an independent rebuild of the graph.
   const NodeId n = 1000;
   const Hypergraph g0 = random_hypergraph(n, n, 2, 6, 57);
   std::vector<std::vector<NodeId>> pins(g0.num_edges());
@@ -1033,9 +1033,6 @@ TEST(SessionTest, PartitionIsIndependentOfHistory) {
   ASSERT_TRUE(s->update({}, edges).ok);
   expect_fresh("edge drift");
 
-  nw[3] += 1;
-  ASSERT_TRUE(s->update(std::vector<WeightUpdate>{{3, nw[3]}}, {}).ok);
-  ASSERT_EQ(s->repartition(cfg, false).method, "delta_fm");
   std::vector<StructuralDelta> deltas(4);
   deltas[0].kind = StructuralDelta::Kind::kAddNet;
   deltas[0].pins = {1, 500, 999};
@@ -1061,7 +1058,15 @@ TEST(SessionTest, PartitionIsIndependentOfHistory) {
     pins[12].insert(std::lower_bound(pins[12].begin(), pins[12].end(), v), v);
   }
   ASSERT_TRUE(s->update({}, {}, deltas).ok);
-  expect_fresh("structural drift after a ΔFM run");
+  expect_fresh("structural drift");
+
+  // A ΔFM run leaves its partition in the entry for the current content;
+  // partition must not answer with it, but overwrite it with a full run.
+  nw[3] += 1;
+  ASSERT_TRUE(s->update(std::vector<WeightUpdate>{{3, nw[3]}}, {}).ok);
+  ASSERT_EQ(s->repartition(cfg, false).method, "delta_fm");
+  expect_fresh("a ΔFM run");
+  EXPECT_EQ(s->partition(cfg, false).method, "cached");
   s->release_mutator();
 
   std::string why;
