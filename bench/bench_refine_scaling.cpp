@@ -130,7 +130,7 @@ HP_BENCH_CASE(kernel_microbench,
               "sync FM, and CSR-native coarsening; costs, moved counts, and "
               "partition hashes are hard-gated bit-identical at 1/2/4/8 "
               "threads and pinned against the committed baseline") {
-  // Deliberately NOT reduced under --smoke: the CI perf ratchet diffs these
+  // Deliberately NOT reduced under --smoke: the CI theorem gate diffs these
   // rows against BENCH_theorems.json, so the instance must be the one the
   // committed baseline was generated from.
   const NodeId n = 100000;
@@ -227,7 +227,7 @@ HP_BENCH_CASE(kernel_microbench,
   // Coarsening: the cold run is the first contraction of the instance, the
   // warm run repeats it with caches hot. coarse_hash pins the contracted
   // graph itself (content_hash of the cold level), so any change to
-  // contraction output fails the zero-tolerance ratchet.
+  // contraction output fails the zero-tolerance theorem gate.
   bench::banner("Hot-kernel microbench (CSR-native coarsening)");
   auto coarsen = ctx.table({{"threads", "threads"},
                             {"coarsen_cold_ms", "cold ms"},

@@ -3,9 +3,9 @@
 // in-memory greedy and multilevel partitioners on the same instances.
 //
 // Peak RSS (VmHWM) is a monotone per-process high-water mark, so each
-// algorithm runs in its own forked child (re-exec of this binary with
-// --child); the parent only generates the instance, writes the binary
-// file, and collects the children's result files. The streaming children
+// algorithm runs in its own forked child (bench_util.hpp's run_in_child);
+// the parent only generates the instance, writes the binary file, and
+// collects the children's results. The streaming children
 // never materialize the hypergraph — they work off the mmap'd file — which
 // is exactly the footprint gap this bench measures.
 //
@@ -15,20 +15,12 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "hyperpart/algo/greedy.hpp"
-#include "hyperpart/algo/multilevel.hpp"
-#include "hyperpart/core/metrics.hpp"
 #include "hyperpart/io/generators.hpp"
 #include "hyperpart/stream/binary_format.hpp"
-#include "hyperpart/stream/restream_refiner.hpp"
-#include "hyperpart/stream/stream_partitioner.hpp"
-#include "hyperpart/util/subprocess.hpp"
-#include "hyperpart/util/timer.hpp"
 
 #include "bench_util.hpp"
 
@@ -50,89 +42,6 @@ struct Row {
   double ms;
   std::uint64_t rss_kb;
 };
-
-/// Child mode: run one algorithm on the binary file and report
-/// "cost=<C> ms=<T> rss_kb=<R>" to the result file. Runs in its own
-/// process so VmHWM attributes to this algorithm alone.
-int run_child(const std::string& algo, const std::string& bin_path, PartId k,
-              double eps, int restream_passes,
-              const std::string& result_path) {
-  Weight cost_out = 0;
-  Timer timer;
-  if (algo == "stream" || algo == "restream") {
-    stream::MappedHypergraph mapped(bin_path);
-    const auto balance = BalanceConstraint::for_total_weight(
-        mapped.total_node_weight(), k, eps, true);
-    stream::StreamConfig scfg;
-    const auto streamed = stream::stream_partition(mapped, balance, scfg);
-    if (!streamed) return 1;
-    cost_out = streamed->offline_cost;
-    if (algo == "restream") {
-      stream::RestreamConfig rcfg;
-      rcfg.max_passes = restream_passes;
-      Partition p = streamed->partition;
-      const auto refined = stream::restream_refine(mapped, p, balance, rcfg);
-      cost_out = refined.cost;
-    }
-  } else {
-    // In-memory baselines: materialize, then drop the file's pages so the
-    // footprint is the in-memory algorithm's own, as in a non-mmap run.
-    stream::MappedHypergraph mapped(bin_path);
-    const Hypergraph g = mapped.materialize();
-    mapped.drop_resident_pages();
-    const auto balance = BalanceConstraint::for_graph(g, k, eps, true);
-    std::optional<Partition> p;
-    if (algo == "greedy") {
-      p = greedy_growing_partition(g, balance, CostMetric::kConnectivity, 7);
-    } else if (algo == "multilevel") {
-      MultilevelConfig cfg;
-      p = multilevel_partition(g, balance, cfg);
-    } else {
-      return 2;
-    }
-    if (!p) return 1;
-    cost_out = cost(g, *p, CostMetric::kConnectivity);
-  }
-  const double ms = timer.millis();
-
-  std::ofstream out(result_path);
-  out << "cost=" << cost_out << " ms=" << ms
-      << " rss_kb=" << hp::bench::peak_rss_bytes() / 1024 << "\n";
-  return out ? 0 : 1;
-}
-
-/// Fork + re-exec this binary in --child mode and parse the result file.
-[[nodiscard]] bool run_algo(const std::string& algo,
-                            const std::string& bin_path, Row& row) {
-  const std::string result_path = bin_path + "." + algo + ".result";
-  const auto status = hp::subprocess::run(
-      "/proc/self/exe",
-      {"--child", algo, bin_path, std::to_string(kParts),
-       std::to_string(kEps), std::to_string(kRestreamPasses), result_path});
-  if (!status.ok()) {
-    std::cerr << "child for algo " << algo << " failed\n";
-    return false;
-  }
-
-  std::ifstream in(result_path);
-  std::string token;
-  bool have_cost = false, have_ms = false, have_rss = false;
-  while (in >> token) {
-    if (token.rfind("cost=", 0) == 0) {
-      row.cost = std::stoll(token.substr(5));
-      have_cost = true;
-    } else if (token.rfind("ms=", 0) == 0) {
-      row.ms = std::stod(token.substr(3));
-      have_ms = true;
-    } else if (token.rfind("rss_kb=", 0) == 0) {
-      row.rss_kb = std::stoull(token.substr(7));
-      have_rss = true;
-    }
-  }
-  std::remove(result_path.c_str());
-  row.algo = algo;
-  return have_cost && have_ms && have_rss;
-}
 
 }  // namespace
 
@@ -180,10 +89,16 @@ HP_BENCH_CASE(scaling_sweep,
       row.m = m;
       row.pins = pins;
       row.k = kParts;
-      if (!ctx.check(run_algo(algo, bin_path, row),
+      const auto child = bench::run_in_child(algo, bin_path, kParts, kEps,
+                                             kRestreamPasses);
+      if (!ctx.check(child.has_value(),
                      algo + " child succeeds at n=" + std::to_string(n))) {
         continue;
       }
+      row.algo = algo;
+      row.cost = child->cost;
+      row.ms = child->ms;
+      row.rss_kb = child->rss_kb;
       if (algo == "stream") stream_cost = row.cost;
       if (algo == "restream" && stream_cost >= 0) {
         ctx.check(row.cost <= stream_cost,
@@ -227,10 +142,7 @@ int main(int argc, char** argv) {
   // The --child protocol must bypass the harness: children are re-execs of
   // this binary doing exactly one algorithm run for RSS attribution.
   if (argc >= 2 && std::strcmp(argv[1], "--child") == 0) {
-    if (argc != 8) return 2;
-    return run_child(argv[2], argv[3],
-                     static_cast<hp::PartId>(std::stoul(argv[4])),
-                     std::stod(argv[5]), std::stoi(argv[6]), argv[7]);
+    return hp::bench::child_main(argc, argv);
   }
   return hp::bench::bench_main(argc, argv, "stream_scaling");
 }

@@ -20,20 +20,34 @@
 // every other numeric field is a gated metric. Timing fields end in _ms,
 // RSS fields in _kb, and machine-dependent rates in _per_sec so CI can
 // exclude them with --ignore-suffix.
+//
+// Benches that attribute peak RSS per algorithm run each algorithm in a
+// re-exec of themselves (run_in_child / child_main below): VmHWM is a
+// per-process high-water mark.
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "hyperpart/algo/greedy.hpp"
+#include "hyperpart/algo/multilevel.hpp"
+#include "hyperpart/core/metrics.hpp"
 #include "hyperpart/obs/json.hpp"
 #include "hyperpart/obs/telemetry.hpp"
+#include "hyperpart/stream/binary_format.hpp"
+#include "hyperpart/stream/restream_refiner.hpp"
+#include "hyperpart/stream/stream_partitioner.hpp"
 #include "hyperpart/util/cli.hpp"
+#include "hyperpart/util/parse.hpp"
+#include "hyperpart/util/subprocess.hpp"
 #include "hyperpart/util/thread_pool.hpp"
 #include "hyperpart/util/timer.hpp"
 
@@ -399,6 +413,107 @@ inline int bench_main(int argc, char** argv, const char* bench_name) {
   }
 
   return cases_failed == 0 ? 0 : 1;
+}
+
+// --- Per-algorithm child processes ------------------------------------------
+
+/// What one child run reports: the connectivity cost, the algorithm's wall
+/// time, and the child's peak RSS.
+struct ChildResult {
+  Weight cost = 0;
+  double ms = 0.0;
+  std::uint64_t rss_kb = 0;
+};
+
+/// Child mode, entered when argv[1] is "--child":
+///   --child ALGO FILE.hpb K EPS RESTREAM_PASSES RESULT
+/// runs one algorithm (stream, restream, greedy or multilevel) on the HPBH
+/// file and writes "cost=<C> ms=<T> rss_kb=<R>" to RESULT. Returns the
+/// process exit code: 0 on success, 1 when the run fails, 2 on bad args.
+inline int child_main(int argc, char** argv) {
+  if (argc != 8) return 2;
+  const std::string algo = argv[2];
+  const std::string bin_path = argv[3];
+  const auto k = parse_u64(argv[4], 2, UINT32_MAX);
+  const auto eps = parse_f64(argv[5], 0.0);
+  const auto restream_passes = parse_u64(argv[6], 0, INT32_MAX);
+  if (!k || !eps || !restream_passes) return 2;
+
+  Weight cost_out = 0;
+  Timer timer;
+  if (algo == "stream" || algo == "restream") {
+    stream::MappedHypergraph mapped(bin_path);
+    const auto balance = BalanceConstraint::for_total_weight(
+        mapped.total_node_weight(), static_cast<PartId>(*k), *eps, true);
+    const auto streamed = stream::stream_partition(mapped, balance, {});
+    if (!streamed) return 1;
+    cost_out = streamed->offline_cost;
+    if (algo == "restream") {
+      stream::RestreamConfig rcfg;
+      rcfg.max_passes = static_cast<int>(*restream_passes);
+      Partition p = streamed->partition;
+      cost_out = stream::restream_refine(mapped, p, balance, rcfg).cost;
+    }
+  } else if (algo == "greedy" || algo == "multilevel") {
+    // In-memory baselines: materialize, then drop the file's pages so the
+    // footprint is the in-memory algorithm's own, as in a non-mmap run.
+    stream::MappedHypergraph mapped(bin_path);
+    const Hypergraph g = mapped.materialize();
+    mapped.drop_resident_pages();
+    const auto balance = BalanceConstraint::for_graph(
+        g, static_cast<PartId>(*k), *eps, true);
+    const std::optional<Partition> p =
+        algo == "greedy"
+            ? greedy_growing_partition(g, balance, CostMetric::kConnectivity,
+                                       7)
+            : multilevel_partition(g, balance, MultilevelConfig{});
+    if (!p) return 1;
+    cost_out = cost(g, *p, CostMetric::kConnectivity);
+  } else {
+    return 2;
+  }
+  const double ms = timer.millis();
+
+  std::ofstream out(argv[7]);
+  out << "cost=" << cost_out << " ms=" << ms
+      << " rss_kb=" << peak_rss_bytes() / 1024 << "\n";
+  return out ? 0 : 1;
+}
+
+/// Re-exec this binary in child mode for one algorithm on the HPBH file at
+/// bin_path and read back its result file. nullopt (after a line on
+/// stderr) when the child fails or its result file is incomplete.
+[[nodiscard]] inline std::optional<ChildResult> run_in_child(
+    const std::string& algo, const std::string& bin_path, PartId k,
+    double eps, int restream_passes) {
+  const std::string result_path = bin_path + "." + algo + ".result";
+  const auto status = subprocess::run(
+      "/proc/self/exe",
+      {"--child", algo, bin_path, std::to_string(k), std::to_string(eps),
+       std::to_string(restream_passes), result_path});
+  if (!status.ok()) {
+    std::cerr << "child for algo " << algo << " failed\n";
+    return std::nullopt;
+  }
+  std::optional<std::int64_t> cost;
+  std::optional<double> ms;
+  std::optional<std::uint64_t> rss_kb;
+  {
+    std::ifstream in(result_path);
+    std::string token;
+    while (in >> token) {
+      const std::string_view t = token;
+      if (t.starts_with("cost=")) cost = parse_i64(t.substr(5));
+      if (t.starts_with("ms=")) ms = parse_f64(t.substr(3));
+      if (t.starts_with("rss_kb=")) rss_kb = parse_u64(t.substr(7));
+    }
+  }
+  std::remove(result_path.c_str());
+  if (!cost || !ms || !rss_kb) {
+    std::cerr << "child for algo " << algo << " left no complete result\n";
+    return std::nullopt;
+  }
+  return ChildResult{*cost, *ms, *rss_kb};
 }
 
 }  // namespace hp::bench

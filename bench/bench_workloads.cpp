@@ -24,7 +24,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -39,9 +38,6 @@
 #include "hyperpart/schedule/schedule.hpp"
 #include "hyperpart/server/session.hpp"
 #include "hyperpart/stream/binary_format.hpp"
-#include "hyperpart/stream/restream_refiner.hpp"
-#include "hyperpart/stream/stream_partitioner.hpp"
-#include "hyperpart/util/subprocess.hpp"
 #include "hyperpart/util/timer.hpp"
 #include "hyperpart/workload/workload.hpp"
 
@@ -53,82 +49,6 @@ using namespace hp;
 
 constexpr int kRestreamPasses = 2;
 constexpr std::uint64_t kSeed = 42;
-
-struct ChildResult {
-  Weight cost = 0;
-  double ms = 0.0;
-  std::uint64_t rss_kb = 0;
-};
-
-/// Child mode: one algorithm on the binary file, own process for VmHWM
-/// attribution (same protocol as bench_stream_scaling).
-int run_child(const std::string& algo, const std::string& bin_path, PartId k,
-              double eps, const std::string& result_path) {
-  Weight cost_out = 0;
-  Timer timer;
-  if (algo == "stream" || algo == "restream") {
-    stream::MappedHypergraph mapped(bin_path);
-    const auto balance = BalanceConstraint::for_total_weight(
-        mapped.total_node_weight(), k, eps, true);
-    stream::StreamConfig scfg;
-    const auto streamed = stream::stream_partition(mapped, balance, scfg);
-    if (!streamed) return 1;
-    cost_out = streamed->offline_cost;
-    if (algo == "restream") {
-      stream::RestreamConfig rcfg;
-      rcfg.max_passes = kRestreamPasses;
-      Partition p = streamed->partition;
-      const auto refined = stream::restream_refine(mapped, p, balance, rcfg);
-      cost_out = refined.cost;
-    }
-  } else if (algo == "multilevel") {
-    stream::MappedHypergraph mapped(bin_path);
-    const Hypergraph g = mapped.materialize();
-    mapped.drop_resident_pages();
-    const auto balance = BalanceConstraint::for_graph(g, k, eps, true);
-    MultilevelConfig cfg;
-    const auto p = multilevel_partition(g, balance, cfg);
-    if (!p) return 1;
-    cost_out = cost(g, *p, CostMetric::kConnectivity);
-  } else {
-    return 2;
-  }
-  const double ms = timer.millis();
-  std::ofstream out(result_path);
-  out << "cost=" << cost_out << " ms=" << ms
-      << " rss_kb=" << hp::bench::peak_rss_bytes() / 1024 << "\n";
-  return out ? 0 : 1;
-}
-
-[[nodiscard]] bool run_algo(const std::string& algo,
-                            const std::string& bin_path, PartId k, double eps,
-                            ChildResult& res) {
-  const std::string result_path = bin_path + "." + algo + ".result";
-  const auto status = hp::subprocess::run(
-      "/proc/self/exe", {"--child", algo, bin_path, std::to_string(k),
-                         std::to_string(eps), result_path});
-  if (!status.ok()) {
-    std::cerr << "child for algo " << algo << " failed\n";
-    return false;
-  }
-  std::ifstream in(result_path);
-  std::string token;
-  bool have_cost = false, have_ms = false, have_rss = false;
-  while (in >> token) {
-    if (token.rfind("cost=", 0) == 0) {
-      res.cost = std::stoll(token.substr(5));
-      have_cost = true;
-    } else if (token.rfind("ms=", 0) == 0) {
-      res.ms = std::stod(token.substr(3));
-      have_ms = true;
-    } else if (token.rfind("rss_kb=", 0) == 0) {
-      res.rss_kb = std::stoull(token.substr(7));
-      have_rss = true;
-    }
-  }
-  std::remove(result_path.c_str());
-  return have_cost && have_ms && have_rss;
-}
 
 /// One-superstep BSP proxy for non-DAG families: the pins of each cut edge
 /// live on λ parts; the producer (the part holding the most pins, lowest id
@@ -238,43 +158,42 @@ void run_pipeline(hp::bench::CaseContext& ctx, const std::string& spec_text,
   }
   stream::write_binary_file(bin_path, g);
 
-  ChildResult ml_child{}, stream_child{}, restream_child{};
-  const bool ml_ok = ctx.check(run_algo("multilevel", bin_path, k, eps, ml_child),
-                               "multilevel child succeeds");
-  if (ml_ok) {
-    ctx.check(ml_child.cost == ml_cost,
+  const auto run_algo = [&](const char* algo) {
+    auto child = bench::run_in_child(algo, bin_path, k, eps, kRestreamPasses);
+    ctx.check(child.has_value(), std::string(algo) + " child succeeds");
+    return child;
+  };
+  const auto ml_child = run_algo("multilevel");
+  if (ml_child) {
+    ctx.check(ml_child->cost == ml_cost,
               "forked multilevel child reproduces the in-process cost "
               "(cross-process determinism)");
-    emit("multilevel_child", ml_child.cost, true, ml_child.ms,
-         ml_child.rss_kb);
+    emit("multilevel_child", ml_child->cost, true, ml_child->ms,
+         ml_child->rss_kb);
   }
-  const bool stream_ok =
-      ctx.check(run_algo("stream", bin_path, k, eps, stream_child),
-                "stream child succeeds");
-  if (stream_ok) {
-    emit("stream", stream_child.cost, true, stream_child.ms,
-         stream_child.rss_kb);
+  const auto stream_child = run_algo("stream");
+  if (stream_child) {
+    emit("stream", stream_child->cost, true, stream_child->ms,
+         stream_child->rss_kb);
   }
-  const bool restream_ok =
-      ctx.check(run_algo("restream", bin_path, k, eps, restream_child),
-                "restream child succeeds");
-  if (restream_ok) {
-    emit("restream", restream_child.cost, true, restream_child.ms,
-         restream_child.rss_kb);
+  const auto restream_child = run_algo("restream");
+  if (restream_child) {
+    emit("restream", restream_child->cost, true, restream_child->ms,
+         restream_child->rss_kb);
   }
-  if (stream_ok && restream_ok) {
-    ctx.check(restream_child.cost <= stream_child.cost,
+  if (stream_child && restream_child) {
+    ctx.check(restream_child->cost <= stream_child->cost,
               "restream never worsens the one-pass cost");
   }
-  if (!ctx.smoke() && ml_ok && restream_ok) {
+  if (!ctx.smoke() && ml_child && restream_child) {
     // The PR 2 memory pattern must hold on application-shaped inputs too:
     // the restream stack works off the mmap'd file and stays under the
     // materializing multilevel child's footprint. (Smoke sizes are too
     // small for VmHWM to attribute meaningfully.)
-    ctx.check(restream_child.rss_kb < ml_child.rss_kb,
+    ctx.check(restream_child->rss_kb < ml_child->rss_kb,
               "restream peak RSS below multilevel peak RSS");
     if (ml_within_restream) {
-      ctx.check(ml_cost <= restream_child.cost,
+      ctx.check(ml_cost <= restream_child->cost,
                 "multilevel cost no worse than restream cost");
     }
   }
@@ -421,10 +340,7 @@ int main(int argc, char** argv) {
   // --child bypasses the harness: a re-exec of this binary running exactly
   // one algorithm for per-process RSS attribution.
   if (argc >= 2 && std::strcmp(argv[1], "--child") == 0) {
-    if (argc != 7) return 2;
-    return run_child(argv[2], argv[3],
-                     static_cast<hp::PartId>(std::stoul(argv[4])),
-                     std::stod(argv[5]), argv[6]);
+    return hp::bench::child_main(argc, argv);
   }
   return hp::bench::bench_main(argc, argv, "workloads");
 }

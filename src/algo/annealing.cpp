@@ -8,6 +8,16 @@
 
 namespace hp {
 
+namespace {
+
+/// Starting temperature, in units of gain: a regression of 4 is accepted
+/// with probability 1/e at the first step.
+constexpr double kInitialTemperature = 4.0;
+/// Geometric cooling factor applied after every temperature step.
+constexpr double kCooling = 0.95;
+
+}  // namespace
+
 std::optional<Partition> annealing_partition(const Hypergraph& g,
                                              const BalanceConstraint& balance,
                                              const AnnealingConfig& cfg) {
@@ -19,7 +29,7 @@ std::optional<Partition> annealing_partition(const Hypergraph& g,
 
   Partition best = *start;
   Weight best_cost = tracker.cost(cfg.metric);
-  double temperature = cfg.initial_temperature;
+  double temperature = kInitialTemperature;
 
   const std::uint64_t moves_per_step =
       static_cast<std::uint64_t>(cfg.moves_per_node) * g.num_nodes();
@@ -47,7 +57,7 @@ std::optional<Partition> annealing_partition(const Hypergraph& g,
         best = tracker.to_partition();
       }
     }
-    temperature *= cfg.cooling;
+    temperature *= kCooling;
   }
   return best;
 }

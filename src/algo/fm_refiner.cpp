@@ -219,9 +219,10 @@ Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
   // bounded by the boundary size.
   AddressableMaxHeap<Weight, NodeId> heap(g.num_nodes());
 
-  HP_TELEMETRY_ONLY(std::uint64_t obs_pushes = 0; std::uint64_t obs_pops = 0;
-                    std::uint64_t obs_applied = 0;
-                    std::uint64_t obs_rolled_back = 0;)
+  std::uint64_t obs_pushes = 0;
+  std::uint64_t obs_pops = 0;
+  std::uint64_t obs_applied = 0;
+  std::uint64_t obs_rolled_back = 0;
   // Feasible target of v among the parts attaining its cached best gain
   // (the popped heap key). The only O(k) row scan of the pass — it runs
   // once per pop, not per seeded/touched node, because the tracker
@@ -273,7 +274,7 @@ Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
       const NodeId v = boundary[i];
       heap.upsert(v, tracker.cached_best_gain(v));
     }
-    HP_TELEMETRY_ONLY(obs_pushes += boundary.size();)
+    obs_pushes += boundary.size();
 
     const Weight start_cost = tracker.cost(cfg.metric);
     Weight running = start_cost;
@@ -293,7 +294,7 @@ Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
       Weight gain = 0;
       PartId to = k;
       while (to == k && !heap.empty()) {
-        HP_TELEMETRY_ONLY(++obs_pops;)
+        ++obs_pops;
         v = heap.top_id();
         gain = heap.top_key();
         assert(gain == tracker.cached_best_gain(v));
@@ -324,7 +325,7 @@ Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
           heap.erase(u);  // left the cut frontier; all gains ≤ 0
         } else {
           heap.upsert(u, tracker.cached_best_gain(u));
-          HP_TELEMETRY_ONLY(++obs_pushes;)
+          ++obs_pushes;
         }
       }
     }
@@ -335,8 +336,8 @@ Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
       tracker.move(m.node, m.from);
       groups.apply_move(g, m.node, m.to, m.from);
     }
-    HP_TELEMETRY_ONLY(obs_applied += best_prefix;
-                      obs_rolled_back += moves.size() - best_prefix;)
+    obs_applied += best_prefix;
+    obs_rolled_back += moves.size() - best_prefix;
     if (best >= start_cost) break;  // pass brought no improvement
     if (static_cast<double>(start_cost - best) <
         kMinPassImprovement * static_cast<double>(start_cost)) {

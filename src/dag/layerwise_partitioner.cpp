@@ -5,6 +5,13 @@
 
 namespace hp {
 
+namespace {
+
+/// Rotated round-robin seeds, each refined by FM; the best one is kept.
+constexpr int kStarts = 4;
+
+}  // namespace
+
 std::optional<LayerwisePartitionResult> layerwise_partition(
     const Hypergraph& graph, const Dag& dag, const Layering& layers,
     PartId k, const LayerwiseConfig& cfg) {
@@ -19,7 +26,7 @@ std::optional<LayerwisePartitionResult> layerwise_partition(
 
   Rng rng{cfg.seed};
   std::optional<LayerwisePartitionResult> best;
-  for (int start = 0; start < cfg.starts; ++start) {
+  for (int start = 0; start < kStarts; ++start) {
     // Layer-feasible seed: a randomly rotated round-robin in every layer.
     Partition p(graph.num_nodes(), k);
     for (const auto& layer : sets) {

@@ -14,8 +14,6 @@ namespace hp {
 
 struct AnnealingConfig {
   CostMetric metric = CostMetric::kConnectivity;
-  double initial_temperature = 4.0;
-  double cooling = 0.95;
   /// Moves attempted per temperature step (scaled by n).
   int moves_per_node = 4;
   int temperature_steps = 60;

@@ -24,14 +24,13 @@ struct LayerwisePartitionResult {
 struct LayerwiseConfig {
   CostMetric metric = CostMetric::kConnectivity;
   double epsilon = 0.1;
-  int starts = 4;
   FmConfig fm{};
   std::uint64_t seed = 1;
 };
 
 /// Partition the hyperDAG `graph` of `dag` into k parts with every layer of
 /// `layers` balanced (Definition 5.1 with relaxed ceilings). Returns the
-/// best of `starts` multi-started runs.
+/// best of four multi-started runs.
 [[nodiscard]] std::optional<LayerwisePartitionResult>
 layerwise_partition(const Hypergraph& graph, const Dag& dag,
                     const Layering& layers, PartId k,

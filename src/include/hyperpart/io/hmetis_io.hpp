@@ -31,6 +31,8 @@ inline constexpr std::uint64_t kHmetisIsolatedNodes = std::uint64_t{1} << 20;
 [[nodiscard]] Hypergraph read_hmetis(std::istream& in);
 [[nodiscard]] Hypergraph read_hmetis_file(const std::string& path);
 
+/// Both writers throw std::runtime_error naming the first net without
+/// pins, which hMETIS cannot represent, before writing anything.
 void write_hmetis(std::ostream& out, const Hypergraph& g);
 void write_hmetis_file(const std::string& path, const Hypergraph& g);
 

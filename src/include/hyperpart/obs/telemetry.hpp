@@ -22,11 +22,8 @@
 // per call — never per inner-loop iteration).
 //
 // Cost model:
-//   * HP_TELEMETRY=OFF (CMake option → HP_TELEMETRY_OFF): every macro
-//     below compiles to nothing; release hot loops carry zero telemetry
-//     code.
-//   * Compiled in but disabled (the default at runtime): each macro is one
-//     relaxed atomic load.
+//   * Disabled (the default at runtime): each macro is one relaxed atomic
+//     load.
 //   * Enabled: span open/close takes a global mutex; fine at phase
 //     granularity.
 //
@@ -141,16 +138,6 @@ bool write_json(const std::string& path);
 
 // --- Instrumentation macros -------------------------------------------------
 
-#if defined(HP_TELEMETRY_OFF)
-
-#define HP_SPAN(...) ((void)0)
-#define HP_COUNTER_ADD(name, delta) ((void)0)
-#define HP_GAUGE_SET(name, value) ((void)0)
-#define HP_GAUGE_MAX(name, value) ((void)0)
-#define HP_TELEMETRY_ONLY(...)
-
-#else
-
 #define HP_OBS_CONCAT2(a, b) a##b
 #define HP_OBS_CONCAT(a, b) HP_OBS_CONCAT2(a, b)
 
@@ -175,9 +162,3 @@ bool write_json(const std::string& path);
   do {                                                       \
     if (::hp::obs::enabled()) ::hp::obs::gauge_max((name), (value)); \
   } while (0)
-
-/// Statements that exist only to feed telemetry (cheap per-phase local
-/// bookkeeping); compiled out together with the macros above.
-#define HP_TELEMETRY_ONLY(...) __VA_ARGS__
-
-#endif  // HP_TELEMETRY_OFF

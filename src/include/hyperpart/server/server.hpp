@@ -13,7 +13,7 @@
 //
 //   load         create or reuse the session of a graph file
 //   partition    multilevel run, answered from the session cache when it can
-//   repartition  incremental ladder (ΔFM → V-cycle → full)
+//   repartition  incremental ladder (ΔFM → full)
 //   evaluate     reader, never blocks; `version` pins the expected snapshot
 //                (mismatch = error)
 //   update       one frame = one atomic batch of weight and structural
@@ -41,6 +41,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "hyperpart/obs/json.hpp"
@@ -69,7 +70,6 @@ struct ServerConfig {
   /// Compute threads per request (0 = one per hardware core); forwarded as
   /// the `threads` parameter of every algorithm call.
   unsigned threads = 1;
-  std::uint32_t max_frame = kDefaultMaxFrame;
 };
 
 class Server {
@@ -124,7 +124,12 @@ class Server {
 
   std::mutex threads_mu_;
   std::vector<std::thread> accept_threads_;
-  std::vector<std::thread> conn_threads_;
+  // Connection threads by id. A connection thread posts its id to
+  // finished_conns_ as its last act; accept_loop joins the posted ones
+  // before it spawns the next, so a closed connection's thread and stack
+  // are released while the server runs, not at wait().
+  std::unordered_map<std::thread::id, std::thread> conn_threads_;
+  std::vector<std::thread::id> finished_conns_;
   std::set<int> open_conns_;  // fds of live connections, for shutdown nudge
 
   std::mutex sessions_mu_;

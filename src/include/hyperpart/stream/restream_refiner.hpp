@@ -40,8 +40,6 @@ struct RestreamConfig {
   /// Nodes resident per chunk; memory per in-flight chunk is
   /// O(chunk_size · avg_degree · avg_edge_size).
   NodeId chunk_size = 1u << 16;
-  /// Greedy sweeps over a chunk's window before its proposals are emitted.
-  int max_chunk_sweeps = 3;
   /// Thread cap for the proposal waves (0 = default_threads()).
   unsigned threads = 0;
 };

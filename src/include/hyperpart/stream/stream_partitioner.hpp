@@ -13,11 +13,12 @@
 // where benefit(v, q) = Σ_{e ∋ v} w(e) · [q present in e's sketch] is the
 // connectivity the placement avoids creating, W_q is part q's current
 // weight, C the balance capacity (hard-enforced: overfull parts are never
-// candidates), and the α/γ penalty trades cut quality against filling parts
-// evenly. For k ≤ 64 the sketch holds one exact presence bit per part, so
-// the incrementally tracked cost equals an offline recomputation exactly;
-// for k > 64 parts share bits (q mod 64) and the tracked figure becomes a
-// lower bound, while the reported offline cost stays exact.
+// candidates), and the α/γ penalty (α = 1, γ = 2) trades cut quality
+// against filling parts evenly. For k ≤ 64 the sketch holds one exact
+// presence bit per part, so the incrementally tracked cost equals an
+// offline recomputation exactly; for k > 64 parts share bits (q mod 64)
+// and the tracked figure becomes a lower bound, while the reported offline
+// cost stays exact.
 //
 // A small reorder buffer (configurable) batches arrivals and places
 // high-degree nodes in a batch first — they carry the most placement signal
@@ -40,10 +41,6 @@ struct StreamConfig {
   /// Arrivals per reorder buffer; within a buffer, nodes are placed in
   /// descending degree order. 1 = strict arrival order.
   NodeId buffer_size = 1024;
-  /// α: strength of the fractional balance penalty.
-  double balance_penalty = 1.0;
-  /// γ: penalty growth exponent in the part-fill fraction.
-  double penalty_exponent = 2.0;
   /// Breaks exact score ties deterministically.
   std::uint64_t seed = 1;
 };

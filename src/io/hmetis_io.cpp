@@ -257,7 +257,24 @@ Hypergraph read_hmetis_file(const std::string& path) {
   return parse_hmetis(text);
 }
 
+namespace {
+
+/// hMETIS has no line for a net without pins: a blank line is skipped on
+/// reading (every later net shifts up) and a lone edge weight is rejected.
+void require_no_empty_net(const Hypergraph& g) {
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (g.edge_size(e) == 0) {
+      throw std::runtime_error("write_hmetis: net " + std::to_string(e) +
+                               " has no pins; hMETIS cannot represent an "
+                               "empty net");
+    }
+  }
+}
+
+}  // namespace
+
 void write_hmetis(std::ostream& out, const Hypergraph& g) {
+  require_no_empty_net(g);
   int fmt = 0;
   if (g.has_edge_weights()) fmt += 1;
   if (g.has_node_weights()) fmt += 10;
@@ -285,6 +302,7 @@ void write_hmetis(std::ostream& out, const Hypergraph& g) {
 }
 
 void write_hmetis_file(const std::string& path, const Hypergraph& g) {
+  require_no_empty_net(g);  // before the file exists, so none is left behind
   std::ofstream out(path);
   if (!out) throw std::runtime_error("write_hmetis_file: cannot open " + path);
   write_hmetis(out, g);

@@ -211,16 +211,30 @@ void Server::accept_loop(int listen_fd) {
       ::close(fd);
       return;
     }
-    std::lock_guard lock(threads_mu_);
-    open_conns_.insert(fd);
-    conn_threads_.emplace_back([this, fd] { handle_connection(fd); });
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard lock(threads_mu_);
+      for (const std::thread::id id : finished_conns_) {
+        const auto it = conn_threads_.find(id);
+        if (it == conn_threads_.end()) continue;  // wait() took it already
+        finished.push_back(std::move(it->second));
+        conn_threads_.erase(it);
+      }
+      finished_conns_.clear();
+      open_conns_.insert(fd);
+      // Registered under the lock, so the thread cannot post its id to
+      // finished_conns_ before it is in conn_threads_.
+      std::thread t([this, fd] { handle_connection(fd); });
+      conn_threads_.emplace(t.get_id(), std::move(t));
+    }
+    for (auto& t : finished) t.join();  // each has posted and is returning
   }
 }
 
 void Server::handle_connection(int fd) {
   std::string payload;
   for (;;) {
-    const FrameError err = read_frame(fd, payload, cfg_.max_frame);
+    const FrameError err = read_frame(fd, payload, kDefaultMaxFrame);
     if (err == FrameError::kClosed || err == FrameError::kIo) break;
     if (err != FrameError::kNone) {
       // Malformed stream: answer once with a diagnostic, then hang up —
@@ -244,6 +258,7 @@ void Server::handle_connection(int fd) {
   {
     std::lock_guard lock(threads_mu_);
     open_conns_.erase(fd);
+    finished_conns_.push_back(std::this_thread::get_id());
   }
   ::close(fd);
 }
@@ -433,8 +448,9 @@ void Server::wait() {
     {
       std::lock_guard lock(threads_mu_);
       grab.swap(accept_threads_);
-      for (auto& t : conn_threads_) grab.push_back(std::move(t));
+      for (auto& [id, t] : conn_threads_) grab.push_back(std::move(t));
       conn_threads_.clear();
+      finished_conns_.clear();
     }
     if (grab.empty()) break;
     for (auto& t : grab) {

@@ -22,6 +22,9 @@ struct Proposal {
 /// thread count; run_parallel caps actual concurrency at cfg.threads.
 constexpr unsigned kWaveChunks = 8;
 
+/// Greedy sweeps over a chunk's window before its proposals are emitted.
+constexpr int kMaxChunkSweeps = 3;
+
 /// Exact decrease in cost if v moved to `to`, evaluated against the live
 /// global assignment by scanning v's incident pins through the mapping.
 /// Mirrors the ConnectivityTracker gain rules: both metrics only need the
@@ -128,7 +131,7 @@ constexpr unsigned kWaveChunks = 8;
   // assignment.
   ConnectivityTracker tracker(local_g, local_p);
   std::vector<Weight> pw = part_weights;  // chunk-local running weights
-  for (int sweep = 0; sweep < cfg.max_chunk_sweeps; ++sweep) {
+  for (int sweep = 0; sweep < kMaxChunkSweeps; ++sweep) {
     bool improved = false;
     for (NodeId v = 0; v < window; ++v) {
       const PartId from = tracker.part_of(v);

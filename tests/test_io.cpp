@@ -2,6 +2,8 @@
 
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "hyperpart/fuzz/instance_gen.hpp"
 #include "hyperpart/io/dag_io.hpp"
@@ -278,6 +280,35 @@ TEST(HmetisIo, FileRoundTrip) {
   write_hmetis_file(path, g);
   const Hypergraph back = read_hmetis_file(path);
   EXPECT_EQ(back.num_pins(), g.num_pins());
+}
+
+TEST(HmetisIo, WritingAnEmptyNetThrowsAndWritesNothing) {
+  // hMETIS has no line for a net without pins: a blank line would be
+  // skipped on reading and shift every later net, a lone weight is
+  // rejected. Both writers refuse before writing a byte.
+  Hypergraph g = Hypergraph::from_edges(3, {{0, 1}, {}, {1, 2}});
+  for (const bool weighted : {false, true}) {
+    SCOPED_TRACE(weighted ? "fmt 11" : "fmt 0");
+    if (weighted) {
+      g.set_node_weights({1, 2, 3});
+      g.set_edge_weights({4, 5, 6});
+    }
+    std::stringstream ss;
+    try {
+      write_hmetis(ss, g);
+      ADD_FAILURE() << "write_hmetis accepted an empty net";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("net 1 has no pins"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(ss.str().empty());
+
+    const std::string path = ::testing::TempDir() + "/hyperpart_empty.hgr";
+    std::filesystem::remove(path);
+    EXPECT_THROW(write_hmetis_file(path, g), std::runtime_error);
+    EXPECT_FALSE(std::filesystem::exists(path));
+  }
 }
 
 }  // namespace

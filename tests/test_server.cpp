@@ -1495,6 +1495,50 @@ TEST(ServerTest, UnknownGraphAndUnknownOpAreCleanErrors) {
   ::close(fd);
 }
 
+namespace {
+
+/// VmSize of this process in kB from /proc/self/status; 0 if absent.
+std::int64_t vm_size_kb() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoll(line.substr(7));
+  }
+  return 0;
+}
+
+}  // namespace
+
+TEST(ServerTest, ClosedConnectionThreadsAreReapedWhileRunning) {
+  // Each connection runs on its own thread. Unless the server joins a
+  // closed connection's thread while it runs, every connection it ever
+  // served keeps a thread stack (8 MiB of address space by default) mapped
+  // until wait(): 200 connections would add over 1.5 GB.
+  RunningServer rs;
+  const auto cycle = [&] {
+    const int fd = connect_unix(rs.sock);
+    ASSERT_GE(fd, 0);
+    EXPECT_TRUE(ok_of(rpc(fd, req("stats"))));
+    // Half-close and wait for the server's close, so its connection thread
+    // has finished before the next connect: at most two are ever alive.
+    ::shutdown(fd, SHUT_WR);
+    char byte = 0;
+    while (::read(fd, &byte, 1) > 0) {
+    }
+    ::close(fd);
+  };
+  // Warm-up: the first connections create the allocator arenas and fill
+  // the thread-stack cache that later connections reuse.
+  for (int i = 0; i < 10; ++i) cycle();
+  const std::int64_t before = vm_size_kb();
+  ASSERT_GT(before, 0) << "no VmSize in /proc/self/status";
+  for (int i = 0; i < 200; ++i) cycle();
+  // Room for a few more 64 MiB malloc arenas and glibc's stack cache.
+  const std::int64_t grown = vm_size_kb() - before;
+  EXPECT_LT(grown, 256 * 1024) << "VmSize grew by " << grown
+                               << " kB over 200 closed connections";
+}
+
 TEST(ServerTest, ConnectUnixRefusesAPathLongerThanSunPath) {
   // A path one byte too long for sockaddr_un whose truncation names a live
   // socket: copying it with strncpy would connect to that other socket.
@@ -1859,6 +1903,31 @@ TEST(CliStreamTest, CorruptHpbhExitsOne) {
       EXPECT_EQ(status.exit_code, 1) << algo;
     }
   }
+}
+
+TEST(CliStreamTest, WriteHgrOfAGraphWithAnEmptyNetExitsOne) {
+  // HPBH stores empty nets; hMETIS text cannot. The conversion must fail
+  // with the writer's error and leave no .hgr behind.
+  TempDir dir;
+  const std::string hpb = (dir.path / "empty_net.hpb").string();
+  const std::string hgr = (dir.path / "empty_net.hgr").string();
+  const std::string log = (dir.path / "cli.log").string();
+  stream::write_binary_file(hpb,
+                            Hypergraph::from_edges(3, {{0, 1}, {}, {1, 2}}));
+  subprocess::SpawnOptions opts;
+  opts.stdout_to_file = log;
+  const auto status = hp::subprocess::run(
+      HYPERPART_CLI_BIN, {hpb, "--write-hgr", hgr}, opts, 30.0);
+  EXPECT_FALSE(status.timed_out);
+  EXPECT_EQ(status.term_signal, 0);
+  EXPECT_EQ(status.exit_code, 1);
+  EXPECT_FALSE(fs::exists(hgr));
+  std::ifstream in(log);
+  const std::string output((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  EXPECT_NE(output.find("error: write_hmetis: net 1 has no pins"),
+            std::string::npos)
+      << output;
 }
 
 TEST(CliStreamTest, StreamAlgoOnTextInputFailsAsUsageError) {
