@@ -8,6 +8,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "hyperpart/core/metrics.hpp"
 #include "hyperpart/io/generators.hpp"
@@ -16,6 +17,7 @@
 #include "hyperpart/stream/restream_refiner.hpp"
 #include "hyperpart/stream/stream_partitioner.hpp"
 #include "hyperpart/util/rng.hpp"
+#include "hyperpart/workload/workload.hpp"
 
 namespace hp {
 namespace {
@@ -291,6 +293,134 @@ TEST_F(StreamPartitionTest, RestreamImprovesWithoutBreakingInvariants) {
   }
 }
 
+/// Balanced start for the golden runs: nodes in a seeded random order, each
+/// to the currently lightest part (lowest id on ties). Independent of the
+/// streaming pass, so the golden values pin restream alone.
+Partition lightest_part_start(const Hypergraph& g, PartId k,
+                              std::uint64_t seed) {
+  std::vector<NodeId> order(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) order[v] = v;
+  Rng rng{seed};
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.next_below(i)]);
+  }
+  std::vector<Weight> pw(k, 0);
+  Partition p(g.num_nodes(), k);
+  for (const NodeId v : order) {
+    const auto q = static_cast<PartId>(
+        std::min_element(pw.begin(), pw.end()) - pw.begin());
+    p.assign(v, q);
+    pw[q] += g.node_weight(v);
+  }
+  return p;
+}
+
+std::uint64_t assignment_hash(const Partition& p) {
+  const auto raw = p.raw();
+  return std::hash<std::string_view>{}(
+      std::string_view(reinterpret_cast<const char*>(raw.data()),
+                       raw.size() * sizeof(PartId)));
+}
+
+TEST_F(StreamPartitionTest, RestreamGoldenCostsAndAssignments) {
+  // Final cost and assignment hash of restream on two seeded graphs: an
+  // unweighted random hypergraph and a hubs-last power-law graph with node
+  // and edge weights, for both metrics, k in {2, 8, 64} and three chunk
+  // sizes. Any change to restream's proposals or commits moves a row.
+  Hypergraph random = random_hypergraph(1500, 1800, 2, 8, 2024);
+  workload::WorkloadSpec spec;
+  spec.family = workload::Family::kPowerLaw;
+  spec.preset = "hubs_last";
+  spec.target_nodes = 3000;
+  spec.seed = 7;
+  Hypergraph powerlaw = workload::generate(spec).graph;
+  {
+    std::vector<Weight> nw(powerlaw.num_nodes());
+    for (NodeId v = 0; v < powerlaw.num_nodes(); ++v) nw[v] = 1 + (v * 7) % 9;
+    powerlaw.set_node_weights(std::move(nw));
+    std::vector<Weight> ew(powerlaw.num_edges());
+    for (EdgeId e = 0; e < powerlaw.num_edges(); ++e) {
+      ew[e] = 1 + (e * 13) % 5;
+    }
+    powerlaw.set_edge_weights(std::move(ew));
+  }
+  const Hypergraph* graphs[] = {&random, &powerlaw};
+  const stream::MappedHypergraph mapped[] = {
+      map_graph(random, "restream_golden_random.hpb"),
+      map_graph(powerlaw, "restream_golden_powerlaw.hpb")};
+
+  struct Golden {
+    int graph;
+    CostMetric metric;
+    PartId k;
+    NodeId chunk;
+    Weight cost;
+    std::uint64_t hash;
+  };
+  constexpr auto kCut = CostMetric::kCutNet;
+  constexpr auto kKm1 = CostMetric::kConnectivity;
+  const Golden rows[] = {
+      {0, kCut, 2, 16, 1171, 12334475446402629353u},
+      {0, kCut, 2, 64, 1153, 4712047061773849979u},
+      {0, kCut, 2, 1u << 16, 1165, 5836283850167343135u},
+      {0, kCut, 8, 16, 1490, 8752823171697519364u},
+      {0, kCut, 8, 64, 1492, 52147957254397780u},
+      {0, kCut, 8, 1u << 16, 1490, 8752823171697519364u},
+      {0, kCut, 64, 16, 1569, 18430444773163466476u},
+      {0, kCut, 64, 64, 1575, 4340252608243892313u},
+      {0, kCut, 64, 1u << 16, 1569, 601359099354379754u},
+      {0, kKm1, 2, 16, 1171, 12334475446402629353u},
+      {0, kKm1, 2, 64, 1153, 4712047061773849979u},
+      {0, kKm1, 2, 1u << 16, 1165, 5836283850167343135u},
+      {0, kKm1, 8, 16, 3418, 15189805173673902377u},
+      {0, kKm1, 8, 64, 3529, 1153108863942007196u},
+      {0, kKm1, 8, 1u << 16, 3384, 16950946273150999693u},
+      {0, kKm1, 64, 16, 5259, 5978726691620254146u},
+      {0, kKm1, 64, 64, 5264, 13293064989359902338u},
+      {0, kKm1, 64, 1u << 16, 5092, 1269958827678298032u},
+      {1, kCut, 2, 16, 6097, 8011340235843324331u},
+      {1, kCut, 2, 64, 6247, 10826002603361879535u},
+      {1, kCut, 2, 1u << 16, 6094, 2419907979484139010u},
+      {1, kCut, 8, 16, 10576, 7985702136097164049u},
+      {1, kCut, 8, 64, 10520, 4254755155770756097u},
+      {1, kCut, 8, 1u << 16, 10506, 11958947581916811817u},
+      {1, kCut, 64, 16, 12282, 17653022739204561405u},
+      {1, kCut, 64, 64, 12423, 3803330913210229344u},
+      {1, kCut, 64, 1u << 16, 12261, 7902690338499658082u},
+      {1, kKm1, 2, 16, 6097, 8011340235843324331u},
+      {1, kKm1, 2, 64, 6247, 10826002603361879535u},
+      {1, kKm1, 2, 1u << 16, 6094, 2419907979484139010u},
+      {1, kKm1, 8, 16, 13480, 1516552580913229175u},
+      {1, kKm1, 8, 64, 13453, 14869230710304187953u},
+      {1, kKm1, 8, 1u << 16, 13275, 4197395944661583736u},
+      {1, kKm1, 64, 16, 17426, 11985268588853715619u},
+      {1, kKm1, 64, 64, 17447, 13686233432339413727u},
+      {1, kKm1, 64, 1u << 16, 17310, 363648798223583018u},
+  };
+  for (const Golden& row : rows) {
+    const Hypergraph& g = *graphs[row.graph];
+    const auto balance = BalanceConstraint::for_total_weight(
+        g.total_node_weight(), row.k, 0.1, true);
+    Partition p = lightest_part_start(g, row.k, 11);
+    ASSERT_TRUE(balance.satisfied(g, p));
+    stream::RestreamConfig rcfg;
+    rcfg.metric = row.metric;
+    rcfg.max_passes = 3;
+    rcfg.chunk_size = row.chunk;
+    rcfg.threads = 4;
+    const auto res =
+        stream::restream_refine(mapped[row.graph], p, balance, rcfg);
+    const std::string label = "graph " + std::to_string(row.graph) + " " +
+                              to_string(row.metric) + " k " +
+                              std::to_string(row.k) + " chunk " +
+                              std::to_string(row.chunk);
+    EXPECT_EQ(res.cost, cost(g, p, row.metric)) << label;
+    EXPECT_TRUE(balance.satisfied(g, p)) << label;
+    EXPECT_EQ(res.cost, row.cost) << label;
+    EXPECT_EQ(assignment_hash(p), row.hash) << label;
+  }
+}
+
 TEST_F(StreamPartitionTest, RestreamDeterministicAcrossThreadCounts) {
   const Hypergraph g = random_hypergraph(600, 700, 2, 6, 99);
   const auto mapped = map_graph(g, "restream_det.hpb");
@@ -304,7 +434,7 @@ TEST_F(StreamPartitionTest, RestreamDeterministicAcrossThreadCounts) {
   rcfg.threads = 1;
   Partition serial = start->partition;
   const auto serial_res = stream::restream_refine(mapped, serial, balance, rcfg);
-  for (const unsigned threads : {2u, 4u}) {
+  for (const unsigned threads : {2u, 4u, 8u}) {
     rcfg.threads = threads;
     Partition threaded = start->partition;
     const auto res = stream::restream_refine(mapped, threaded, balance, rcfg);
