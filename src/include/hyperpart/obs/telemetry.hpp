@@ -8,7 +8,7 @@
 //   multilevel > initial
 //   multilevel > uncoarsen[level=i] > fm > pass[i]
 //   stream > window[i]
-//   restream > pass[i]
+//   restream > pass[i] > {propose, commit}
 //   rb > split[part=p] > multilevel > ...
 //
 // Spans merge by (parent, name): opening "fm" twice under the same parent

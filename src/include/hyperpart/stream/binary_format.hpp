@@ -98,6 +98,12 @@ class MappedHypergraph {
   [[nodiscard]] std::span<const EdgeId> incident_edges(NodeId v) const noexcept {
     return {incident_ + node_offsets_[v], incident_ + node_offsets_[v + 1]};
   }
+  /// Incidences of the nodes [begin, end) (begin <= end <= n), which lie
+  /// back to back in the mapping: incident_edges(begin) first.
+  [[nodiscard]] std::span<const EdgeId> incident_edges(
+      NodeId begin, NodeId end) const noexcept {
+    return {incident_ + node_offsets_[begin], incident_ + node_offsets_[end]};
+  }
   [[nodiscard]] std::uint32_t edge_size(EdgeId e) const noexcept {
     return static_cast<std::uint32_t>(edge_offsets_[e + 1] -
                                       edge_offsets_[e]);
@@ -129,9 +135,11 @@ class MappedHypergraph {
 
   /// Structural sanity check mirroring Hypergraph::validate(): offsets
   /// start at 0, are monotone and end at ρ; ids are in range; pins are
-  /// sorted and distinct per edge; weights are non-negative and within the
-  /// weight budget (util/weight_budget.hpp). Faults in every section, so it
-  /// runs once per load (require_valid), not per open.
+  /// sorted and distinct per edge; every node's incidence list is strictly
+  /// ascending and each entry (v, e) has v ∈ pins(e), so the incidence
+  /// section is exactly the mirror of the pins; weights are non-negative
+  /// and within the weight budget (util/weight_budget.hpp). Faults in
+  /// every section, so it runs once per load (require_valid), not per open.
   [[nodiscard]] bool validate() const noexcept;
 
   /// Advise the kernel to drop this mapping's resident pages

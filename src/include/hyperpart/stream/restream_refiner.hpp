@@ -3,26 +3,38 @@
 //
 // Revisits the node stream in fixed-size chunks (the "resident window") and
 // improves the partition with exact-gain local moves, without ever holding
-// the full graph — or a full m×k pin-count table — in memory. Each chunk is
-// lifted into a small in-memory sub-hypergraph on which PR 1's
-// ConnectivityTracker supplies the gain rules:
+// the full graph — or a full m×k pin-count table — in memory. A chunk keeps
+// plain arrays only:
 //
-//   * window nodes keep their pins among each other;
-//   * pins outside the window are collapsed, per (edge, part), into at most
-//     two zero-weight ghost pins. The gain formulas only ever distinguish
-//     pin counts 0 / 1 / ≥2 per part (see connectivity_tracker.hpp), so the
-//     min(count, 2) collapse leaves every window-node gain — and every gain
-//     after any sequence of window-node moves — exactly equal to its value
-//     on the full hypergraph.
+//   * its nets, numbered locally in ascending global order. A bitmap over
+//     the chunk's net-id range marks the window incidences, each word's
+//     rank counts the marked bits before it, and an incidence's local id is
+//     its word's rank plus a popcount, so the window's incidence list maps
+//     to local ids in O(1) each;
+//   * one uint32 row per local net: the net's weight, its size and its pin
+//     count in each part under the frozen assignment. Outside pins never
+//     move during the chunk, so these counts give every window-node gain —
+//     and every gain after any sequence of window-node moves — exactly as
+//     on the full hypergraph. The gain rules read only whether a count is
+//     0, 1 or the whole net (see connectivity_tracker.hpp).
+//
+// The sweeps compute all k gains of a node in one pass over its nets, pick
+// the best target (parts ascending, strictly improving, within capacity)
+// and apply it to the node's rows. A node whose nets never hold it as the
+// last pin of its part can only lose, so it is skipped after one cheap scan.
 //
 // Chunks are proposed in parallel waves on the persistent thread pool
-// against the frozen global assignment, then committed sequentially: each
-// proposed move's gain is recomputed against the live global state (a scan
-// of the mover's incident pins through the mapping) and applied only if
-// still strictly improving and balance-feasible. Every applied move
-// therefore strictly decreases the true cost, stale proposals are dropped,
-// and the result is deterministic for every thread count (waves have a
-// fixed width independent of the worker count).
+// against the frozen global assignment, heaviest chunk first, then committed
+// sequentially in chunk order: each proposed move's gain is recomputed
+// against the live global state (a scan of the mover's incident pins
+// through the mapping) and applied only if still strictly improving and
+// balance-feasible. Every applied move therefore strictly decreases the true
+// cost, stale proposals are dropped, and the result is deterministic for
+// every thread count (waves have a fixed width independent of the worker
+// count, and each chunk writes its own proposal slot).
+//
+// The local tables rely on the incidence section mirroring the pins, which
+// MappedHypergraph::validate() (require_valid) checks.
 
 #include <cstdint>
 
@@ -38,7 +50,8 @@ struct RestreamConfig {
   /// Full re-streaming passes over the node sequence.
   int max_passes = 1;
   /// Nodes resident per chunk; memory per in-flight chunk is
-  /// O(chunk_size · avg_degree · avg_edge_size).
+  /// O(window incidences + local nets · k + m/8): the local incidence list,
+  /// the count table and the net-id bitmap with its word ranks.
   NodeId chunk_size = 1u << 16;
   /// Thread cap for the proposal waves (0 = default_threads()).
   unsigned threads = 0;

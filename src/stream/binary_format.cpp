@@ -289,6 +289,17 @@ bool MappedHypergraph::validate() const noexcept {
       if (p[i - 1] >= p[i]) return false;
     }
   }
+  // The incidence section must mirror the pins. Strictly ascending lists
+  // make every (v, e) entry distinct, and v ∈ pins(e) maps it to a distinct
+  // pin slot; with ρ entries on both sides that is a bijection.
+  for (NodeId v = 0; v < num_nodes_; ++v) {
+    const auto inc = incident_edges(v);
+    for (std::size_t i = 0; i < inc.size(); ++i) {
+      if (i > 0 && inc[i - 1] >= inc[i]) return false;
+      const auto p = pins(inc[i]);
+      if (!std::binary_search(p.begin(), p.end(), v)) return false;
+    }
+  }
   // Weights must be non-negative and within the weight budget; BudgetSum
   // rejects both at once.
   if (node_weights_ != nullptr) {

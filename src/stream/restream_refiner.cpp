@@ -1,11 +1,14 @@
 #include "hyperpart/stream/restream_refiner.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <functional>
+#include <span>
 #include <vector>
 
-#include "hyperpart/core/connectivity_tracker.hpp"
 #include "hyperpart/obs/telemetry.hpp"
+#include "hyperpart/util/prefetch.hpp"
 #include "hyperpart/util/thread_pool.hpp"
 
 namespace hp::stream {
@@ -25,9 +28,15 @@ constexpr unsigned kWaveChunks = 8;
 /// Greedy sweeps over a chunk's window before its proposals are emitted.
 constexpr int kMaxChunkSweeps = 3;
 
+/// Words before the k pin counts in a chunk table row: weight, weight, size.
+constexpr std::size_t kRowHeader = 3;
+
+/// Window incidences the sweeps fetch table rows ahead.
+constexpr std::size_t kPrefetchAhead = 8;
+
 /// Exact decrease in cost if v moved to `to`, evaluated against the live
 /// global assignment by scanning v's incident pins through the mapping.
-/// Mirrors the ConnectivityTracker gain rules: both metrics only need the
+/// Same gain rules as propose_chunk's sweeps: both metrics only need the
 /// per-edge pin counts of the source and destination parts.
 [[nodiscard]] Weight exact_gain(const MappedHypergraph& g, const Partition& p,
                                 NodeId v, PartId to, CostMetric metric) {
@@ -56,98 +65,145 @@ constexpr int kMaxChunkSweeps = 3;
   return gain;
 }
 
-/// Build the ghost-collapsed sub-hypergraph of window [begin, end), run the
-/// tracker-driven greedy sweeps, and return the net moves as proposals.
-/// Reads p and part_weights only (both frozen during a wave).
+/// Run the greedy sweeps over window [begin, end) and return the net moves
+/// as proposals. Reads p and part_weights only (both frozen during a wave).
+///
+/// The window's nets are numbered locally in ascending global order: a bit
+/// per net id in [lo, hi] marks the window incidences, each word's rank is
+/// the number of marked bits before it, and a window incidence's local id
+/// is its word's rank plus the popcount of the bits below it. One uint32
+/// table row per local net, filled in a scan of the words, then holds
+/// exactly what the gain rules read.
 [[nodiscard]] std::vector<Proposal> propose_chunk(
     const MappedHypergraph& g, const Partition& p,
     const std::vector<Weight>& part_weights, const BalanceConstraint& balance,
     const RestreamConfig& cfg, NodeId begin, NodeId end) {
   const PartId k = balance.k();
   const NodeId window = end - begin;
+  const std::span<const EdgeId> incidences = g.incident_edges(begin, end);
+  if (incidences.empty()) return {};
 
-  // Window-incident edges, deduplicated.
-  std::vector<EdgeId> edges;
-  for (NodeId v = begin; v < end; ++v) {
-    const auto inc = g.incident_edges(v);
-    edges.insert(edges.end(), inc.begin(), inc.end());
+  const auto [lo_it, hi_it] =
+      std::minmax_element(incidences.begin(), incidences.end());
+  const std::uint64_t lo_word = *lo_it >> 6;
+  const std::size_t words = (*hi_it >> 6) - lo_word + 1;
+  std::vector<std::uint64_t> bits(words, 0);
+  for (const EdgeId e : incidences) {
+    bits[(e >> 6) - lo_word] |= std::uint64_t{1} << (e & 63);
   }
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  if (edges.empty()) return {};
+  std::vector<std::uint32_t> rank(words);
+  std::uint32_t num_nets = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    rank[w] = num_nets;
+    num_nets += static_cast<std::uint32_t>(std::popcount(bits[w]));
+  }
+  std::vector<std::uint32_t> local(incidences.size());
+  for (std::size_t i = 0; i < incidences.size(); ++i) {
+    const EdgeId e = incidences[i];
+    const std::size_t w = (e >> 6) - lo_word;
+    const std::uint64_t below = (std::uint64_t{1} << (e & 63)) - 1;
+    local[i] = rank[w] + static_cast<std::uint32_t>(
+                             std::popcount(bits[w] & below));
+  }
 
-  // Local ids: window node v ↦ v − begin; ghosts (q, j) ↦ window + 2q + j.
-  // Outside pins collapse per (edge, part) to min(count, 2) ghost pins —
-  // exactly enough to preserve the 0 / 1 / ≥2 pin-count classification the
-  // gain rules read.
-  const auto ghost = [window](PartId q, std::uint32_t j) -> NodeId {
-    return window + 2 * q + j;
+  // One row per local net: its weight (two words), its size (the cut-net
+  // rule compares counts to it), then its pin counts per part under the
+  // frozen assignment. Keeping all three in one row makes a gain term one
+  // scattered read.
+  const std::size_t stride = kRowHeader + k;
+  std::vector<std::uint32_t> table(std::size_t{num_nets} * stride, 0);
+  std::uint32_t* fill = table.data();
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t b = bits[w]; b != 0; b &= b - 1, fill += stride) {
+      const auto e =
+          static_cast<EdgeId>(((lo_word + w) << 6) + std::countr_zero(b));
+      const Weight weight = g.edge_weight(e);
+      std::memcpy(fill, &weight, sizeof weight);  // read back by weight_of
+      const auto pins = g.pins(e);
+      fill[2] = static_cast<std::uint32_t>(pins.size());
+      for (const NodeId u : pins) ++fill[kRowHeader + p[u]];
+    }
+  }
+  const auto row_of = [&](std::uint32_t i) {
+    return table.data() + std::size_t{i} * stride;
   };
-  std::vector<std::uint64_t> local_offsets{0};
-  local_offsets.reserve(edges.size() + 1);
-  std::vector<NodeId> local_pins;
-  std::vector<Weight> local_edge_weights;
-  local_edge_weights.reserve(edges.size());
-  std::vector<std::uint32_t> out_count(k, 0);
-  std::vector<PartId> out_touched;
-  for (const EdgeId e : edges) {
-    for (const NodeId u : g.pins(e)) {
-      if (u >= begin && u < end) {
-        local_pins.push_back(u - begin);
-      } else {
-        const PartId q = p[u];
-        if (out_count[q]++ == 0) out_touched.push_back(q);
-      }
-    }
-    for (const PartId q : out_touched) {
-      local_pins.push_back(ghost(q, 0));
-      if (out_count[q] >= 2) local_pins.push_back(ghost(q, 1));
-      out_count[q] = 0;
-    }
-    out_touched.clear();
-    local_offsets.push_back(local_pins.size());
-    local_edge_weights.push_back(g.edge_weight(e));
-  }
+  const auto weight_of = [](const std::uint32_t* row) {
+    Weight w;
+    std::memcpy(&w, row, sizeof w);
+    return w;
+  };
 
-  Hypergraph local_g = Hypergraph::from_csr(
-      window + 2 * k, std::move(local_offsets), std::move(local_pins));
-  local_g.set_edge_weights(std::move(local_edge_weights));
-  {
-    // Ghosts carry weight 0 so they never perturb weight bookkeeping.
-    std::vector<Weight> nw(static_cast<std::size_t>(window) + 2 * k, 0);
-    for (NodeId v = 0; v < window; ++v) nw[v] = g.node_weight(begin + v);
-    local_g.set_node_weights(std::move(nw));
-  }
-
-  Partition local_p(window + 2 * k, k);
-  for (NodeId v = 0; v < window; ++v) local_p.assign(v, p[begin + v]);
-  for (PartId q = 0; q < k; ++q) {
-    local_p.assign(ghost(q, 0), q);
-    local_p.assign(ghost(q, 1), q);
-  }
-
-  // PR 1's gain rules on the resident window. Ghosts are never moved, so
-  // every tracker gain equals the true global gain under the frozen
-  // assignment.
-  ConnectivityTracker tracker(local_g, local_p);
+  std::vector<PartId> part(p.raw().begin() + begin, p.raw().begin() + end);
   std::vector<Weight> pw = part_weights;  // chunk-local running weights
+  std::vector<Weight> gain(k);
+  const bool km1 = cfg.metric == CostMetric::kConnectivity;
   for (int sweep = 0; sweep < kMaxChunkSweeps; ++sweep) {
     bool improved = false;
+    std::size_t next = 0;  // start of the next node's nets in `local`
     for (NodeId v = 0; v < window; ++v) {
-      const PartId from = tracker.part_of(v);
-      const Weight wv = g.node_weight(begin + v);
+      const std::size_t first = next;  // v's nets are local[first, last)
+      const std::size_t last = first + g.degree(begin + v);
+      next = last;
+      const PartId from = part[v];
+
+      // Only a net with another pin whose last pin in `from` is v can make
+      // a gain positive (for either metric), so the sum of their weights
+      // bounds every gain. Most nodes have none and skip the k-wide pass.
+      Weight bound = 0;
+      for (std::size_t j = first; j < last; ++j) {
+        // The rows are scattered: fetch ahead, across node boundaries.
+        if (j + kPrefetchAhead < local.size()) {
+          const std::uint32_t* ahead = row_of(local[j + kPrefetchAhead]);
+          prefetch(ahead);
+          prefetch(ahead + stride - 1);
+        }
+        const std::uint32_t* row = row_of(local[j]);
+        const bool sole = row[kRowHeader + from] == 1 && row[2] > 1;
+        bound += weight_of(row) * static_cast<Weight>(sole);
+      }
+      if (bound <= 0) continue;
+
+      // All k gains in one pass over v's nets. Connectivity: +w when v is
+      // the last pin of `from`, −w when q has no pin yet. Cut-net: +w when
+      // the net is cut now, −w unless every other pin is already in q.
+      // Branchless: whether a part holds a pin is data, not a pattern.
+      std::fill(gain.begin(), gain.end(), Weight{0});
+      Weight base = 0;
+      for (std::size_t j = first; j < last; ++j) {
+        const std::uint32_t* row = row_of(local[j]);
+        const std::uint32_t* count = row + kRowHeader;
+        const Weight w = weight_of(row);
+        if (km1) {
+          base += w * static_cast<Weight>(count[from] == 1);
+          for (PartId q = 0; q < k; ++q) {
+            gain[q] -= w * static_cast<Weight>(count[q] == 0);
+          }
+        } else {
+          const std::uint32_t size = row[2];
+          base += w * (static_cast<Weight>(count[from] != size) - 1);
+          for (PartId q = 0; q < k; ++q) {
+            gain[q] += w * static_cast<Weight>(count[q] + 1 == size);
+          }
+        }
+      }
+
       PartId best = kInvalidPart;
       Weight best_gain = 0;
+      const Weight wv = g.node_weight(begin + v);
       for (PartId q = 0; q < k; ++q) {
         if (q == from || pw[q] + wv > balance.capacity()) continue;
-        const Weight gain = tracker.gain(v, q, cfg.metric);
-        if (gain > best_gain) {
+        if (base + gain[q] > best_gain) {
           best = q;
-          best_gain = gain;
+          best_gain = base + gain[q];
         }
       }
       if (best == kInvalidPart) continue;
-      tracker.move(v, best);
+      for (std::size_t j = first; j < last; ++j) {
+        std::uint32_t* count = row_of(local[j]) + kRowHeader;
+        --count[from];
+        ++count[best];
+      }
+      part[v] = best;
       pw[from] -= wv;
       pw[best] += wv;
       improved = true;
@@ -157,9 +213,7 @@ constexpr int kMaxChunkSweeps = 3;
 
   std::vector<Proposal> proposals;
   for (NodeId v = 0; v < window; ++v) {
-    if (tracker.part_of(v) != p[begin + v]) {
-      proposals.push_back({begin + v, tracker.part_of(v)});
-    }
+    if (part[v] != p[begin + v]) proposals.push_back({begin + v, part[v]});
   }
   return proposals;
 }
@@ -188,26 +242,45 @@ RestreamResult restream_refine(const MappedHypergraph& g, Partition& p,
     for (NodeId wave_begin = 0; wave_begin < n;
          wave_begin += static_cast<std::uint64_t>(chunk) * kWaveChunks) {
       // Propose phase: p and part_weights are frozen (read-only) while the
-      // wave's chunks run concurrently on the persistent pool.
+      // wave's chunks run concurrently on the persistent pool, heaviest
+      // (most incidences) first. Each chunk writes its own slot, so the
+      // dispatch order never reaches the result.
       std::vector<std::vector<Proposal>> proposals(kWaveChunks);
-      std::vector<std::function<void()>> tasks;
-      for (unsigned c = 0; c < kWaveChunks; ++c) {
-        const std::uint64_t b =
-            wave_begin + static_cast<std::uint64_t>(c) * chunk;
-        if (b >= n) break;
-        const NodeId cb = static_cast<NodeId>(b);
-        const NodeId ce = static_cast<NodeId>(
-            std::min<std::uint64_t>(n, b + chunk));
-        tasks.push_back([&, c, cb, ce]() {
-          proposals[c] =
-              propose_chunk(g, p, part_weights, balance, cfg, cb, ce);
-        });
+      {
+        HP_SPAN("propose");
+        struct Chunk {
+          unsigned slot;
+          NodeId begin, end;
+          std::size_t incidences;
+        };
+        std::vector<Chunk> chunks;
+        for (unsigned c = 0; c < kWaveChunks; ++c) {
+          const std::uint64_t b =
+              wave_begin + static_cast<std::uint64_t>(c) * chunk;
+          if (b >= n) break;
+          const auto cb = static_cast<NodeId>(b);
+          const auto ce = static_cast<NodeId>(
+              std::min<std::uint64_t>(n, b + chunk));
+          chunks.push_back({c, cb, ce, g.incident_edges(cb, ce).size()});
+        }
+        std::stable_sort(chunks.begin(), chunks.end(),
+                         [](const Chunk& a, const Chunk& b) {
+                           return a.incidences > b.incidences;
+                         });
+        std::vector<std::function<void()>> tasks;
+        for (const Chunk& c : chunks) {
+          tasks.push_back([&, c]() {
+            proposals[c.slot] = propose_chunk(g, p, part_weights, balance,
+                                              cfg, c.begin, c.end);
+          });
+        }
+        run_parallel(tasks, threads);
       }
-      run_parallel(tasks, threads);
 
       // Commit phase: sequential, with each proposal's gain re-validated
       // against the live state — chunks share edges, so gains computed
       // against the wave snapshot can be stale.
+      HP_SPAN("commit");
       for (const auto& chunk_proposals : proposals) {
         for (const Proposal& m : chunk_proposals) {
           ++result.moves_proposed;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -143,6 +144,59 @@ TEST(BinaryFormat, RejectsCorruptFiles) {
   EXPECT_TRUE(stream::is_binary_file(path));  // magic survives truncation
   EXPECT_THROW(stream::MappedHypergraph{path}, std::runtime_error);
   EXPECT_FALSE(stream::is_binary_file(temp_path("stream_missing.hpb")));
+  std::remove(path.c_str());
+}
+
+/// Writes an unweighted HPBH file from raw sections, bypassing the writer,
+/// so a test can store an incidence section the pins do not back.
+void write_raw_hpb(const std::string& path,
+                   const std::vector<std::uint64_t>& edge_offsets,
+                   const std::vector<NodeId>& pins,
+                   const std::vector<std::uint64_t>& node_offsets,
+                   const std::vector<EdgeId>& incident) {
+  stream::BinaryHeader h{};
+  std::memcpy(h.magic, "HPBH", 4);
+  h.version = stream::kBinaryVersion;
+  h.num_nodes = node_offsets.size() - 1;
+  h.num_edges = edge_offsets.size() - 1;
+  h.num_pins = pins.size();
+  h.header_bytes = sizeof(stream::BinaryHeader);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  const auto section = [&out](const void* data, std::size_t bytes) {
+    out.write(static_cast<const char*>(data),
+              static_cast<std::streamsize>(bytes));
+    const char pad[8] = {};
+    out.write(pad, static_cast<std::streamsize>((8 - bytes % 8) % 8));
+  };
+  section(&h, sizeof h);
+  section(edge_offsets.data(), edge_offsets.size() * sizeof(std::uint64_t));
+  section(pins.data(), pins.size() * sizeof(NodeId));
+  section(node_offsets.data(), node_offsets.size() * sizeof(std::uint64_t));
+  section(incident.data(), incident.size() * sizeof(EdgeId));
+}
+
+TEST(BinaryFormat, RejectsIncidenceThatDoesNotMirrorPins) {
+  // e0 = {0, 1}, e1 = {1, 2}; node 1 lists both nets.
+  const std::vector<std::uint64_t> edge_offsets = {0, 2, 4};
+  const std::vector<NodeId> pins = {0, 1, 1, 2};
+  const std::vector<std::uint64_t> node_offsets = {0, 1, 3, 4};
+  const std::string path = temp_path("stream_mirror.hpb");
+  const auto valid = [&](const std::vector<EdgeId>& incident) {
+    write_raw_hpb(path, edge_offsets, pins, node_offsets, incident);
+    const stream::MappedHypergraph mapped(path);
+    const bool ok = mapped.validate();
+    if (!ok) {
+      EXPECT_THROW(stream::require_valid(mapped, path), std::runtime_error);
+      EXPECT_THROW((void)stream::read_hypergraph_file(path),
+                   std::runtime_error);
+    }
+    return ok;
+  };
+  EXPECT_TRUE(valid({0, 0, 1, 1}));
+  EXPECT_FALSE(valid({0, 1, 0, 1})) << "node 1's list is descending";
+  EXPECT_FALSE(valid({0, 0, 0, 1})) << "node 1 lists e0 twice";
+  EXPECT_FALSE(valid({1, 0, 1, 0})) << "nodes 0 and 2 list foreign nets";
+  EXPECT_FALSE(valid({0, 0, 1, 0})) << "node 2 lists e0, e1 lacks a mirror";
   std::remove(path.c_str());
 }
 

@@ -122,6 +122,14 @@ TEST(Telemetry, StreamCountersMatchObservableFacts) {
               static_cast<std::int64_t>(r.moves_proposed));
     EXPECT_EQ(obs::counter("restream.moves_applied"),
               static_cast<std::int64_t>(r.moves_applied));
+    // One propose and one commit phase per wave: 10 chunks of 32 nodes
+    // make two waves of up to 8 chunks.
+    ASSERT_EQ(r.passes_run, 1);
+    const std::string paths = obs::span_paths();
+    EXPECT_NE(paths.find("restream/pass[0]/propose x2\n"), std::string::npos)
+        << paths;
+    EXPECT_NE(paths.find("restream/pass[0]/commit x2\n"), std::string::npos)
+        << paths;
   }
   std::remove(path.c_str());
 }
