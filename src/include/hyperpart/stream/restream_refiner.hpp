@@ -20,8 +20,9 @@
 //
 // The sweeps compute all k gains of a node in one pass over its nets, pick
 // the best target (parts ascending, strictly improving, within capacity)
-// and apply it to the node's rows. A node whose nets never hold it as the
-// last pin of its part can only lose, so it is skipped after one cheap scan.
+// and apply it to the node's rows. A node that is the last pin of its part
+// in no net with another pin cannot gain, so it is skipped after one cheap
+// scan.
 //
 // Chunks are proposed in parallel waves on the persistent thread pool
 // against the frozen global assignment, heaviest chunk first, then committed
