@@ -52,7 +52,10 @@ struct RestreamConfig {
   int max_passes = 1;
   /// Nodes resident per chunk; memory per in-flight chunk is
   /// O(window incidences + local nets · k + m/8): the local incidence list,
-  /// the count table and the net-id bitmap with its word ranks.
+  /// the count table and the net-id bitmap with its word ranks. Each chunk
+  /// zeroes and scans that bitmap over its net-id range, up to m/64 words,
+  /// so chunks with far fewer incidences than m/64 spend most of their
+  /// time there.
   NodeId chunk_size = 1u << 16;
   /// Thread cap for the proposal waves (0 = default_threads()).
   unsigned threads = 0;
