@@ -184,7 +184,10 @@ Weight sync_fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
 Weight fm_refine(const Hypergraph& g, Partition& p,
                  const BalanceConstraint& balance, const FmConfig& cfg) {
   const unsigned threads = cfg.threads == 0 ? default_threads() : cfg.threads;
-  ConnectivityTracker tracker(g, p, threads);
+  ConnectivityTracker tracker = [&] {
+    HP_SPAN("tracker");
+    return ConnectivityTracker(g, p, threads);
+  }();
   return fm_refine(g, tracker, p, balance, cfg);
 }
 
@@ -195,6 +198,7 @@ Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
   const unsigned threads = cfg.threads == 0 ? default_threads() : cfg.threads;
   if (!tracker.gain_cache_enabled() ||
       tracker.gain_cache_metric() != cfg.metric) {
+    HP_SPAN("cache_fill");
     tracker.enable_gain_cache(cfg.metric, threads);
   }
   if (cfg.sync_rounds && cfg.extra_constraints == nullptr) {

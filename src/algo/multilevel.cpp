@@ -1,6 +1,7 @@
 #include "hyperpart/algo/multilevel.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "hyperpart/algo/coarsening.hpp"
@@ -43,7 +44,10 @@ namespace {
                                   const MultilevelConfig& cfg) {
   for (auto it = levels.rbegin(); it != levels.rend(); ++it) {
     HP_SPAN("uncoarsen", "level", levels.rend() - it - 1);
-    p = project_partition(p, it->fine_to_coarse);
+    {
+      HP_SPAN("project");
+      p = project_partition(p, it->fine_to_coarse);
+    }
     const Hypergraph& fine =
         (it + 1 == levels.rend()) ? g : (it + 1)->graph;
     fm_refine(fine, p, balance, level_fm(cfg, fine.num_nodes()));
@@ -96,23 +100,47 @@ std::optional<Partition> multilevel_partition(const Hypergraph& g,
   HP_GAUGE_MAX("multilevel.coarsest_nodes", coarsest.num_nodes());
 
   // --- Initial partitioning on the coarsest level --------------------------
+  // The tries are independent pool tasks. Each seed is drawn here in
+  // attempt order (the one draw per attempt the serial loop made), and
+  // each try refines on one thread, so its result depends neither on the
+  // thread count nor on which executor runs it.
   std::optional<Partition> best;
-  Weight best_cost = 0;
   {
     HP_SPAN("initial");
-    for (int attempt = 0; attempt < cfg.initial_tries; ++attempt) {
-      std::optional<Partition> candidate =
-          attempt % 2 == 0
-              ? greedy_growing_partition(coarsest, balance, cfg.metric, rng())
-              : random_balanced_partition(coarsest, balance, rng());
-      if (!candidate) continue;
-      const Weight c = fm_refine(coarsest, *candidate, balance,
-                                 level_fm(cfg, coarsest.num_nodes()));
-      if (!best || c < best_cost) {
-        best = std::move(candidate);
-        best_cost = c;
+    const std::size_t tries =
+        static_cast<std::size_t>(std::max(cfg.initial_tries, 0));
+    std::vector<std::uint64_t> seeds(tries);
+    for (std::uint64_t& s : seeds) s = rng();
+    FmConfig fm = level_fm(cfg, coarsest.num_nodes());
+    fm.threads = 1;
+    std::vector<std::optional<Partition>> candidates(tries);
+    std::vector<Weight> costs(tries, 0);
+    const obs::SpanParent parent = obs::current_span();
+    parallel_for_grain(
+        tries, 1, cfg.fm.threads == 0 ? default_threads() : cfg.fm.threads,
+        [&](std::size_t attempt, std::uint64_t, std::uint64_t) {
+          const obs::InheritSpan inherit(parent);
+          std::optional<Partition>& candidate = candidates[attempt];
+          candidate =
+              attempt % 2 == 0
+                  ? greedy_growing_partition(coarsest, balance, cfg.metric,
+                                             seeds[attempt])
+                  : random_balanced_partition(coarsest, balance,
+                                              seeds[attempt]);
+          if (candidate) {
+            costs[attempt] = fm_refine(coarsest, *candidate, balance, fm);
+          }
+        });
+    // Lowest cost; on a tie the earliest attempt, as the serial loop's
+    // strict `<` kept it.
+    std::size_t best_attempt = tries;
+    for (std::size_t attempt = 0; attempt < tries; ++attempt) {
+      if (candidates[attempt] &&
+          (best_attempt == tries || costs[attempt] < costs[best_attempt])) {
+        best_attempt = attempt;
       }
     }
+    if (best_attempt != tries) best = std::move(candidates[best_attempt]);
   }
   if (!best) return std::nullopt;
 

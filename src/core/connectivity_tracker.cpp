@@ -1,7 +1,6 @@
 #include "hyperpart/core/connectivity_tracker.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cstring>
@@ -324,24 +323,17 @@ void ConnectivityTracker::enable_gain_cache(CostMetric m, unsigned threads) {
   touched_.clear();
   epoch_ = 0;
 
-  // Edge-centric fill: each edge lists its present parts once (O(k)
-  // sequential scan of its count row) and then adds w to exactly the
-  // λ benefit slots of each pin — O(pins·λ) scattered writes instead of
-  // the O(pins·k) scattered count reads a node-centric fill would do.
-  // Both paths compute the same exact integer sums, so the tables are
-  // identical for every thread count.
+  // Edge-centric fill on one thread: each edge lists its present parts
+  // once (O(k) sequential scan of its count row) and then adds w to exactly
+  // the λ benefit slots of each pin — O(pins·λ) scattered writes instead
+  // of the O(pins·k) scattered count reads a node-centric fill would do.
+  // Splitting the edges across threads makes those writes race, and the
+  // atomic adds that would fix it made a 2-thread fill slower than this
+  // plain loop on one (DESIGN.md "Gain-cache fill").
   if (narrow_) {
-    if (threads <= 1) {
-      fill_cache_tables<false, std::uint16_t>(m, 1);
-    } else {
-      fill_cache_tables<true, std::uint16_t>(m, threads);
-    }
+    fill_cache_tables<std::uint16_t>(m);
   } else {
-    if (threads <= 1) {
-      fill_cache_tables<false, std::uint32_t>(m, 1);
-    } else {
-      fill_cache_tables<true, std::uint32_t>(m, threads);
-    }
+    fill_cache_tables<std::uint32_t>(m);
   }
 
   // Best-target index over the finished benefit rows; a pure function of
@@ -405,81 +397,64 @@ void ConnectivityTracker::benefit_sub(NodeId v, PartId q, Weight w) noexcept {
   if (best_to_[v] == q) rescan_best(v);
 }
 
-template <bool Atomic, typename C>
-void ConnectivityTracker::fill_cache_tables(CostMetric m, unsigned threads) {
-  const auto add = [](auto& slot, auto w) {
-    if constexpr (Atomic) {
-      std::atomic_ref(slot).fetch_add(w, std::memory_order_relaxed);
-    } else {
-      slot += w;
-    }
-  };
+template <typename C>
+void ConnectivityTracker::fill_cache_tables(CostMetric m) {
   const C* counts = counts_data<C>();
-  parallel_for_chunks(
-      g_.num_edges(), threads, [&](std::uint64_t begin, std::uint64_t end) {
-        std::vector<PartId> present;
-        present.reserve(k_);
-        for (EdgeId e = static_cast<EdgeId>(begin);
-             e < static_cast<EdgeId>(end); ++e) {
-          const Weight w = g_.edge_weight(e);
-          const std::size_t base = static_cast<std::size_t>(e) * k_;
-          const PartId l = lambda_[e];
-          const auto pins = g_.pins(e);
-          if (m == CostMetric::kConnectivity) {
-            present.clear();
-            if (!present_.empty()) {
-              // Bit iteration over the per-net present-parts word replaces
-              // the O(k) count scan; order (ascending part id) matches.
-              for (std::uint64_t mask = present_[e]; mask != 0;
-                   mask &= mask - 1) {
-                present.push_back(
-                    static_cast<PartId>(std::countr_zero(mask)));
-              }
-            } else {
-              collect_present_parts(counts + base, k_, l, present);
-            }
-            for (std::size_t i = 0; i < pins.size(); ++i) {
-              if (i + kPrefetchAhead < pins.size()) {
-                // The benefit row and aux record of a pin a few iterations
-                // out are the scattered write targets of this loop.
-                const NodeId ahead = pins[i + kPrefetchAhead];
-                prefetch_write(benefit_.data() +
-                               static_cast<std::size_t>(ahead) * k_);
-                prefetch_write(aux_.data() + ahead);
-              }
-              const NodeId u = pins[i];
-              NodeAux& a = aux_[u];
-              add(a.degw, w);
-              if (counts[base + part_[u]] == 1) add(a.penalty, w);
-              Weight* row = benefit_.data() + static_cast<std::size_t>(u) * k_;
-              for (const PartId q : present) add(row[q], w);
-              if (l > 1) add(a.cut_incident, std::uint32_t{1});
-            }
-          } else {
-            if (l == 1) {
-              if (g_.edge_size(e) >= 2) {
-                for (const NodeId u : pins) add(aux_[u].penalty, w);
-              }
-            } else if (l == 2) {
-              // Exactly two present parts a < b: a lone pin in one side
-              // benefits toward the other.
-              const auto [a, b] = two_present_parts<C>(e);
-              for (const NodeId u : pins) {
-                const PartId pu = part_[u];
-                if (counts[base + pu] == 1) {
-                  const PartId other = pu == a ? b : a;
-                  add(benefit_[static_cast<std::size_t>(u) * k_ + other], w);
-                }
-                add(aux_[u].cut_incident, std::uint32_t{1});
-              }
-            } else {
-              for (const NodeId u : pins) {
-                add(aux_[u].cut_incident, std::uint32_t{1});
-              }
-            }
-          }
+  std::vector<PartId> present;
+  present.reserve(k_);
+  for (EdgeId e = 0; e < g_.num_edges(); ++e) {
+    const Weight w = g_.edge_weight(e);
+    const std::size_t base = static_cast<std::size_t>(e) * k_;
+    const PartId l = lambda_[e];
+    const auto pins = g_.pins(e);
+    if (m == CostMetric::kConnectivity) {
+      present.clear();
+      if (!present_.empty()) {
+        // Bit iteration over the per-net present-parts word replaces the
+        // O(k) count scan; order (ascending part id) matches.
+        for (std::uint64_t mask = present_[e]; mask != 0; mask &= mask - 1) {
+          present.push_back(static_cast<PartId>(std::countr_zero(mask)));
         }
-      });
+      } else {
+        collect_present_parts(counts + base, k_, l, present);
+      }
+      for (std::size_t i = 0; i < pins.size(); ++i) {
+        if (i + kPrefetchAhead < pins.size()) {
+          // The benefit row and aux record of a pin a few iterations out
+          // are the scattered write targets of this loop.
+          const NodeId ahead = pins[i + kPrefetchAhead];
+          prefetch_write(benefit_.data() +
+                         static_cast<std::size_t>(ahead) * k_);
+          prefetch_write(aux_.data() + ahead);
+        }
+        const NodeId u = pins[i];
+        NodeAux& a = aux_[u];
+        a.degw += w;
+        if (counts[base + part_[u]] == 1) a.penalty += w;
+        Weight* row = benefit_.data() + static_cast<std::size_t>(u) * k_;
+        for (const PartId q : present) row[q] += w;
+        if (l > 1) ++a.cut_incident;
+      }
+    } else if (l == 1) {
+      if (g_.edge_size(e) >= 2) {
+        for (const NodeId u : pins) aux_[u].penalty += w;
+      }
+    } else if (l == 2) {
+      // Exactly two present parts a < b: a lone pin in one side benefits
+      // toward the other.
+      const auto [a, b] = two_present_parts<C>(e);
+      for (const NodeId u : pins) {
+        const PartId pu = part_[u];
+        if (counts[base + pu] == 1) {
+          const PartId other = pu == a ? b : a;
+          benefit_[static_cast<std::size_t>(u) * k_ + other] += w;
+        }
+        ++aux_[u].cut_incident;
+      }
+    } else {
+      for (const NodeId u : pins) ++aux_[u].cut_incident;
+    }
+  }
 }
 
 void ConnectivityTracker::touch(NodeId v) {

@@ -1,6 +1,7 @@
 #include "hyperpart/core/hypergraph.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -23,8 +24,10 @@ Hypergraph Hypergraph::from_csr(NodeId num_nodes,
         "Hypergraph::from_csr: last offset is not the pin count");
   }
   // Sort and deduplicate each edge where it lies, shifting it left over
-  // the duplicates dropped before it. After the sort an edge's maximum is
-  // its last pin, so one comparison per edge range-checks every pin.
+  // the duplicates dropped before it. An edge that is already strictly
+  // increasing (every edge coarsening hands in) skips the sort. Either way
+  // an edge's maximum is then its last pin, so one comparison per edge
+  // range-checks every pin.
   const auto at = [&pins](std::uint64_t i) {
     return pins.begin() + static_cast<std::ptrdiff_t>(i);
   };
@@ -32,8 +35,12 @@ Hypergraph Hypergraph::from_csr(NodeId num_nodes,
   std::uint64_t write = 0;
   for (std::size_t e = 1; e < edge_offsets.size(); ++e) {
     const std::uint64_t end = edge_offsets[e];
-    std::sort(at(read), at(end));
-    const auto unique_end = std::unique(at(read), at(end));
+    auto unique_end = at(end);
+    if (std::adjacent_find(at(read), at(end), std::greater_equal<NodeId>()) !=
+        at(end)) {
+      std::sort(at(read), at(end));
+      unique_end = std::unique(at(read), at(end));
+    }
     if (unique_end != at(read) && *(unique_end - 1) >= num_nodes) {
       throw std::invalid_argument("Hypergraph::from_csr: pin out of range");
     }

@@ -19,7 +19,9 @@ struct MultilevelConfig {
   CostMetric metric = CostMetric::kConnectivity;
   /// Stop coarsening below this many nodes (scaled by k internally).
   NodeId coarsen_limit = 120;
-  /// Independent initial-partitioning attempts on the coarsest level.
+  /// Independent initial-partitioning attempts on the coarsest level. They
+  /// run as pool tasks on up to fm.threads executors, each refining on one
+  /// thread; the lowest cost wins, the earliest attempt on a tie.
   int initial_tries = 8;
   FmConfig fm{};
   std::uint64_t seed = 1;

@@ -149,9 +149,11 @@ class ConnectivityTracker {
 
   // --- Gain cache & boundary set -----------------------------------------
 
-  /// Build the n×k gain table and the boundary set for metric `m`
-  /// (parallel over node ranges with `threads` > 1). May be called again
-  /// to switch metrics; moves made afterwards keep the cache exact.
+  /// Build the n×k gain table and the boundary set for metric `m`. The
+  /// table fill runs on one thread; only the best-target rescan splits
+  /// over node ranges with `threads` > 1. The result is identical for
+  /// every thread count. May be called again to switch metrics; moves made
+  /// afterwards keep the cache exact.
   void enable_gain_cache(CostMetric m, unsigned threads = 1);
 
   [[nodiscard]] bool gain_cache_enabled() const noexcept {
@@ -250,8 +252,8 @@ class ConnectivityTracker {
   void move_with_cache(NodeId v, PartId to);
   template <typename C>
   void recount_net(EdgeId e);
-  template <bool Atomic, typename C>
-  void fill_cache_tables(CostMetric m, unsigned threads);
+  template <typename C>
+  void fill_cache_tables(CostMetric m);
   void rescan_best(NodeId v) noexcept;
   /// Patch cut_net_ / connectivity_ for one net of weight w whose λ went
   /// from l_before to l_after.

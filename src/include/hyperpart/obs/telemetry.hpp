@@ -4,9 +4,10 @@
 // The library's long-running drivers (multilevel V-cycle, FM refiner,
 // streaming partitioner) open RAII spans at their phase boundaries:
 //
-//   multilevel > coarsen[level=i] > {match, contract, dedup}
-//   multilevel > initial
-//   multilevel > uncoarsen[level=i] > fm > pass[i]
+//   multilevel > coarsen[level=i] > {round[i], contract, dedup}
+//   multilevel > initial > {tracker, cache_fill, fm > pass[i]}
+//   multilevel > uncoarsen[level=i] > {project, tracker, cache_fill,
+//                                      fm > pass[i]}
 //   stream > window[i]
 //   restream > pass[i] > {propose, commit}
 //   rb > split[part=p] > multilevel > ...
@@ -15,11 +16,17 @@
 // accumulates into one node (count += 1, ms += elapsed), so the tree stays
 // bounded no matter how many times a phase repeats, and its *shape* — the
 // set of name paths — is a deterministic function of the algorithm's
-// control flow, not of timing or thread count. Spans are only ever opened
-// from orchestrating code (never inside pool tasks), so the tree needs no
-// cross-thread ordering; counters and gauges are mutex-aggregated and may
-// be bumped from any thread, at phase granularity (per pass / per level /
-// per call — never per inner-loop iteration).
+// control flow, not of timing or thread count. Spans are opened from
+// orchestrating code. A pool task may open spans only inside an
+// InheritSpan scope built from the dispatching thread's current_span():
+// its spans then merge under that span like the orchestrator's own, with
+// ms summed over the tasks (so a child's ms can exceed its parent's wall
+// time). Children keep first-open order, so the shape stays deterministic
+// as long as every task opens its spans in one common order (each initial-
+// partitioning try opens tracker, cache_fill, then fm > pass[0], pass[1],
+// ...). Counters and gauges are mutex-aggregated and may be bumped from
+// any thread, at phase granularity (per pass / per level / per call —
+// never per inner-loop iteration).
 //
 // Cost model:
 //   * Disabled (the default at runtime): each macro is one relaxed atomic
@@ -30,6 +37,7 @@
 // The exported JSON is schema-versioned (kSchemaName/kSchemaVersion); see
 // DESIGN.md "Observability" for the field-by-field contract.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -83,6 +91,32 @@ class Span {
  private:
   void* node_ = nullptr;          // SpanNode*, opaque to keep the header light
   std::int64_t start_ns_ = 0;
+};
+
+/// Handle to a thread's innermost open span, captured by an orchestrator
+/// with current_span() and handed to the pool tasks it dispatches. Null
+/// when no span is open or telemetry is disabled.
+struct SpanParent {
+  void* node = nullptr;  // SpanNode*, opaque like Span::node_
+};
+
+/// The calling thread's innermost open span.
+[[nodiscard]] SpanParent current_span() noexcept;
+
+/// RAII: while alive, spans the calling thread opens nest under `parent`
+/// instead of under the thread's own open spans (a pool worker has none,
+/// and would otherwise start a new root). Spans opened in the scope must
+/// close before it ends. A null parent makes this a no-op.
+class InheritSpan {
+ public:
+  explicit InheritSpan(SpanParent parent);
+  ~InheritSpan();
+  InheritSpan(const InheritSpan&) = delete;
+  InheritSpan& operator=(const InheritSpan&) = delete;
+
+ private:
+  std::size_t depth_ = 0;  // the thread's stack depth to restore
+  bool active_ = false;
 };
 
 /// Format helpers for span names: span_name("fm") == "fm",

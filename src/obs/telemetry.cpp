@@ -43,9 +43,9 @@ Registry& registry() {
 
 std::atomic<bool> g_enabled{false};
 
-// Per-thread span stack. Spans opened on a pool worker (discouraged, but
-// harmless) root at the global root rather than at whatever span the
-// submitting thread happens to have open — the tree stays deterministic.
+// Per-thread span stack. Spans opened on a pool worker root at the global
+// root unless the task holds an InheritSpan, which pushes the dispatching
+// thread's span here for the task's duration.
 thread_local std::vector<SpanNode*> t_stack;
 
 [[nodiscard]] std::int64_t now_ns() noexcept {
@@ -179,6 +179,21 @@ Span::~Span() {
   // Unwind to this span even if an exception skipped inner close order.
   while (!t_stack.empty() && t_stack.back() != node) t_stack.pop_back();
   if (!t_stack.empty()) t_stack.pop_back();
+}
+
+SpanParent current_span() noexcept {
+  return SpanParent{t_stack.empty() ? nullptr : t_stack.back()};
+}
+
+InheritSpan::InheritSpan(SpanParent parent) {
+  if (parent.node == nullptr) return;
+  depth_ = t_stack.size();
+  active_ = true;
+  t_stack.push_back(static_cast<SpanNode*>(parent.node));
+}
+
+InheritSpan::~InheritSpan() {
+  if (active_) t_stack.resize(depth_);
 }
 
 json::Value to_json() {

@@ -203,5 +203,52 @@ TEST(GainCache, SwitchingMetricRebuildsExactly) {
   }
 }
 
+TEST(GainCache, FillIsIdenticalAtEveryThreadCount) {
+  // The fill itself runs on one thread; the tracker build and the
+  // best-target rescan split with `threads`. Pin the finished cache
+  // against gain() and across thread counts, on both present-parts paths
+  // (k <= 64 bitset, k > 64 count scan).
+  const NodeId n = 600;
+  const Hypergraph g = random_hypergraph(n, 900, 2, 12, 61);
+  for (const PartId k : {2u, 8u, 64u, 96u}) {
+    Rng rng{k};
+    std::vector<PartId> assign(n);
+    for (auto& a : assign) a = static_cast<PartId>(rng.next_below(k));
+    const Partition p(std::move(assign), k);
+    for (const CostMetric m : {CostMetric::kConnectivity, CostMetric::kCutNet}) {
+      std::vector<PartId> best_ref;
+      std::vector<bool> boundary_ref;
+      std::vector<NodeId> order_ref;
+      for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+        ConnectivityTracker t(g, p, threads);
+        t.enable_gain_cache(m, threads);
+        std::size_t mismatches = 0;
+        std::vector<PartId> best(n);
+        std::vector<bool> boundary(n);
+        for (NodeId v = 0; v < n; ++v) {
+          for (PartId q = 0; q < k; ++q) {
+            if (t.cached_gain(v, q) != t.gain(v, q, m)) ++mismatches;
+          }
+          best[v] = t.cached_best_target(v);
+          boundary[v] = t.is_boundary(v);
+        }
+        EXPECT_EQ(mismatches, 0u) << "k " << k << " threads " << threads;
+        if (threads == 1) {
+          best_ref = best;
+          boundary_ref = boundary;
+          order_ref = t.boundary_nodes();
+          EXPECT_FALSE(order_ref.empty());
+        } else {
+          EXPECT_EQ(best, best_ref) << "k " << k << " threads " << threads;
+          EXPECT_EQ(boundary, boundary_ref)
+              << "k " << k << " threads " << threads;
+          EXPECT_EQ(t.boundary_nodes(), order_ref)
+              << "k " << k << " threads " << threads;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hp

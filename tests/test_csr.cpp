@@ -84,6 +84,60 @@ TEST(FromCsr, RejectsMalformedInput) {
   }
 }
 
+TEST(FromCsr, SortedNetsAreStillRangeChecked) {
+  // Strictly increasing nets skip the sort; their last pin is still
+  // checked, in the first net, a middle net and the last net.
+  for (const auto& pins : std::vector<std::vector<NodeId>>{
+           {1, 5, 0, 2, 0, 1},
+           {0, 1, 1, 3, 0, 2},
+           {0, 2, 1, 2, 0, 1, 4}}) {
+    const std::vector<std::uint64_t> offsets{0, 2, 4, pins.size()};
+    try {
+      (void)Hypergraph::from_csr(3, offsets, pins);
+      ADD_FAILURE() << "accepted a sorted net with an out-of-range pin";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("pin out of range"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(FromCsr, SortedAndShuffledNetsBuildTheSameGraph) {
+  // Every net twice: once sorted and duplicate-free, once reversed with a
+  // repeated pin; both CSRs must give the sorted graph.
+  const NodeId n = 40;
+  Rng rng{31};
+  std::vector<std::uint64_t> sorted_offsets{0};
+  std::vector<std::uint64_t> shuffled_offsets{0};
+  std::vector<NodeId> sorted_pins;
+  std::vector<NodeId> shuffled_pins;
+  for (EdgeId e = 0; e < 60; ++e) {
+    std::vector<NodeId> net;
+    for (NodeId v = 0; v < n; ++v) {
+      if (rng.next_below(6) == 0) net.push_back(v);
+    }
+    sorted_pins.insert(sorted_pins.end(), net.begin(), net.end());
+    sorted_offsets.push_back(sorted_pins.size());
+    if (!net.empty()) net.push_back(net[rng.next_below(net.size())]);
+    shuffled_pins.insert(shuffled_pins.end(), net.rbegin(), net.rend());
+    shuffled_offsets.push_back(shuffled_pins.size());
+  }
+  const std::vector<NodeId> expected_pins = sorted_pins;
+  const Hypergraph sorted =
+      Hypergraph::from_csr(n, sorted_offsets, sorted_pins);
+  const Hypergraph shuffled =
+      Hypergraph::from_csr(n, shuffled_offsets, shuffled_pins);
+  EXPECT_TRUE(sorted.validate());
+  EXPECT_TRUE(shuffled.validate());
+  EXPECT_EQ(sorted.content_hash(), shuffled.content_hash());
+  std::vector<NodeId> got;
+  for (EdgeId e = 0; e < shuffled.num_edges(); ++e) {
+    for (const NodeId v : shuffled.pins(e)) got.push_back(v);
+  }
+  EXPECT_EQ(got, expected_pins);
+}
+
 TEST(FromCsr, EdgelessAndNodelessGraphs) {
   const Hypergraph empty = Hypergraph::from_csr(0, {0}, {});
   EXPECT_EQ(empty.num_nodes(), 0u);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -146,6 +148,134 @@ TEST(Multilevel, DeterministicForSeed) {
   ASSERT_TRUE(a && b);
   EXPECT_EQ(cost(g, *a, CostMetric::kConnectivity),
             cost(g, *b, CostMetric::kConnectivity));
+}
+
+/// The initial tries of multilevel_partition replayed one at a time on the
+/// coarsest level, with the seeds drawn as the engine draws them: the
+/// coarsening draws first, then one value per attempt in attempt order.
+/// A try that finds no feasible partition leaves nullopt.
+struct InitialTries {
+  std::vector<std::optional<Partition>> parts;
+  std::vector<Weight> costs;
+};
+
+InitialTries replay_initial_tries(const Hypergraph& g,
+                                  const BalanceConstraint& balance,
+                                  const MultilevelConfig& cfg) {
+  Rng rng{cfg.seed};
+  std::vector<CoarseLevel> levels;
+  coarsen(g, balance, cfg, rng, levels);
+  const Hypergraph& coarsest = levels.empty() ? g : levels.back().graph;
+  FmConfig fm = cfg.fm;
+  fm.metric = cfg.metric;
+  fm.sync_rounds = coarsest.num_nodes() >= cfg.sync_fm_min_nodes;
+  InitialTries tries;
+  for (int attempt = 0; attempt < cfg.initial_tries; ++attempt) {
+    std::optional<Partition> p =
+        attempt % 2 == 0
+            ? greedy_growing_partition(coarsest, balance, cfg.metric, rng())
+            : random_balanced_partition(coarsest, balance, rng());
+    tries.costs.push_back(p ? fm_refine(coarsest, *p, balance, fm) : 0);
+    tries.parts.push_back(std::move(p));
+  }
+  return tries;
+}
+
+std::vector<PartId> assignment(const Partition& p) {
+  return {p.raw().begin(), p.raw().end()};
+}
+
+TEST(Multilevel, PartitionsIdenticalAtEveryThreadCount) {
+  // A plain instance, and a weighted one whose capacity is so tight that
+  // some initial tries find no feasible partition.
+  const Hypergraph plain = random_hypergraph(900, 1300, 2, 6, 12);
+  Hypergraph tight = random_hypergraph(400, 600, 2, 6, 1);
+  Rng wr{7};
+  std::vector<Weight> w(tight.num_nodes());
+  Weight total = 0;
+  for (Weight& x : w) {
+    x = 1 + static_cast<Weight>(wr.next_below(30));
+    total += x;
+  }
+  tight.set_node_weights(w);
+  const std::vector<std::pair<const Hypergraph*, BalanceConstraint>> cases{
+      {&plain, BalanceConstraint::for_graph(plain, 4, 0.05, true)},
+      {&tight, BalanceConstraint::with_capacity(4, (total + 3) / 4 + 5)},
+  };
+  MultilevelConfig probe;
+  probe.seed = 3;
+  const InitialTries tight_tries =
+      replay_initial_tries(tight, cases[1].second, probe);
+  const auto failed = std::count(tight_tries.parts.begin(),
+                                 tight_tries.parts.end(), std::nullopt);
+  EXPECT_GT(failed, 0) << "the tight instance must exercise failed tries";
+  EXPECT_LT(failed, probe.initial_tries);
+
+  for (const auto& [g, balance] : cases) {
+    for (const int tries : {1, 2, 8}) {
+      MultilevelConfig cfg;
+      cfg.seed = 3;
+      cfg.initial_tries = tries;
+      std::optional<std::vector<PartId>> ref;
+      for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+        cfg.fm.threads = threads;
+        const auto p = multilevel_partition(*g, balance, cfg);
+        if (threads == 1) {
+          if (p) ref = assignment(*p);
+          continue;
+        }
+        ASSERT_EQ(p.has_value(), ref.has_value())
+            << "tries " << tries << " threads " << threads;
+        if (p) {
+          EXPECT_EQ(assignment(*p), *ref)
+              << "tries " << tries << " threads " << threads;
+        }
+      }
+    }
+  }
+}
+
+TEST(Multilevel, TiedTriesKeepTheEarliestAttempt) {
+  // Four disjoint 8-node rings and k = 2: every greedy try reaches cost 0,
+  // each with its own pairing of rings. With no coarsening (the graph is
+  // below coarsen_limit) the result is the kept try itself.
+  std::vector<std::vector<NodeId>> edges;
+  for (NodeId ring = 0; ring < 4; ++ring) {
+    for (NodeId i = 0; i < 8; ++i) {
+      edges.push_back({ring * 8 + i, ring * 8 + (i + 1) % 8});
+    }
+  }
+  const Hypergraph g = Hypergraph::from_edges(32, edges);
+  const auto balance = BalanceConstraint::for_graph(g, 2, 0.0);
+  MultilevelConfig cfg;
+  cfg.seed = 1;
+  cfg.coarsen_limit = 1000;
+
+  const InitialTries tries = replay_initial_tries(g, balance, cfg);
+  const std::size_t n_tries = tries.parts.size();
+  std::size_t first = n_tries;
+  for (std::size_t a = 0; a < n_tries; ++a) {
+    if (tries.parts[a] &&
+        (first == n_tries || tries.costs[a] < tries.costs[first])) {
+      first = a;
+    }
+  }
+  ASSERT_LT(first, n_tries);
+  bool tie_differs = false;
+  for (std::size_t a = first + 1; a < n_tries; ++a) {
+    tie_differs |= tries.parts[a] && tries.costs[a] == tries.costs[first] &&
+                   assignment(*tries.parts[a]) !=
+                       assignment(*tries.parts[first]);
+  }
+  ASSERT_TRUE(tie_differs) << "a later try must tie with a different partition";
+
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    cfg.fm.threads = threads;
+    const auto p = multilevel_partition(g, balance, cfg);
+    ASSERT_TRUE(p.has_value());
+    EXPECT_EQ(assignment(*p), assignment(*tries.parts[first]))
+        << "threads " << threads;
+  }
 }
 
 TEST(RecursivePartition, LeafNumberingAndBalance) {

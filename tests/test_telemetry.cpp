@@ -7,6 +7,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <map>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -84,6 +86,51 @@ TEST(Telemetry, SpanTreeDeterministicAcrossThreadCounts) {
   EXPECT_FALSE(one.empty());
   EXPECT_EQ(one, four)
       << "span-tree shape must depend only on control flow, not threads";
+}
+
+TEST(Telemetry, RefinementSetUpAndInitialTriesNestUnderTheirPhase) {
+  const Hypergraph g = random_hypergraph(600, 900, 2, 6, 42);
+  const auto balance = BalanceConstraint::for_graph(g, 4, 0.1, true);
+  for (const unsigned threads : {1u, 4u}) {
+    ScopedTelemetry scope;
+    MultilevelConfig cfg;
+    cfg.seed = 7;
+    cfg.fm.threads = threads;
+    ASSERT_TRUE(multilevel_partition(g, balance, cfg).has_value());
+    // span_paths() lines are "a/b[tag]/c xN"; keep the untagged path and
+    // its count (the last line's, where only tags differ).
+    std::map<std::string, std::string> paths;
+    std::istringstream in(obs::span_paths());
+    std::string line;
+    while (std::getline(in, line)) {
+      const std::size_t x = line.rfind(" x");
+      std::string path;
+      bool in_tag = false;
+      for (const char c : line.substr(0, x)) {
+        if (c == '[') in_tag = true;
+        if (!in_tag) path += c;
+        if (c == ']') in_tag = false;
+      }
+      paths[path] = line.substr(x + 2);
+    }
+    for (const char* want :
+         {"multilevel/uncoarsen/project", "multilevel/uncoarsen/tracker",
+          "multilevel/uncoarsen/cache_fill", "multilevel/uncoarsen/fm",
+          "multilevel/initial/tracker", "multilevel/initial/cache_fill",
+          "multilevel/initial/fm"}) {
+      EXPECT_EQ(paths.count(want), 1u) << want << " threads " << threads;
+    }
+    // The tries run as pool tasks; their spans still merge under
+    // "initial", one tracker/cache_fill/fm each, and open no new root.
+    for (const char* name : {"tracker", "cache_fill", "fm"}) {
+      EXPECT_EQ(paths[std::string("multilevel/initial/") + name],
+                std::to_string(cfg.initial_tries))
+          << name << " threads " << threads;
+    }
+    for (const auto& [path, count] : paths) {
+      EXPECT_EQ(path.rfind("multilevel", 0), 0u) << path;
+    }
+  }
 }
 
 TEST(Telemetry, StreamCountersMatchObservableFacts) {
