@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -15,41 +14,24 @@ namespace hp {
 namespace {
 constexpr std::uint32_t kNotInBoundary =
     std::numeric_limits<std::uint32_t>::max();
-// Largest per-net pin count the narrow uint16 table can hold exactly.
-constexpr std::uint32_t kNarrowMax = 0xFFFF;
 // Lookahead distance (in loop iterations) for the software prefetches in
 // the CSR pin walks: far enough to cover an L2 miss at these loop bodies,
 // near enough that the line is still resident when used.
 constexpr std::size_t kPrefetchAhead = 4;
 
-// Collect the parts present in one count row into `out` (ascending part id)
-// without reading all k counts: load several counts per word, skip all-zero
-// words, and stop as soon as all λ present parts are found. This is the
-// k > 64 replacement for the present-parts bitset — λ is typically a handful
-// while k can be hundreds, so most words are zero.
-template <typename C>
-void collect_present_parts(const C* row, PartId k, PartId lambda,
-                           std::vector<PartId>& out) {
-  constexpr PartId kPerWord = static_cast<PartId>(sizeof(std::uint64_t) /
-                                                  sizeof(C));
-  const PartId nwords = k / kPerWord;
-  PartId q = 0;
-  for (PartId wi = 0; wi < nwords; ++wi, q += kPerWord) {
-    std::uint64_t word;
-    std::memcpy(&word, row + q, sizeof(word));
-    if (word == 0) continue;
-    for (PartId j = 0; j < kPerWord; ++j) {
-      if (row[q + j] != 0) out.push_back(q + j);
-    }
-    if (static_cast<PartId>(out.size()) == lambda) return;
+// Write the parts present in one count row to `out` (ascending part id),
+// stopping as soon as `lambda` of them are found; returns how many were
+// written. This is the k > 64 replacement for the present-parts bitset.
+PartId collect_present_parts(const std::uint32_t* row, PartId k,
+                             PartId lambda, PartId* out) noexcept {
+  PartId found = 0;
+  for (PartId q = 0; q < k && found < lambda; ++q) {
+    if (row[q] != 0) out[found++] = q;
   }
-  for (; q < k && static_cast<PartId>(out.size()) < lambda; ++q) {
-    if (row[q] != 0) out.push_back(q);
-  }
+  return found;
 }
 }  // namespace
 
-template <typename C>
 void ConnectivityTracker::build_counts(unsigned threads) {
   // Each edge's counts/λ slice is independent, so the edge loop shards
   // cleanly into one chunk per thread; the per-chunk totals are summed in
@@ -58,7 +40,7 @@ void ConnectivityTracker::build_counts(unsigned threads) {
     Weight cut = 0;
     Weight conn = 0;
   };
-  C* counts = counts_data<C>();
+  std::uint32_t* counts = counts_.data();
   const std::uint64_t m = g_.num_edges();
   const unsigned t = std::max(1u, threads);
   const Totals totals = parallel_reduce_stable(
@@ -78,7 +60,7 @@ void ConnectivityTracker::build_counts(unsigned threads) {
               prefetch(part_.data() + pins[i + kPrefetchAhead]);
             }
             const PartId q = part_[pins[i]];
-            C& c = counts[base + q];
+            std::uint32_t& c = counts[base + q];
             if (c == 0) {
               ++l;
               mask |= std::uint64_t{1} << (q & 63);
@@ -108,40 +90,21 @@ ConnectivityTracker::ConnectivityTracker(const Hypergraph& g,
     throw std::invalid_argument("ConnectivityTracker: incomplete partition");
   }
   part_.assign(p.raw().begin(), p.raw().end());
-  narrow_ = g.max_edge_size() <= kNarrowMax;
-  const std::size_t slots = static_cast<std::size_t>(g.num_edges()) * k_;
-  if (narrow_) {
-    counts16_.assign(slots, 0);
-  } else {
-    counts32_.assign(slots, 0);
-  }
+  counts_.assign(static_cast<std::size_t>(g.num_edges()) * k_, 0);
   if (k_ <= 64) present_.assign(g.num_edges(), 0);
   lambda_.assign(g.num_edges(), 0);
   part_weight_.assign(k_, 0);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     part_weight_[part_[v]] += g.node_weight(v);
   }
-  if (narrow_) {
-    build_counts<std::uint16_t>(threads);
-  } else {
-    build_counts<std::uint32_t>(threads);
-  }
+  build_counts(threads);
 }
 
-void ConnectivityTracker::widen_counts() {
-  counts32_.assign(counts16_.begin(), counts16_.end());
-  counts16_.clear();
-  counts16_.shrink_to_fit();
-  narrow_ = false;
-}
-
-template <typename C>
-Weight ConnectivityTracker::gain_impl(NodeId v, PartId to,
-                                      CostMetric m) const {
+Weight ConnectivityTracker::gain(NodeId v, PartId to, CostMetric m) const {
   const PartId from = part_[v];
   if (from == to) return 0;
   Weight gain = 0;
-  const C* counts = counts_data<C>();
+  const std::uint32_t* counts = counts_.data();
   const auto edges = g_.incident_edges(v);
   for (std::size_t i = 0; i < edges.size(); ++i) {
     if (i + kPrefetchAhead < edges.size()) {
@@ -169,21 +132,15 @@ Weight ConnectivityTracker::gain_impl(NodeId v, PartId to,
   return gain;
 }
 
-Weight ConnectivityTracker::gain(NodeId v, PartId to, CostMetric m) const {
-  return narrow_ ? gain_impl<std::uint16_t>(v, to, m)
-                 : gain_impl<std::uint32_t>(v, to, m);
-}
-
-template <typename C>
 void ConnectivityTracker::move_plain(NodeId v, PartId to) {
   const PartId from = part_[v];
-  C* counts = counts_data<C>();
+  std::uint32_t* counts = counts_.data();
   for (const EdgeId e : g_.incident_edges(v)) {
     const Weight w = g_.edge_weight(e);
     const std::size_t base = static_cast<std::size_t>(e) * k_;
     const PartId l_before = lambda_[e];
-    C& cf = counts[base + from];
-    C& ct = counts[base + to];
+    std::uint32_t& cf = counts[base + from];
+    std::uint32_t& ct = counts[base + to];
     assert(cf > 0);
     // Branchless λ update from the pre-move counts; the cost deltas below
     // are exact zeros when λ did not change.
@@ -207,17 +164,9 @@ void ConnectivityTracker::move(NodeId v, PartId to) {
   const PartId from = part_[v];
   if (from == to) return;
   if (cache_enabled_) {
-    if (narrow_) {
-      move_with_cache<std::uint16_t>(v, to);
-    } else {
-      move_with_cache<std::uint32_t>(v, to);
-    }
-    return;
-  }
-  if (narrow_) {
-    move_plain<std::uint16_t>(v, to);
+    move_with_cache(v, to);
   } else {
-    move_plain<std::uint32_t>(v, to);
+    move_plain(v, to);
   }
 }
 
@@ -249,15 +198,14 @@ void ConnectivityTracker::begin_net_patch(std::span<const EdgeId> touched) {
   touched_.clear();
 }
 
-template <typename C>
 void ConnectivityTracker::recount_net(EdgeId e) {
-  C* counts = counts_data<C>();
+  std::uint32_t* counts = counts_.data();
   const std::size_t base = static_cast<std::size_t>(e) * k_;
-  std::fill(counts + base, counts + base + k_, C{0});
+  std::fill(counts + base, counts + base + k_, 0u);
   PartId l = 0;
   std::uint64_t mask = 0;
   for (const NodeId v : g_.pins(e)) {
-    C& c = counts[base + part_[v]];
+    std::uint32_t& c = counts[base + part_[v]];
     if (c == 0) {
       ++l;
       mask |= std::uint64_t{1} << (part_[v] & 63);
@@ -279,35 +227,11 @@ void ConnectivityTracker::finish_net_patch(std::span<const EdgeId> touched) {
   if (m_after < m_before) {
     throw std::logic_error("finish_net_patch: edge count shrank");
   }
-  // A patch can grow a net past what the narrow table holds; widen before
-  // recounting so the counts stay exact.
-  if (narrow_) {
-    bool still_narrow = true;
-    for (const EdgeId e : touched) {
-      if (g_.edge_size(e) > kNarrowMax) still_narrow = false;
-    }
-    for (EdgeId e = m_before; e < m_after && still_narrow; ++e) {
-      if (g_.edge_size(e) > kNarrowMax) still_narrow = false;
-    }
-    if (!still_narrow) widen_counts();
-  }
-  const std::size_t slots = static_cast<std::size_t>(m_after) * k_;
-  if (narrow_) {
-    counts16_.resize(slots, 0);
-  } else {
-    counts32_.resize(slots, 0);
-  }
+  counts_.resize(static_cast<std::size_t>(m_after) * k_, 0);
   lambda_.resize(m_after, 0);
   if (k_ <= 64) present_.resize(m_after, 0);
-  const auto recount = [&](EdgeId e) {
-    if (narrow_) {
-      recount_net<std::uint16_t>(e);
-    } else {
-      recount_net<std::uint32_t>(e);
-    }
-  };
-  for (const EdgeId e : touched) recount(e);
-  for (EdgeId e = m_before; e < m_after; ++e) recount(e);
+  for (const EdgeId e : touched) recount_net(e);
+  for (EdgeId e = m_before; e < m_after; ++e) recount_net(e);
 }
 
 // --- Gain cache ------------------------------------------------------------
@@ -330,11 +254,7 @@ void ConnectivityTracker::enable_gain_cache(CostMetric m, unsigned threads) {
   // Splitting the edges across threads makes those writes race, and the
   // atomic adds that would fix it made a 2-thread fill slower than this
   // plain loop on one (DESIGN.md "Gain-cache fill").
-  if (narrow_) {
-    fill_cache_tables<std::uint16_t>(m);
-  } else {
-    fill_cache_tables<std::uint32_t>(m);
-  }
+  fill_cache_tables(m);
 
   // Best-target index over the finished benefit rows; a pure function of
   // the rows, so the parallel build is deterministic.
@@ -397,26 +317,26 @@ void ConnectivityTracker::benefit_sub(NodeId v, PartId q, Weight w) noexcept {
   if (best_to_[v] == q) rescan_best(v);
 }
 
-template <typename C>
 void ConnectivityTracker::fill_cache_tables(CostMetric m) {
-  const C* counts = counts_data<C>();
-  std::vector<PartId> present;
-  present.reserve(k_);
+  const std::uint32_t* counts = counts_.data();
+  std::vector<PartId> present(k_);
   for (EdgeId e = 0; e < g_.num_edges(); ++e) {
     const Weight w = g_.edge_weight(e);
     const std::size_t base = static_cast<std::size_t>(e) * k_;
     const PartId l = lambda_[e];
     const auto pins = g_.pins(e);
     if (m == CostMetric::kConnectivity) {
-      present.clear();
+      PartId num_present = 0;
       if (!present_.empty()) {
         // Bit iteration over the per-net present-parts word replaces the
         // O(k) count scan; order (ascending part id) matches.
         for (std::uint64_t mask = present_[e]; mask != 0; mask &= mask - 1) {
-          present.push_back(static_cast<PartId>(std::countr_zero(mask)));
+          present[num_present++] =
+              static_cast<PartId>(std::countr_zero(mask));
         }
       } else {
-        collect_present_parts(counts + base, k_, l, present);
+        num_present =
+            collect_present_parts(counts + base, k_, l, present.data());
       }
       for (std::size_t i = 0; i < pins.size(); ++i) {
         if (i + kPrefetchAhead < pins.size()) {
@@ -432,7 +352,7 @@ void ConnectivityTracker::fill_cache_tables(CostMetric m) {
         a.degw += w;
         if (counts[base + part_[u]] == 1) a.penalty += w;
         Weight* row = benefit_.data() + static_cast<std::size_t>(u) * k_;
-        for (const PartId q : present) row[q] += w;
+        for (PartId j = 0; j < num_present; ++j) row[present[j]] += w;
         if (l > 1) ++a.cut_incident;
       }
     } else if (l == 1) {
@@ -442,7 +362,7 @@ void ConnectivityTracker::fill_cache_tables(CostMetric m) {
     } else if (l == 2) {
       // Exactly two present parts a < b: a lone pin in one side benefits
       // toward the other.
-      const auto [a, b] = two_present_parts<C>(e);
+      const auto [a, b] = two_present_parts(e);
       for (const NodeId u : pins) {
         const PartId pu = part_[u];
         if (counts[base + pu] == 1) {
@@ -480,14 +400,13 @@ void ConnectivityTracker::boundary_erase(NodeId v) {
   aux_[v].boundary_pos = kNotInBoundary;
 }
 
-template <typename C>
 void ConnectivityTracker::apply_connectivity_deltas(EdgeId e, NodeId u,
                                                     PartId from, PartId to) {
   // Called with pre-move counts. Benefit terms do not depend on the pin's
   // own part, so those deltas apply to every pin (including u, whose
   // benefit row stays delta-maintained; only its penalty is rebuilt).
   const Weight w = g_.edge_weight(e);
-  const C* counts = counts_data<C>();
+  const std::uint32_t* counts = counts_.data();
   const std::size_t base = static_cast<std::size_t>(e) * k_;
   const std::uint32_t in_from = counts[base + from];
   const std::uint32_t in_to = counts[base + to];
@@ -540,12 +459,11 @@ void ConnectivityTracker::apply_connectivity_deltas(EdgeId e, NodeId u,
   }
 }
 
-template <typename C>
 void ConnectivityTracker::remove_cut_contributions(EdgeId e, NodeId u) {
   // Pre-move state: strip e's cut-metric contributions from every pin
   // except the mover (whose row is rebuilt from scratch afterwards).
   const Weight w = g_.edge_weight(e);
-  const C* counts = counts_data<C>();
+  const std::uint32_t* counts = counts_.data();
   const std::size_t base = static_cast<std::size_t>(e) * k_;
   const PartId l = lambda_[e];
   if (l == 1) {
@@ -555,7 +473,7 @@ void ConnectivityTracker::remove_cut_contributions(EdgeId e, NodeId u) {
       touch(x);
     }
   } else if (l == 2) {
-    const auto [a, b] = two_present_parts<C>(e);
+    const auto [a, b] = two_present_parts(e);
     for (const NodeId x : g_.pins(e)) {
       if (x == u) continue;
       const PartId px = part_[x];
@@ -567,11 +485,10 @@ void ConnectivityTracker::remove_cut_contributions(EdgeId e, NodeId u) {
   }
 }
 
-template <typename C>
 void ConnectivityTracker::add_cut_contributions(EdgeId e, NodeId u) {
   // Post-move state: mirror of remove_cut_contributions.
   const Weight w = g_.edge_weight(e);
-  const C* counts = counts_data<C>();
+  const std::uint32_t* counts = counts_.data();
   const std::size_t base = static_cast<std::size_t>(e) * k_;
   const PartId l = lambda_[e];
   if (l == 1) {
@@ -581,7 +498,7 @@ void ConnectivityTracker::add_cut_contributions(EdgeId e, NodeId u) {
       touch(x);
     }
   } else if (l == 2) {
-    const auto [a, b] = two_present_parts<C>(e);
+    const auto [a, b] = two_present_parts(e);
     for (const NodeId x : g_.pins(e)) {
       if (x == u) continue;
       const PartId px = part_[x];
@@ -593,11 +510,10 @@ void ConnectivityTracker::add_cut_contributions(EdgeId e, NodeId u) {
   }
 }
 
-template <typename C>
 void ConnectivityTracker::rebuild_mover_cache_row(NodeId u) {
   // Post-move state; part_[u] is already the destination part.
   const PartId pu = part_[u];
-  const C* counts = counts_data<C>();
+  const std::uint32_t* counts = counts_.data();
   if (cache_metric_ == CostMetric::kConnectivity) {
     Weight p = 0;
     for (const EdgeId e : g_.incident_edges(u)) {
@@ -621,7 +537,7 @@ void ConnectivityTracker::rebuild_mover_cache_row(NodeId u) {
     if (l == 1) {
       if (g_.edge_size(e) >= 2) p += w;
     } else if (l == 2 && counts[base + pu] == 1) {
-      const auto [a, b] = two_present_parts<C>(e);
+      const auto [a, b] = two_present_parts(e);
       row[a == pu ? b : a] += w;
     }
   }
@@ -644,7 +560,6 @@ void ConnectivityTracker::update_boundary_after_lambda_change(EdgeId e,
   }
 }
 
-template <typename C>
 void ConnectivityTracker::move_with_cache(NodeId u, PartId to) {
   const PartId from = part_[u];
   if (!batch_active_) {  // apply_batch owns the epoch for the whole batch
@@ -653,7 +568,7 @@ void ConnectivityTracker::move_with_cache(NodeId u, PartId to) {
   }
   touch(u);
   const bool conn = cache_metric_ == CostMetric::kConnectivity;
-  C* counts = counts_data<C>();
+  std::uint32_t* counts = counts_.data();
   // The delta rules below write scattered benefit rows of this move's
   // neighborhood; start pulling them in before the count updates need them.
   for (const EdgeId e : g_.incident_edges(u)) {
@@ -664,8 +579,8 @@ void ConnectivityTracker::move_with_cache(NodeId u, PartId to) {
     const Weight w = g_.edge_weight(e);
     const std::size_t base = static_cast<std::size_t>(e) * k_;
     const PartId l_before = lambda_[e];
-    C& cf = counts[base + from];
-    C& ct = counts[base + to];
+    std::uint32_t& cf = counts[base + from];
+    std::uint32_t& ct = counts[base + to];
     assert(cf > 0);
     const PartId l_after = l_before - static_cast<PartId>(cf == 1) +
                            static_cast<PartId>(ct == 0);
@@ -673,9 +588,9 @@ void ConnectivityTracker::move_with_cache(NodeId u, PartId to) {
     // changes; those edges cost O(1).
     const bool cut_relevant = !conn && (l_before <= 2 || l_after <= 2);
     if (conn) {
-      apply_connectivity_deltas<C>(e, u, from, to);
+      apply_connectivity_deltas(e, u, from, to);
     } else if (cut_relevant) {
-      remove_cut_contributions<C>(e, u);
+      remove_cut_contributions(e, u);
     }
     if (!present_.empty()) {
       const std::uint64_t fbit = std::uint64_t{1} << from;
@@ -686,15 +601,14 @@ void ConnectivityTracker::move_with_cache(NodeId u, PartId to) {
     ++ct;
     lambda_[e] = l_after;
     patch_costs(w, l_before, l_after);
-    if (cut_relevant) add_cut_contributions<C>(e, u);
+    if (cut_relevant) add_cut_contributions(e, u);
     update_boundary_after_lambda_change(e, l_before, l_after);
   }
   patch_part_weights(from, to, g_.node_weight(u));
   part_[u] = to;
-  rebuild_mover_cache_row<C>(u);
+  rebuild_mover_cache_row(u);
 }
 
-template <typename C>
 std::pair<PartId, PartId> ConnectivityTracker::two_present_parts(
     EdgeId e) const noexcept {
   if (!present_.empty()) {
@@ -702,19 +616,10 @@ std::pair<PartId, PartId> ConnectivityTracker::two_present_parts(
     return {static_cast<PartId>(std::countr_zero(m)),
             static_cast<PartId>(std::countr_zero(m & (m - 1)))};
   }
-  const C* counts = counts_data<C>();
-  const std::size_t base = static_cast<std::size_t>(e) * k_;
-  PartId a = kInvalidPart;
-  for (PartId q = 0; q < k_; ++q) {
-    if (counts[base + q] > 0) {
-      if (a == kInvalidPart) {
-        a = q;
-      } else {
-        return {a, q};
-      }
-    }
-  }
-  return {a, kInvalidPart};
+  PartId parts[2] = {kInvalidPart, kInvalidPart};
+  collect_present_parts(counts_.data() + static_cast<std::size_t>(e) * k_, k_,
+                        2, parts);
+  return {parts[0], parts[1]};
 }
 
 BatchCommitResult ConnectivityTracker::apply_batch(
@@ -742,11 +647,7 @@ BatchCommitResult ConnectivityTracker::apply_batch(
       ++result.conflicted;
       continue;
     }
-    if (narrow_) {
-      move_with_cache<std::uint16_t>(m.node, m.to);
-    } else {
-      move_with_cache<std::uint32_t>(m.node, m.to);
-    }
+    move_with_cache(m.node, m.to);
     ++result.applied;
     result.total_gain += fresh;
   }

@@ -26,7 +26,6 @@
 // large edges cost O(1) per edge.
 
 #include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -62,17 +61,12 @@ class ConnectivityTracker {
 
   [[nodiscard]] PartId k() const noexcept { return k_; }
 
-  /// Pins of edge e currently in part q. The table is flat (net × part) in
-  /// both widths; the narrow uint16 layout is selected whenever every net
-  /// fits (see narrow_counts()).
+  /// Pins of edge e currently in part q, read from the flat net × part
+  /// table. Exact for every net: a net's pins are distinct NodeIds, so a
+  /// count never exceeds 2^32 − 1.
   [[nodiscard]] std::uint32_t pins_in_part(EdgeId e, PartId q) const noexcept {
-    const std::size_t i = static_cast<std::size_t>(e) * k_ + q;
-    return narrow_ ? counts16_[i] : counts32_[i];
+    return counts_[static_cast<std::size_t>(e) * k_ + q];
   }
-  /// True while the pin counts live in the half-width uint16 table (every
-  /// net has at most 65535 pins — the common case; a net patch that
-  /// grows a net past that widens the table in place).
-  [[nodiscard]] bool narrow_counts() const noexcept { return narrow_; }
   /// λ_e under the current assignment.
   [[nodiscard]] PartId lambda(EdgeId e) const noexcept { return lambda_[e]; }
 
@@ -222,37 +216,10 @@ class ConnectivityTracker {
   }
 
  private:
-  // The hot kernels are compiled twice, once per count width; every public
-  // entry point dispatches ONCE on narrow_ and stays branch-free on the
-  // width inside its loops. Both instantiations compute identical integer
-  // sums, so results never depend on the selected width.
-  template <typename C>
-  [[nodiscard]] C* counts_data() noexcept {
-    if constexpr (std::is_same_v<C, std::uint16_t>) {
-      return counts16_.data();
-    } else {
-      return counts32_.data();
-    }
-  }
-  template <typename C>
-  [[nodiscard]] const C* counts_data() const noexcept {
-    if constexpr (std::is_same_v<C, std::uint16_t>) {
-      return counts16_.data();
-    } else {
-      return counts32_.data();
-    }
-  }
-  template <typename C>
   void build_counts(unsigned threads);
-  template <typename C>
-  [[nodiscard]] Weight gain_impl(NodeId v, PartId to, CostMetric m) const;
-  template <typename C>
   void move_plain(NodeId v, PartId to);
-  template <typename C>
   void move_with_cache(NodeId v, PartId to);
-  template <typename C>
   void recount_net(EdgeId e);
-  template <typename C>
   void fill_cache_tables(CostMetric m);
   void rescan_best(NodeId v) noexcept;
   /// Patch cut_net_ / connectivity_ for one net of weight w whose λ went
@@ -261,37 +228,25 @@ class ConnectivityTracker {
   void patch_part_weights(PartId from, PartId to, Weight w) noexcept;
   void benefit_add(NodeId v, PartId q, Weight w) noexcept;
   void benefit_sub(NodeId v, PartId q, Weight w) noexcept;
-  template <typename C>
   void apply_connectivity_deltas(EdgeId e, NodeId u, PartId from, PartId to);
-  template <typename C>
   void remove_cut_contributions(EdgeId e, NodeId u);
-  template <typename C>
   void add_cut_contributions(EdgeId e, NodeId u);
-  template <typename C>
   void rebuild_mover_cache_row(NodeId u);
   void update_boundary_after_lambda_change(EdgeId e, PartId l_before,
                                            PartId l_after);
   void touch(NodeId v);
   void boundary_insert(NodeId v);
   void boundary_erase(NodeId v);
-  /// Copy the uint16 table into the wide one and drop the narrow layout;
-  /// called when a net patch grows some net past 65535 pins.
-  void widen_counts();
   /// The two present parts (a < b) of an edge with λ_e == 2, via the
   /// present-parts bitset when k ≤ 64 and a count scan otherwise.
-  template <typename C>
   [[nodiscard]] std::pair<PartId, PartId> two_present_parts(
       EdgeId e) const noexcept;
 
   const Hypergraph& g_;
   PartId k_;
   std::vector<PartId> part_;
-  // m × k pins-in-part, exactly one of the two active (see narrow_counts()):
-  // the narrow table halves the footprint and memory traffic of every
-  // per-net row scan — the hot walk of gain-cache fill and FM moves.
-  bool narrow_ = false;
-  std::vector<std::uint16_t> counts16_;
-  std::vector<std::uint32_t> counts32_;
+  // m × k pins-in-part Φ(e, q), row e at offset e·k.
+  std::vector<std::uint32_t> counts_;
   // For k ≤ 64: per-net bitset of parts with at least one pin, kept in
   // lock-step with counts_. Turns the hot "which parts are present in e"
   // scans (gain-cache fill, the λ == 2 two-part lookups, the mover-row

@@ -208,13 +208,9 @@ TEST(GainCache, FillIsIdenticalAtEveryThreadCount) {
   // best-target rescan split with `threads`. Pin the finished cache
   // against gain() and across thread counts, on both present-parts paths
   // (k <= 64 bitset, k > 64 count scan).
-  const NodeId n = 600;
-  const Hypergraph g = random_hypergraph(n, 900, 2, 12, 61);
-  for (const PartId k : {2u, 8u, 64u, 96u}) {
-    Rng rng{k};
-    std::vector<PartId> assign(n);
-    for (auto& a : assign) a = static_cast<PartId>(rng.next_below(k));
-    const Partition p(std::move(assign), k);
+  const auto check = [](const Hypergraph& g, const Partition& p) {
+    const NodeId n = g.num_nodes();
+    const PartId k = p.k();
     for (const CostMetric m : {CostMetric::kConnectivity, CostMetric::kCutNet}) {
       std::vector<PartId> best_ref;
       std::vector<bool> boundary_ref;
@@ -247,7 +243,33 @@ TEST(GainCache, FillIsIdenticalAtEveryThreadCount) {
         }
       }
     }
+  };
+
+  const NodeId n = 600;
+  const Hypergraph g = random_hypergraph(n, 900, 2, 12, 61);
+  for (const PartId k : {2u, 8u, 64u, 96u}) {
+    Rng rng{k};
+    std::vector<PartId> assign(n);
+    for (auto& a : assign) a = static_cast<PartId>(rng.next_below(k));
+    check(g, Partition(std::move(assign), k));
   }
+
+  // Nets of up to 130 pins over 140 nodes at k = 67, every part holding
+  // two or three nodes: some nets have all k parts present, so the count
+  // scan runs to a large λ before its early exit.
+  const NodeId n_wide = 140;
+  const PartId k_wide = 67;
+  const Hypergraph wide = random_hypergraph(n_wide, 300, 2, 130, 62);
+  std::vector<PartId> assign(n_wide);
+  for (NodeId v = 0; v < n_wide; ++v) assign[v] = v % k_wide;
+  const Partition p(std::move(assign), k_wide);
+  const ConnectivityTracker probe(wide, p);
+  EdgeId full_nets = 0;
+  for (EdgeId e = 0; e < wide.num_edges(); ++e) {
+    if (probe.lambda(e) == k_wide) ++full_nets;
+  }
+  EXPECT_GT(full_nets, 0u);
+  check(wide, p);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Randomized equivalence of the flat (uint16/uint32) pins-in-part tables
-// against a map-based reference: λ, both cost totals, part weights, cached
-// gains, and per-(edge,part) counts after 1k mixed moves, including
-// structural patches that rewrite and append nets — and one that grows a
-// net past 65535 pins mid-run, forcing the narrow table to widen in place.
+// Randomized equivalence of the flat uint32 pins-in-part table against a
+// map-based reference: λ, both cost totals, part weights, cached gains, and
+// per-(edge,part) counts after 1k mixed moves, on the k ≤ 64 present-parts
+// bitset and the k > 64 count scan, plus nets of more than 65535 pins —
+// built that way, and grown that far by a structural patch mid-run — whose
+// counts must not truncate.
 
 #include <gtest/gtest.h>
 
@@ -135,14 +136,19 @@ void expect_equivalent(const ConnectivityTracker& t, const ReferenceTracker& r,
   }
 }
 
-void run_equivalence(const Hypergraph& g, PartId k, CostMetric metric,
-                     std::uint64_t seed, bool expect_narrow) {
+/// Round-robin start assignment: part sizes differ by at most one.
+Partition start_partition(const Hypergraph& g, PartId k) {
   Partition p(g.num_nodes(), k);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     p.assign(v, static_cast<PartId>((v * 13 + 5) % k));
   }
+  return p;
+}
+
+void run_equivalence(const Hypergraph& g, PartId k, CostMetric metric,
+                     std::uint64_t seed) {
+  const Partition p = start_partition(g, k);
   ConnectivityTracker tracker(g, p);
-  EXPECT_EQ(tracker.narrow_counts(), expect_narrow);
   tracker.enable_gain_cache(metric);
   ReferenceTracker ref(g, p);
 
@@ -160,22 +166,33 @@ void run_equivalence(const Hypergraph& g, PartId k, CostMetric metric,
   expect_equivalent(tracker, ref, g, k, metric, 1000);
 }
 
-TEST(TrackerFlat, NarrowBitsetPathK8) {
+TEST(TrackerFlat, BitsetPathK8) {
   const Hypergraph g = random_hypergraph(140, 260, 2, 9, 21);
-  run_equivalence(g, 8, CostMetric::kConnectivity, 0xA1, true);
-  run_equivalence(g, 8, CostMetric::kCutNet, 0xA2, true);
+  run_equivalence(g, 8, CostMetric::kConnectivity, 0xA1);
+  run_equivalence(g, 8, CostMetric::kCutNet, 0xA2);
 }
 
-TEST(TrackerFlat, NarrowGeneralPathK96) {
-  // k > 64 disables the present-parts bitset: the word-skip count-row scan
-  // and the O(k) fallbacks must agree with the reference too.
+TEST(TrackerFlat, CountScanPathK96) {
+  // k > 64 disables the present-parts bitset: the count-row scan with its
+  // λ early exit and the two-part lookup must agree with the reference too.
   const Hypergraph g = random_hypergraph(200, 300, 2, 9, 22);
-  run_equivalence(g, 96, CostMetric::kConnectivity, 0xB1, true);
-  run_equivalence(g, 96, CostMetric::kCutNet, 0xB2, true);
+  run_equivalence(g, 96, CostMetric::kConnectivity, 0xB1);
+  run_equivalence(g, 96, CostMetric::kCutNet, 0xB2);
+  // Nets of up to 130 pins over 140 nodes at k = 67: the start assignment
+  // puts two or three nodes in every part, so some nets have all k parts
+  // present and the scan runs to a large λ before its early exit.
+  const Hypergraph wide = random_hypergraph(140, 300, 2, 130, 23);
+  const ConnectivityTracker probe(wide, start_partition(wide, 67));
+  EdgeId full_nets = 0;
+  for (EdgeId e = 0; e < wide.num_edges(); ++e) {
+    if (probe.lambda(e) == 67) ++full_nets;
+  }
+  EXPECT_GT(full_nets, 0u);
+  run_equivalence(wide, 67, CostMetric::kConnectivity, 0xB3);
+  run_equivalence(wide, 67, CostMetric::kCutNet, 0xB4);
 }
 
-/// A graph whose first net has `huge` pins (> 65535 selects the wide table
-/// from construction) plus a sprinkling of small nets.
+/// A graph whose first net has `huge` pins plus a sprinkling of small nets.
 Hypergraph wide_graph(NodeId n, NodeId huge) {
   std::vector<std::vector<NodeId>> edges;
   std::vector<NodeId> big(huge);
@@ -194,7 +211,6 @@ TEST(TrackerFlat, WideCountsOver65535Pins) {
   Partition p(n, k);
   for (NodeId v = 0; v < n; ++v) p.assign(v, static_cast<PartId>(v % k));
   ConnectivityTracker tracker(g, p);
-  EXPECT_FALSE(tracker.narrow_counts());
   tracker.enable_gain_cache(CostMetric::kConnectivity);
   ReferenceTracker ref(g, p);
 
@@ -221,10 +237,10 @@ TEST(TrackerFlat, WideCountsOver65535Pins) {
   }
 }
 
-TEST(TrackerFlat, StructuralPatchWidensMidRun) {
-  // Start narrow (every net small), then a structural patch grows net 0 to
-  // 70k pins: finish_net_patch must widen the table in place and
-  // stay exact, through further moves and a cache re-enable.
+TEST(TrackerFlat, StructuralPatchGrowsNetPast65535Pins) {
+  // Start with every net small, then a structural patch grows net 0 to
+  // 70k pins: finish_net_patch must recount it exactly and stay exact
+  // through further moves and a cache re-enable.
   const NodeId n = 70000;
   const Hypergraph small = wide_graph(n, 5);  // net 0 has only 5 pins
   Hypergraph g = small;                       // mutated below
@@ -232,7 +248,6 @@ TEST(TrackerFlat, StructuralPatchWidensMidRun) {
   Partition p(n, k);
   for (NodeId v = 0; v < n; ++v) p.assign(v, static_cast<PartId>(v % k));
   ConnectivityTracker tracker(g, p);
-  EXPECT_TRUE(tracker.narrow_counts());
   tracker.enable_gain_cache(CostMetric::kConnectivity);
   ReferenceTracker ref(g, p);
 
@@ -264,7 +279,6 @@ TEST(TrackerFlat, StructuralPatchWidensMidRun) {
   tracker.finish_net_patch(touched);
   ref.resync();
 
-  EXPECT_FALSE(tracker.narrow_counts());  // widened by the patch
   EXPECT_FALSE(tracker.gain_cache_enabled());  // patch drops the cache
   ASSERT_EQ(tracker.connectivity_cost(), ref.connectivity_cost());
   ASSERT_EQ(tracker.cut_net_cost(), ref.cut_net_cost());
