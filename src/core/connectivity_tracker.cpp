@@ -1,7 +1,6 @@
 #include "hyperpart/core/connectivity_tracker.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <limits>
 #include <stdexcept>
@@ -19,14 +18,18 @@ constexpr std::uint32_t kNotInBoundary =
 // near enough that the line is still resident when used.
 constexpr std::size_t kPrefetchAhead = 4;
 
-// Write the parts present in one count row to `out` (ascending part id),
-// stopping as soon as `lambda` of them are found; returns how many were
-// written. This is the k > 64 replacement for the present-parts bitset.
+// Write the parts present in one count row to `out` (ascending part id,
+// room for k entries); returns how many were written, i.e. λ of the row.
+// The loop has no data-dependent branch: it stores every part id and only
+// advances past a present one, and it always runs k steps. Both a branch
+// on presence and an early exit at λ mispredict, and made the k = 8 fill
+// measurably slower.
 PartId collect_present_parts(const std::uint32_t* row, PartId k,
-                             PartId lambda, PartId* out) noexcept {
+                             PartId* out) noexcept {
   PartId found = 0;
-  for (PartId q = 0; q < k && found < lambda; ++q) {
-    if (row[q] != 0) out[found++] = q;
+  for (PartId q = 0; q < k; ++q) {
+    out[found] = q;
+    found += static_cast<PartId>(row[q] != 0);
   }
   return found;
 }
@@ -51,7 +54,6 @@ void ConnectivityTracker::build_counts(unsigned threads) {
              e < static_cast<EdgeId>(end); ++e) {
           const std::size_t base = static_cast<std::size_t>(e) * k_;
           PartId l = 0;
-          std::uint64_t mask = 0;
           const auto pins = g_.pins(e);
           for (std::size_t i = 0; i < pins.size(); ++i) {
             // The edge walk itself is sequential (hardware-prefetched); the
@@ -61,13 +63,9 @@ void ConnectivityTracker::build_counts(unsigned threads) {
             }
             const PartId q = part_[pins[i]];
             std::uint32_t& c = counts[base + q];
-            if (c == 0) {
-              ++l;
-              mask |= std::uint64_t{1} << (q & 63);
-            }
+            if (c == 0) ++l;
             ++c;
           }
-          if (!present_.empty()) present_[e] = mask;
           lambda_[e] = l;
           if (l > 1) {
             local.cut += g_.edge_weight(e);
@@ -91,7 +89,6 @@ ConnectivityTracker::ConnectivityTracker(const Hypergraph& g,
   }
   part_.assign(p.raw().begin(), p.raw().end());
   counts_.assign(static_cast<std::size_t>(g.num_edges()) * k_, 0);
-  if (k_ <= 64) present_.assign(g.num_edges(), 0);
   lambda_.assign(g.num_edges(), 0);
   part_weight_.assign(k_, 0);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -132,30 +129,27 @@ Weight ConnectivityTracker::gain(NodeId v, PartId to, CostMetric m) const {
   return gain;
 }
 
+std::pair<PartId, PartId> ConnectivityTracker::move_pin(EdgeId e, PartId from,
+                                                        PartId to) noexcept {
+  const std::size_t base = static_cast<std::size_t>(e) * k_;
+  std::uint32_t& cf = counts_[base + from];
+  std::uint32_t& ct = counts_[base + to];
+  assert(cf > 0);
+  // Branchless λ update from the pre-move counts; the cost deltas below
+  // are exact zeros when λ did not change.
+  const PartId l_before = lambda_[e];
+  const PartId l_after = l_before - static_cast<PartId>(cf == 1) +
+                         static_cast<PartId>(ct == 0);
+  --cf;
+  ++ct;
+  lambda_[e] = l_after;
+  patch_costs(g_.edge_weight(e), l_before, l_after);
+  return {l_before, l_after};
+}
+
 void ConnectivityTracker::move_plain(NodeId v, PartId to) {
   const PartId from = part_[v];
-  std::uint32_t* counts = counts_.data();
-  for (const EdgeId e : g_.incident_edges(v)) {
-    const Weight w = g_.edge_weight(e);
-    const std::size_t base = static_cast<std::size_t>(e) * k_;
-    const PartId l_before = lambda_[e];
-    std::uint32_t& cf = counts[base + from];
-    std::uint32_t& ct = counts[base + to];
-    assert(cf > 0);
-    // Branchless λ update from the pre-move counts; the cost deltas below
-    // are exact zeros when λ did not change.
-    const PartId l_after = l_before - static_cast<PartId>(cf == 1) +
-                           static_cast<PartId>(ct == 0);
-    if (!present_.empty()) {
-      const std::uint64_t fbit = std::uint64_t{1} << from;
-      const std::uint64_t tbit = std::uint64_t{1} << to;
-      present_[e] = (present_[e] & ~(fbit * (cf == 1))) | (tbit * (ct == 0));
-    }
-    --cf;
-    ++ct;
-    lambda_[e] = l_after;
-    patch_costs(w, l_before, l_after);
-  }
+  for (const EdgeId e : g_.incident_edges(v)) move_pin(e, from, to);
   patch_part_weights(from, to, g_.node_weight(v));
   part_[v] = to;
 }
@@ -203,16 +197,11 @@ void ConnectivityTracker::recount_net(EdgeId e) {
   const std::size_t base = static_cast<std::size_t>(e) * k_;
   std::fill(counts + base, counts + base + k_, 0u);
   PartId l = 0;
-  std::uint64_t mask = 0;
   for (const NodeId v : g_.pins(e)) {
     std::uint32_t& c = counts[base + part_[v]];
-    if (c == 0) {
-      ++l;
-      mask |= std::uint64_t{1} << (part_[v] & 63);
-    }
+    if (c == 0) ++l;
     ++c;
   }
-  if (!present_.empty()) present_[e] = mask;
   lambda_[e] = l;
   if (l > 1) patch_costs(g_.edge_weight(e), 1, l);
 }
@@ -229,7 +218,6 @@ void ConnectivityTracker::finish_net_patch(std::span<const EdgeId> touched) {
   }
   counts_.resize(static_cast<std::size_t>(m_after) * k_, 0);
   lambda_.resize(m_after, 0);
-  if (k_ <= 64) present_.resize(m_after, 0);
   for (const EdgeId e : touched) recount_net(e);
   for (EdgeId e = m_before; e < m_after; ++e) recount_net(e);
 }
@@ -259,13 +247,13 @@ void ConnectivityTracker::enable_gain_cache(CostMetric m, unsigned threads) {
   // Best-target index over the finished benefit rows; a pure function of
   // the rows, so the parallel build is deterministic.
   best_to_.assign(n, 0);
-  parallel_for_chunks(n, threads,
-                      [&](std::uint64_t begin, std::uint64_t end) {
-                        for (NodeId v = static_cast<NodeId>(begin);
-                             v < static_cast<NodeId>(end); ++v) {
-                          rescan_best(v);
-                        }
-                      });
+  parallel_for_grain(n, kStableGrain, threads,
+                     [&](std::size_t, std::uint64_t begin, std::uint64_t end) {
+                       for (NodeId v = static_cast<NodeId>(begin);
+                            v < static_cast<NodeId>(end); ++v) {
+                         rescan_best(v);
+                       }
+                     });
 
   for (NodeId v = 0; v < n; ++v) {
     if (aux_[v].cut_incident > 0) boundary_insert(v);
@@ -326,18 +314,8 @@ void ConnectivityTracker::fill_cache_tables(CostMetric m) {
     const PartId l = lambda_[e];
     const auto pins = g_.pins(e);
     if (m == CostMetric::kConnectivity) {
-      PartId num_present = 0;
-      if (!present_.empty()) {
-        // Bit iteration over the per-net present-parts word replaces the
-        // O(k) count scan; order (ascending part id) matches.
-        for (std::uint64_t mask = present_[e]; mask != 0; mask &= mask - 1) {
-          present[num_present++] =
-              static_cast<PartId>(std::countr_zero(mask));
-        }
-      } else {
-        num_present =
-            collect_present_parts(counts + base, k_, l, present.data());
-      }
+      const PartId num_present =
+          collect_present_parts(counts + base, k_, present.data());
       for (std::size_t i = 0; i < pins.size(); ++i) {
         if (i + kPrefetchAhead < pins.size()) {
           // The benefit row and aux record of a pin a few iterations out
@@ -568,40 +546,22 @@ void ConnectivityTracker::move_with_cache(NodeId u, PartId to) {
   }
   touch(u);
   const bool conn = cache_metric_ == CostMetric::kConnectivity;
-  std::uint32_t* counts = counts_.data();
   // The delta rules below write scattered benefit rows of this move's
   // neighborhood; start pulling them in before the count updates need them.
   for (const EdgeId e : g_.incident_edges(u)) {
-    prefetch(counts + static_cast<std::size_t>(e) * k_);
+    prefetch(counts_.data() + static_cast<std::size_t>(e) * k_);
     for (const NodeId v : g_.pins(e)) prefetch_gain_row(v);
   }
   for (const EdgeId e : g_.incident_edges(u)) {
-    const Weight w = g_.edge_weight(e);
-    const std::size_t base = static_cast<std::size_t>(e) * k_;
-    const PartId l_before = lambda_[e];
-    std::uint32_t& cf = counts[base + from];
-    std::uint32_t& ct = counts[base + to];
-    assert(cf > 0);
-    const PartId l_after = l_before - static_cast<PartId>(cf == 1) +
-                           static_cast<PartId>(ct == 0);
-    // λ ≥ 3 before and after means no pin's cut-metric contribution
-    // changes; those edges cost O(1).
-    const bool cut_relevant = !conn && (l_before <= 2 || l_after <= 2);
+    // The cut-metric rules act only on a net whose λ is ≤ 2 before (remove)
+    // or after (add) the move; with λ ≥ 3 on both sides the net costs O(1).
     if (conn) {
       apply_connectivity_deltas(e, u, from, to);
-    } else if (cut_relevant) {
+    } else {
       remove_cut_contributions(e, u);
     }
-    if (!present_.empty()) {
-      const std::uint64_t fbit = std::uint64_t{1} << from;
-      const std::uint64_t tbit = std::uint64_t{1} << to;
-      present_[e] = (present_[e] & ~(fbit * (cf == 1))) | (tbit * (ct == 0));
-    }
-    --cf;
-    ++ct;
-    lambda_[e] = l_after;
-    patch_costs(w, l_before, l_after);
-    if (cut_relevant) add_cut_contributions(e, u);
+    const auto [l_before, l_after] = move_pin(e, from, to);
+    if (!conn) add_cut_contributions(e, u);
     update_boundary_after_lambda_change(e, l_before, l_after);
   }
   patch_part_weights(from, to, g_.node_weight(u));
@@ -611,15 +571,13 @@ void ConnectivityTracker::move_with_cache(NodeId u, PartId to) {
 
 std::pair<PartId, PartId> ConnectivityTracker::two_present_parts(
     EdgeId e) const noexcept {
-  if (!present_.empty()) {
-    const std::uint64_t m = present_[e];
-    return {static_cast<PartId>(std::countr_zero(m)),
-            static_cast<PartId>(std::countr_zero(m & (m - 1)))};
-  }
-  PartId parts[2] = {kInvalidPart, kInvalidPart};
-  collect_present_parts(counts_.data() + static_cast<std::size_t>(e) * k_, k_,
-                        2, parts);
-  return {parts[0], parts[1]};
+  assert(lambda_[e] == 2);
+  const std::uint32_t* row = counts_.data() + static_cast<std::size_t>(e) * k_;
+  PartId a = 0;
+  while (row[a] == 0) ++a;
+  PartId b = a + 1;
+  while (row[b] == 0) ++b;
+  return {a, b};
 }
 
 BatchCommitResult ConnectivityTracker::apply_batch(

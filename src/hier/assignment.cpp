@@ -6,7 +6,6 @@
 
 #include "hyperpart/hier/blossom.hpp"
 #include "hyperpart/hier/hier_cost.hpp"
-#include "hyperpart/hier/matching.hpp"
 #include "hyperpart/util/rng.hpp"
 
 namespace hp {

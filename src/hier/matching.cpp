@@ -1,11 +1,8 @@
 #include "hyperpart/hier/matching.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <limits>
 #include <stdexcept>
-
-#include "hyperpart/util/rng.hpp"
 
 namespace hp {
 
@@ -53,66 +50,6 @@ MatchingResult max_weight_perfect_matching(
     res.mate[v] = u;
     res.mate[u] = v;
     mask &= ~((1u << v) | (1u << u));
-  }
-  return res;
-}
-
-MatchingResult matching_local_search(
-    const std::vector<std::vector<double>>& weight, std::uint64_t seed) {
-  const std::uint32_t n = static_cast<std::uint32_t>(weight.size());
-  if (n % 2 != 0) {
-    throw std::invalid_argument("matching_local_search: odd n");
-  }
-  MatchingResult res;
-  res.mate.assign(n, 0);
-  if (n == 0) return res;
-
-  // Random initial pairing.
-  Rng rng{seed};
-  std::vector<std::uint32_t> order(n);
-  for (std::uint32_t i = 0; i < n; ++i) order[i] = i;
-  rng.shuffle(order);
-  for (std::uint32_t i = 0; i < n; i += 2) {
-    res.mate[order[i]] = order[i + 1];
-    res.mate[order[i + 1]] = order[i];
-  }
-
-  // 2-opt: re-pair two pairs {a,b}, {c,d} as {a,c},{b,d} or {a,d},{b,c}.
-  // First-improvement strategy; restart the scan after every swap so pair
-  // pointers are never stale.
-  const auto try_improve = [&]() -> bool {
-    for (std::uint32_t a = 0; a < n; ++a) {
-      const std::uint32_t b = res.mate[a];
-      if (b < a) continue;
-      for (std::uint32_t c = a + 1; c < n; ++c) {
-        const std::uint32_t d = res.mate[c];
-        if (d < c || c == b) continue;
-        const double current = weight[a][b] + weight[c][d];
-        const double swap1 = weight[a][c] + weight[b][d];
-        const double swap2 = weight[a][d] + weight[b][c];
-        if (swap1 > current && swap1 >= swap2) {
-          res.mate[a] = c;
-          res.mate[c] = a;
-          res.mate[b] = d;
-          res.mate[d] = b;
-          return true;
-        }
-        if (swap2 > current) {
-          res.mate[a] = d;
-          res.mate[d] = a;
-          res.mate[b] = c;
-          res.mate[c] = b;
-          return true;
-        }
-      }
-    }
-    return false;
-  };
-  while (try_improve()) {
-  }
-  res.weight = 0.0;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    if (res.mate[v] > v) res.weight += weight[v][res.mate[v]];
   }
   return res;
 }

@@ -122,9 +122,9 @@ class ConnectivityTracker {
   void begin_net_patch(std::span<const EdgeId> touched);
 
   /// Phase 2, called AFTER the graph mutated. Resizes the per-net tables to
-  /// the new edge count, recomputes pin counts / λ / present-parts rows for
-  /// the touched nets and for every net appended since phase 1, and adds
-  /// their contributions back: O(touched pins + k · touched nets). The
+  /// the new edge count, recomputes the pin-count rows and λ of the touched
+  /// nets and of every net appended since phase 1, and adds their
+  /// contributions back: O(touched pins + k · touched nets). The
   /// tracker then equals ConnectivityTracker(g, to_partition()) in counts,
   /// λ, both costs and part weights, with no gain cache.
   void finish_net_patch(std::span<const EdgeId> touched);
@@ -219,6 +219,10 @@ class ConnectivityTracker {
   void build_counts(unsigned threads);
   void move_plain(NodeId v, PartId to);
   void move_with_cache(NodeId v, PartId to);
+  /// Move one pin of net e from part `from` to `to`: its two counts, λ_e
+  /// and both cost totals. Returns λ_e before and after.
+  std::pair<PartId, PartId> move_pin(EdgeId e, PartId from,
+                                     PartId to) noexcept;
   void recount_net(EdgeId e);
   void fill_cache_tables(CostMetric m);
   void rescan_best(NodeId v) noexcept;
@@ -237,21 +241,17 @@ class ConnectivityTracker {
   void touch(NodeId v);
   void boundary_insert(NodeId v);
   void boundary_erase(NodeId v);
-  /// The two present parts (a < b) of an edge with λ_e == 2, via the
-  /// present-parts bitset when k ≤ 64 and a count scan otherwise.
+  /// The two present parts (a < b) of an edge with λ_e == 2: the first two
+  /// nonzero entries of its count row.
   [[nodiscard]] std::pair<PartId, PartId> two_present_parts(
       EdgeId e) const noexcept;
 
   const Hypergraph& g_;
   PartId k_;
   std::vector<PartId> part_;
-  // m × k pins-in-part Φ(e, q), row e at offset e·k.
+  // m × k pins-in-part Φ(e, q), row e at offset e·k: the only per-net part
+  // state; "which parts does e touch" is read from row e.
   std::vector<std::uint32_t> counts_;
-  // For k ≤ 64: per-net bitset of parts with at least one pin, kept in
-  // lock-step with counts_. Turns the hot "which parts are present in e"
-  // scans (gain-cache fill, the λ == 2 two-part lookups, the mover-row
-  // rebuild) from O(k) count reads into one word load + bit tricks.
-  std::vector<std::uint64_t> present_;
   std::vector<PartId> lambda_;
   std::vector<Weight> part_weight_;
   Weight cut_net_ = 0;

@@ -138,8 +138,10 @@ class Hypergraph {
 
   /// 64-bit FNV-1a content hash over the full structure and weights
   /// (n, m, pin lists, incidence offsets, weight vectors). Two graphs with
-  /// equal hash are byte-identical for every accessor above; the
-  /// partitioning service keys its hierarchy/tracker caches on it.
+  /// equal hash are byte-identical for every accessor above; tests, benches
+  /// and the fuzz oracle pin whole graphs with it. The partitioning service
+  /// keys its caches on graph_fingerprint() (core/fingerprint.hpp) instead,
+  /// which it maintains across updates without an O(ρ) rehash.
   [[nodiscard]] std::uint64_t content_hash() const noexcept;
 
   /// Internal consistency check (offsets sorted, pins in range, mirror

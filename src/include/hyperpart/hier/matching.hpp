@@ -1,15 +1,14 @@
 #pragma once
-// Maximum-weight perfect matching on small complete graphs.
+// Maximum-weight perfect matching on small complete graphs by subset DP.
 //
 // Lemma H.1 reduces two-level hierarchy assignment with b₂ = 2 to
-// maximum-weight perfect matching, solvable in polynomial time by Edmonds'
-// blossom algorithm. At the instance sizes of the hierarchy assignment
-// problem (k units, k ≤ ~20) an exact Held–Karp-style subset DP in
-// O(2^k · k) is simpler and exact; a 2-opt pair-swap local search covers
-// larger k heuristically. Both operate on a dense weight matrix.
+// maximum-weight perfect matching, which matching_assignment solves in
+// polynomial time with Edmonds' blossom algorithm (blossom.hpp). This
+// Held–Karp-style subset DP is exact in O(2^n · n) on a dense weight
+// matrix; it is the small-instance reference the blossom solver is tested
+// against.
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 namespace hp {
@@ -24,9 +23,5 @@ struct MatchingResult {
 /// symmetric n×n matrix with n even, n ≤ 24.
 [[nodiscard]] MatchingResult max_weight_perfect_matching(
     const std::vector<std::vector<double>>& weight);
-
-/// 2-opt local search from a greedy matching; weight ≤ optimum, any even n.
-[[nodiscard]] MatchingResult matching_local_search(
-    const std::vector<std::vector<double>>& weight, std::uint64_t seed);
 
 }  // namespace hp

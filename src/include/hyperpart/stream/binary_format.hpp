@@ -134,12 +134,14 @@ class MappedHypergraph {
   [[nodiscard]] Hypergraph materialize() const;
 
   /// Structural sanity check mirroring Hypergraph::validate(): offsets
-  /// start at 0, are monotone and end at ρ; ids are in range; pins are
-  /// sorted and distinct per edge; every node's incidence list is strictly
-  /// ascending and each entry (v, e) has v ∈ pins(e), so the incidence
-  /// section is exactly the mirror of the pins; weights are non-negative
-  /// and within the weight budget (util/weight_budget.hpp). Faults in
-  /// every section, so it runs once per load (require_valid), not per open.
+  /// start at 0, are monotone and end at ρ; pins are in range, sorted and
+  /// distinct per edge; the incidence section is exactly the mirror of the
+  /// pins (every node lists the nets it is a pin of, ascending); weights
+  /// are non-negative and within the weight budget
+  /// (util/weight_budget.hpp). Faults in every section and holds one
+  /// uint32 cursor per node, so it runs once per load (require_valid), not
+  /// per open. Returns false, not throws, when that n-entry buffer cannot
+  /// be allocated.
   [[nodiscard]] bool validate() const noexcept;
 
   /// Advise the kernel to drop this mapping's resident pages

@@ -54,15 +54,6 @@ class ThreadPool {
 void run_parallel(const std::vector<std::function<void()>>& tasks,
                   unsigned threads);
 
-/// Chunked parallel for over [0, count): fn(begin, end) per chunk. The
-/// chunk boundaries derive from min(threads, count), so two runs with
-/// different thread counts see different chunkings — safe only when the
-/// per-chunk work commutes exactly (independent slots, integer sums). For
-/// order-sensitive merging use parallel_for_grain below.
-void parallel_for_chunks(std::uint64_t count, unsigned threads,
-                         const std::function<void(std::uint64_t,
-                                                  std::uint64_t)>& fn);
-
 /// Fixed grain used by parallel_for_grain / parallel_reduce_stable when the
 /// caller passes grain == 0. A constant (never thread-derived) so chunk
 /// boundaries are a pure function of the item count.

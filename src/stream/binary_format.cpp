@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -279,25 +280,27 @@ bool MappedHypergraph::validate() const noexcept {
   if (!std::is_sorted(node_offsets_, node_offsets_ + num_nodes_ + 1)) {
     return false;
   }
-  for (std::uint64_t i = 0; i < num_pins_; ++i) {
-    if (pins_[i] >= num_nodes_) return false;
-    if (incident_[i] >= num_edges_) return false;
+  // One pass over the pins in net order, with a cursor per node into its
+  // incidence list: the next entry of v's list must be the net being
+  // walked. Pins are strictly ascending per net, so v meets each net at
+  // most once and its list is read in ascending net order. The ρ cursor
+  // steps never pass a list's end and the lists hold ρ entries in all, so
+  // every list is consumed exactly: the incidence section is the mirror of
+  // the pins.
+  std::vector<std::uint32_t> cursor;
+  try {
+    cursor.assign(num_nodes_, 0);
+  } catch (const std::bad_alloc&) {
+    return false;
   }
   for (EdgeId e = 0; e < num_edges_; ++e) {
     const auto p = pins(e);
-    for (std::size_t i = 1; i < p.size(); ++i) {
-      if (p[i - 1] >= p[i]) return false;
-    }
-  }
-  // The incidence section must mirror the pins. Strictly ascending lists
-  // make every (v, e) entry distinct, and v ∈ pins(e) maps it to a distinct
-  // pin slot; with ρ entries on both sides that is a bijection.
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    const auto inc = incident_edges(v);
-    for (std::size_t i = 0; i < inc.size(); ++i) {
-      if (i > 0 && inc[i - 1] >= inc[i]) return false;
-      const auto p = pins(inc[i]);
-      if (!std::binary_search(p.begin(), p.end(), v)) return false;
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      const NodeId v = p[i];
+      if (v >= num_nodes_ || (i > 0 && p[i - 1] >= v)) return false;
+      const std::uint64_t slot = node_offsets_[v] + cursor[v];
+      if (slot >= node_offsets_[v + 1] || incident_[slot] != e) return false;
+      ++cursor[v];
     }
   }
   // Weights must be non-negative and within the weight budget; BudgetSum

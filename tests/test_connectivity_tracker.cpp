@@ -206,8 +206,7 @@ TEST(GainCache, SwitchingMetricRebuildsExactly) {
 TEST(GainCache, FillIsIdenticalAtEveryThreadCount) {
   // The fill itself runs on one thread; the tracker build and the
   // best-target rescan split with `threads`. Pin the finished cache
-  // against gain() and across thread counts, on both present-parts paths
-  // (k <= 64 bitset, k > 64 count scan).
+  // against gain() and across thread counts, for k on both sides of 64.
   const auto check = [](const Hypergraph& g, const Partition& p) {
     const NodeId n = g.num_nodes();
     const PartId k = p.k();

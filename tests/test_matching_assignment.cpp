@@ -62,16 +62,6 @@ TEST(Matching, DpMatchesBruteForce) {
   }
 }
 
-TEST(Matching, LocalSearchNeverExceedsOptimum) {
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    const auto w = random_weights(10, seed + 50);
-    const double opt = max_weight_perfect_matching(w).weight;
-    const double ls = matching_local_search(w, seed).weight;
-    EXPECT_LE(ls, opt + 1e-9);
-    EXPECT_GE(ls, 0.0);
-  }
-}
-
 TEST(Matching, OddSizeThrows) {
   EXPECT_THROW(max_weight_perfect_matching(random_weights(5, 1)),
                std::invalid_argument);

@@ -29,11 +29,12 @@ TEST(ThreadPool, RunsEveryTaskOnce) {
 
 TEST(ThreadPool, ChunksCoverRangeExactly) {
   std::vector<std::atomic<int>> hits(1000);
-  parallel_for_chunks(1000, 7, [&](std::uint64_t b, std::uint64_t e) {
-    for (std::uint64_t i = b; i < e; ++i) {
-      hits[i].fetch_add(1);
-    }
-  });
+  parallel_for_grain(1000, 64, 7,
+                     [&](std::size_t, std::uint64_t b, std::uint64_t e) {
+                       for (std::uint64_t i = b; i < e; ++i) {
+                         hits[i].fetch_add(1);
+                       }
+                     });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -46,17 +47,20 @@ TEST(ThreadPool, SingleThreadInline) {
 }
 
 TEST(ThreadPool, PersistsAcrossCalls) {
-  // run_parallel is backed by one process-wide worker pool: repeated
-  // parallel regions reuse the same resident workers instead of spawning
+  // Every parallel region is backed by one process-wide worker pool:
+  // repeated regions reuse the same resident workers instead of spawning
   // threads per call.
   ThreadPool& pool = ThreadPool::instance();
   const unsigned workers = pool.num_workers();
   const std::uint64_t before = pool.batches_executed();
   for (int round = 0; round < 50; ++round) {
     std::vector<std::atomic<int>> hits(64);
-    parallel_for_chunks(64, 4, [&](std::uint64_t b, std::uint64_t e) {
-      for (std::uint64_t i = b; i < e; ++i) hits[i].fetch_add(1);
-    });
+    parallel_for_grain(64, 16, 4,
+                       [&](std::size_t, std::uint64_t b, std::uint64_t e) {
+                         for (std::uint64_t i = b; i < e; ++i) {
+                           hits[i].fetch_add(1);
+                         }
+                       });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   }
   EXPECT_EQ(pool.num_workers(), workers);
@@ -73,9 +77,10 @@ TEST(ThreadPool, NestedSubmissionCompletes) {
   std::vector<std::function<void()>> outer;
   for (int i = 0; i < 4; ++i) {
     outer.push_back([&]() {
-      parallel_for_chunks(100, 4, [&](std::uint64_t b, std::uint64_t e) {
-        total.fetch_add(static_cast<int>(e - b));
-      });
+      parallel_for_grain(100, 25, 4,
+                         [&](std::size_t, std::uint64_t b, std::uint64_t e) {
+                           total.fetch_add(static_cast<int>(e - b));
+                         });
     });
   }
   run_parallel(outer, 4);
@@ -85,7 +90,7 @@ TEST(ThreadPool, NestedSubmissionCompletes) {
 TEST(ThreadPool, ZeroItemRangesAreNoOps) {
   // Empty work must return immediately without touching the pool.
   bool called = false;
-  parallel_for_chunks(0, 4, [&](std::uint64_t, std::uint64_t) {
+  parallel_for_grain(0, 0, 4, [&](std::size_t, std::uint64_t, std::uint64_t) {
     called = true;
   });
   EXPECT_FALSE(called);
@@ -93,22 +98,24 @@ TEST(ThreadPool, ZeroItemRangesAreNoOps) {
   ThreadPool::instance().run({});
 }
 
-TEST(ThreadPool, NestedParallelForChunksFromWorker) {
-  // parallel_for_chunks issued from inside a pool task (the common shape
-  // in restream's propose phase) must complete and cover both ranges.
+TEST(ThreadPool, NestedParallelForGrainFromWorker) {
+  // parallel_for_grain issued from inside a pool task must complete and
+  // cover both ranges.
   std::atomic<int> outer_hits{0};
   std::atomic<int> inner_hits{0};
-  parallel_for_chunks(8, 4, [&](std::uint64_t b, std::uint64_t e) {
-    outer_hits.fetch_add(static_cast<int>(e - b));
-    parallel_for_chunks(50, 3, [&](std::uint64_t ib, std::uint64_t ie) {
-      inner_hits.fetch_add(static_cast<int>(ie - ib));
-    });
-  });
+  parallel_for_grain(8, 2, 4,
+                     [&](std::size_t, std::uint64_t b, std::uint64_t e) {
+                       outer_hits.fetch_add(static_cast<int>(e - b));
+                       parallel_for_grain(
+                           50, 10, 3,
+                           [&](std::size_t, std::uint64_t ib,
+                               std::uint64_t ie) {
+                             inner_hits.fetch_add(static_cast<int>(ie - ib));
+                           });
+                     });
   EXPECT_EQ(outer_hits.load(), 8);
-  // One inner sweep of 50 per outer chunk; chunk count depends on the
-  // split, so check divisibility and coverage.
-  EXPECT_GT(inner_hits.load(), 0);
-  EXPECT_EQ(inner_hits.load() % 50, 0);
+  // One full inner sweep of 50 per outer chunk (8 / 2 = 4 chunks).
+  EXPECT_EQ(inner_hits.load(), 4 * 50);
 }
 
 TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives) {

@@ -200,6 +200,27 @@ TEST(BinaryFormat, RejectsIncidenceThatDoesNotMirrorPins) {
   std::remove(path.c_str());
 }
 
+TEST(BinaryFormat, RejectsOverrunIncidenceAndUnsortedPins) {
+  // Each file mirrors its pins entry for entry if a node's incidence list
+  // may run into the next node's, or if a net's pins may be out of order
+  // or repeated; validate() must still reject it.
+  const std::string path = temp_path("stream_overrun.hpb");
+  const auto valid = [&](const std::vector<std::uint64_t>& edge_offsets,
+                         const std::vector<NodeId>& pins,
+                         const std::vector<std::uint64_t>& node_offsets,
+                         const std::vector<EdgeId>& incident) {
+    write_raw_hpb(path, edge_offsets, pins, node_offsets, incident);
+    return stream::MappedHypergraph(path).validate();
+  };
+  EXPECT_FALSE(valid({0, 2, 4}, {0, 1, 1, 2}, {0, 1, 2, 4}, {0, 0, 1, 1}))
+      << "node 1's list lacks e1; node 2 lists it twice";
+  EXPECT_FALSE(valid({0, 2, 4}, {1, 0, 1, 2}, {0, 1, 3, 4}, {0, 0, 1, 1}))
+      << "e0's pins are descending";
+  EXPECT_FALSE(valid({0, 2, 4}, {1, 1, 1, 2}, {0, 0, 3, 4}, {0, 0, 1, 1}))
+      << "e0 repeats pin 1";
+  std::remove(path.c_str());
+}
+
 class StreamPartitionTest : public ::testing::Test {
  protected:
   /// Writes g to a fresh binary file and maps it.

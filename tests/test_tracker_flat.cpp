@@ -1,9 +1,10 @@
 // Randomized equivalence of the flat uint32 pins-in-part table against a
 // map-based reference: λ, both cost totals, part weights, cached gains, and
-// per-(edge,part) counts after 1k mixed moves, on the k ≤ 64 present-parts
-// bitset and the k > 64 count scan, plus nets of more than 65535 pins —
-// built that way, and grown that far by a structural patch mid-run — whose
-// counts must not truncate.
+// per-(edge,part) counts after 1k mixed moves, over a sweep of k on both
+// sides of 64 (including nets with every part present, where the count-row
+// scan runs to a large λ), plus nets of more than 65535 pins — built that
+// way, and grown that far by a structural patch mid-run — whose counts must
+// not truncate.
 
 #include <gtest/gtest.h>
 
@@ -166,18 +167,19 @@ void run_equivalence(const Hypergraph& g, PartId k, CostMetric metric,
   expect_equivalent(tracker, ref, g, k, metric, 1000);
 }
 
-TEST(TrackerFlat, BitsetPathK8) {
-  const Hypergraph g = random_hypergraph(140, 260, 2, 9, 21);
-  run_equivalence(g, 8, CostMetric::kConnectivity, 0xA1);
-  run_equivalence(g, 8, CostMetric::kCutNet, 0xA2);
-}
-
-TEST(TrackerFlat, CountScanPathK96) {
-  // k > 64 disables the present-parts bitset: the count-row scan with its
-  // λ early exit and the two-part lookup must agree with the reference too.
-  const Hypergraph g = random_hypergraph(200, 300, 2, 9, 22);
-  run_equivalence(g, 96, CostMetric::kConnectivity, 0xB1);
-  run_equivalence(g, 96, CostMetric::kCutNet, 0xB2);
+TEST(TrackerFlat, KSweepMatchesReference) {
+  // Every k reads present parts through the same count-row scan with its λ
+  // early exit; it and the λ = 2 two-part lookup must agree with the
+  // reference at every k.
+  const Hypergraph g8 = random_hypergraph(140, 260, 2, 9, 21);
+  run_equivalence(g8, 8, CostMetric::kConnectivity, 0xA1);
+  run_equivalence(g8, 8, CostMetric::kCutNet, 0xA2);
+  const Hypergraph g64 = random_hypergraph(200, 300, 2, 9, 24);
+  run_equivalence(g64, 64, CostMetric::kConnectivity, 0xE1);
+  run_equivalence(g64, 64, CostMetric::kCutNet, 0xE2);
+  const Hypergraph g96 = random_hypergraph(200, 300, 2, 9, 22);
+  run_equivalence(g96, 96, CostMetric::kConnectivity, 0xB1);
+  run_equivalence(g96, 96, CostMetric::kCutNet, 0xB2);
   // Nets of up to 130 pins over 140 nodes at k = 67: the start assignment
   // puts two or three nodes in every part, so some nets have all k parts
   // present and the scan runs to a large λ before its early exit.
