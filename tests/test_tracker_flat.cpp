@@ -167,16 +167,19 @@ void run_equivalence(const Hypergraph& g, PartId k, CostMetric metric,
   expect_equivalent(tracker, ref, g, k, metric, 1000);
 }
 
-TEST(TrackerFlat, KSweepMatchesReference) {
-  // Every k reads present parts through the same count-row scan with its λ
-  // early exit; it and the λ = 2 two-part lookup must agree with the
-  // reference at every k.
+// Every k reads present parts through the same count-row scan with its λ
+// early exit; it and the λ = 2 two-part lookup must agree with the reference
+// on both sides of 64, the k range a per-net bitset once covered.
+TEST(TrackerFlat, BitsetPathK8) {
   const Hypergraph g8 = random_hypergraph(140, 260, 2, 9, 21);
   run_equivalence(g8, 8, CostMetric::kConnectivity, 0xA1);
   run_equivalence(g8, 8, CostMetric::kCutNet, 0xA2);
   const Hypergraph g64 = random_hypergraph(200, 300, 2, 9, 24);
   run_equivalence(g64, 64, CostMetric::kConnectivity, 0xE1);
   run_equivalence(g64, 64, CostMetric::kCutNet, 0xE2);
+}
+
+TEST(TrackerFlat, CountScanPathK96) {
   const Hypergraph g96 = random_hypergraph(200, 300, 2, 9, 22);
   run_equivalence(g96, 96, CostMetric::kConnectivity, 0xB1);
   run_equivalence(g96, 96, CostMetric::kCutNet, 0xB2);
