@@ -31,9 +31,10 @@ struct VectorHash {
 // each shard — is identical for every thread count.
 constexpr std::size_t kDedupShards = 32;
 
-// Proposal rounds per level. Round 1 mostly forms pairs (one winner per
-// target); later rounds attach the losers to the young clusters, so a few
-// rounds reach the ~0.5 shrink a full sequential matching pass gets.
+// Proposal rounds per level. Round 1 grows clusters around the targets
+// singletons propose to; round 2 lets the singletons whose proposal failed
+// revalidation (their target filled up or joined another cluster) propose
+// again against the grown clusters.
 constexpr int kProposalRounds = 2;
 // Stop the rounds early once the level shrank to this fraction — coarser
 // does not help the V-shape and the extra round costs a full edge scan.
@@ -89,7 +90,7 @@ CoarseLevel coarsen_once(const Hypergraph& g, Weight max_cluster_weight,
 
   std::vector<NodeId> proposal(n, kInvalidNode);
   std::vector<double> prio(n, 0.0);
-  std::vector<NodeId> winner(n, kInvalidNode);
+  std::vector<NodeId> proposers;  // this round's proposers, in commit order
   NodeId clusters = n;
 
   for (int round = 0; round < kProposalRounds; ++round) {
@@ -158,30 +159,25 @@ CoarseLevel coarsen_once(const Hypergraph& g, Weight max_cluster_weight,
           }
         });
 
-    // Resolve phase: at most one joiner per target cluster and round,
-    // chosen by the fixed priority key (rating desc, then node id asc).
-    // A cheap sequential O(n) scan — ascending ids with a strict "better
-    // rating" comparison implement the key exactly.
-    std::fill(winner.begin(), winner.end(), kInvalidNode);
-    std::uint64_t proposed = 0;
+    // Commit phase: one pass over every proposal in the fixed priority
+    // order — rating desc, then node id asc, a total key, so the order is
+    // the same at every thread count — each revalidated against the live
+    // cluster state. The joiner must still be a singleton (it may have
+    // accepted a member earlier in this pass), the target must still be a
+    // leader (it may have joined another cluster), and the two must fit the
+    // weight cap. A target therefore takes several joiners per round.
+    proposers.clear();
     for (NodeId v = 0; v < n; ++v) {
-      const NodeId l = proposal[v];
-      if (l == kInvalidNode) continue;
-      ++proposed;
-      NodeId& w = winner[l];
-      if (w == kInvalidNode || prio[v] > prio[w]) w = v;
+      if (proposal[v] != kInvalidNode) proposers.push_back(v);
     }
-
-    // Commit phase: apply the winning proposals in node-id order,
-    // revalidating against the live cluster state (the target may have
-    // grown past the cap, merged away, or the winner itself may have
-    // accepted a member earlier in this very loop).
+    std::sort(proposers.begin(), proposers.end(), [&](NodeId a, NodeId b) {
+      return prio[a] > prio[b] || (prio[a] == prio[b] && a < b);
+    });
     NodeId merged = 0;
-    for (NodeId v = 0; v < n; ++v) {
+    for (const NodeId v : proposers) {
       const NodeId l = proposal[v];
-      if (l == kInvalidNode || winner[l] != v) continue;
       if (cluster[v] != v || csize[v] != 1) continue;  // v accepted a member
-      if (cluster[l] != l) continue;  // target merged away this round
+      if (cluster[l] != l) continue;  // target joined another cluster
       if (cweight[l] + cweight[v] > max_cluster_weight) continue;
       cluster[v] = l;
       cweight[l] += cweight[v];
@@ -190,10 +186,11 @@ CoarseLevel coarsen_once(const Hypergraph& g, Weight max_cluster_weight,
     }
     clusters -= merged;
     HP_COUNTER_ADD("coarsen.rounds", 1);
-    HP_COUNTER_ADD("coarsen.proposals", static_cast<std::int64_t>(proposed));
+    HP_COUNTER_ADD("coarsen.proposals",
+                   static_cast<std::int64_t>(proposers.size()));
     HP_COUNTER_ADD("coarsen.merged", merged);
     HP_COUNTER_ADD("coarsen.conflicts",
-                   static_cast<std::int64_t>(proposed - merged));
+                   static_cast<std::int64_t>(proposers.size() - merged));
     if (merged == 0) break;
   }
 

@@ -35,6 +35,61 @@ namespace {
   return coarse;
 }
 
+/// The coarsest graph of a descent from g: its last level, or g itself.
+[[nodiscard]] const Hypergraph& coarsest(
+    const Hypergraph& g, const std::vector<CoarseLevel>& levels) {
+  return levels.empty() ? g : levels.back().graph;
+}
+
+/// cfg.initial_tries attempts on `coarsest`, alternating greedy growing and
+/// random balanced starts, each refined by FM; the lowest cost wins, the
+/// earliest attempt on a tie. nullopt when no attempt is feasible.
+///
+/// The tries are independent pool tasks. Each seed is drawn here in
+/// attempt order (the one draw per attempt the serial loop made), and
+/// each try refines on one thread, so its result depends neither on the
+/// thread count nor on which executor runs it.
+[[nodiscard]] std::optional<Partition> initial_partition(
+    const Hypergraph& coarsest, const BalanceConstraint& balance,
+    const MultilevelConfig& cfg, Rng& rng) {
+  HP_SPAN("initial");
+  const std::size_t tries =
+      static_cast<std::size_t>(std::max(cfg.initial_tries, 0));
+  std::vector<std::uint64_t> seeds(tries);
+  for (std::uint64_t& s : seeds) s = rng();
+  FmConfig fm = level_fm(cfg, coarsest.num_nodes());
+  fm.threads = 1;
+  std::vector<std::optional<Partition>> candidates(tries);
+  std::vector<Weight> costs(tries, 0);
+  const obs::SpanParent parent = obs::current_span();
+  parallel_for_grain(
+      tries, 1, cfg.fm.threads == 0 ? default_threads() : cfg.fm.threads,
+      [&](std::size_t attempt, std::uint64_t, std::uint64_t) {
+        const obs::InheritSpan inherit(parent);
+        std::optional<Partition>& candidate = candidates[attempt];
+        candidate =
+            attempt % 2 == 0
+                ? greedy_growing_partition(coarsest, balance, cfg.metric,
+                                           seeds[attempt])
+                : random_balanced_partition(coarsest, balance,
+                                            seeds[attempt]);
+        if (candidate) {
+          costs[attempt] = fm_refine(coarsest, *candidate, balance, fm);
+        }
+      });
+  // Lowest cost; on a tie the earliest attempt, as the serial loop's
+  // strict `<` kept it.
+  std::size_t best_attempt = tries;
+  for (std::size_t attempt = 0; attempt < tries; ++attempt) {
+    if (candidates[attempt] &&
+        (best_attempt == tries || costs[attempt] < costs[best_attempt])) {
+      best_attempt = attempt;
+    }
+  }
+  if (best_attempt == tries) return std::nullopt;
+  return std::move(candidates[best_attempt]);
+}
+
 /// Project p from the coarsest of `levels` back onto g, refining every
 /// finer level on the way.
 [[nodiscard]] Partition uncoarsen(const Hypergraph& g,
@@ -93,55 +148,22 @@ std::optional<Partition> multilevel_partition(const Hypergraph& g,
   // --- Coarsening phase ---------------------------------------------------
   std::vector<CoarseLevel> levels;
   coarsen(g, balance, cfg, rng, levels);
-  const Hypergraph& coarsest = levels.empty() ? g : levels.back().graph;
+
+  // --- Initial partitioning on the coarsest level --------------------------
+  // Heavy clusters can leave the coarsest level without a balanced
+  // partition (ε = 0 in particular); then drop that level and try one
+  // level finer, with the next seeds from the same rng.
+  std::optional<Partition> best =
+      initial_partition(coarsest(g, levels), balance, cfg, rng);
+  while (!best && !levels.empty()) {
+    levels.pop_back();
+    best = initial_partition(coarsest(g, levels), balance, cfg, rng);
+  }
+  // The hierarchy the result is built on, after any dropped level.
   HP_COUNTER_ADD("multilevel.runs", 1);
   HP_COUNTER_ADD("multilevel.levels",
                  static_cast<std::int64_t>(levels.size()));
-  HP_GAUGE_MAX("multilevel.coarsest_nodes", coarsest.num_nodes());
-
-  // --- Initial partitioning on the coarsest level --------------------------
-  // The tries are independent pool tasks. Each seed is drawn here in
-  // attempt order (the one draw per attempt the serial loop made), and
-  // each try refines on one thread, so its result depends neither on the
-  // thread count nor on which executor runs it.
-  std::optional<Partition> best;
-  {
-    HP_SPAN("initial");
-    const std::size_t tries =
-        static_cast<std::size_t>(std::max(cfg.initial_tries, 0));
-    std::vector<std::uint64_t> seeds(tries);
-    for (std::uint64_t& s : seeds) s = rng();
-    FmConfig fm = level_fm(cfg, coarsest.num_nodes());
-    fm.threads = 1;
-    std::vector<std::optional<Partition>> candidates(tries);
-    std::vector<Weight> costs(tries, 0);
-    const obs::SpanParent parent = obs::current_span();
-    parallel_for_grain(
-        tries, 1, cfg.fm.threads == 0 ? default_threads() : cfg.fm.threads,
-        [&](std::size_t attempt, std::uint64_t, std::uint64_t) {
-          const obs::InheritSpan inherit(parent);
-          std::optional<Partition>& candidate = candidates[attempt];
-          candidate =
-              attempt % 2 == 0
-                  ? greedy_growing_partition(coarsest, balance, cfg.metric,
-                                             seeds[attempt])
-                  : random_balanced_partition(coarsest, balance,
-                                              seeds[attempt]);
-          if (candidate) {
-            costs[attempt] = fm_refine(coarsest, *candidate, balance, fm);
-          }
-        });
-    // Lowest cost; on a tie the earliest attempt, as the serial loop's
-    // strict `<` kept it.
-    std::size_t best_attempt = tries;
-    for (std::size_t attempt = 0; attempt < tries; ++attempt) {
-      if (candidates[attempt] &&
-          (best_attempt == tries || costs[attempt] < costs[best_attempt])) {
-        best_attempt = attempt;
-      }
-    }
-    if (best_attempt != tries) best = std::move(candidates[best_attempt]);
-  }
+  HP_GAUGE_MAX("multilevel.coarsest_nodes", coarsest(g, levels).num_nodes());
   if (!best) return std::nullopt;
 
   // --- Uncoarsening + refinement -------------------------------------------

@@ -5,14 +5,18 @@
 //
 // Each round, every singleton node rates neighbouring clusters by the
 // heavy-edge score w(e)/(|e|−1) against the state frozen at round start
-// and proposes to join the best feasible one; conflicting proposals on the
-// same target are resolved by a fixed priority key (rating desc, then node
-// id asc) and the winners commit sequentially in node-id order. Because
-// proposals are pure functions of frozen state over fixed-grain chunks,
-// the contraction hierarchy is bit-identical at 1 or N threads. The coarse
-// hypergraph aggregates node weights, restricts pins to clusters, and
-// merges identical hyperedges by summing weights (within the weight budget
-// of the fine level: nets only shrink or merge). Contraction
+// and proposes to join the best feasible one. One sequential pass then
+// commits every proposal in a fixed priority order (rating desc, then node
+// id asc), each revalidated against the live clusters: the joiner must
+// still be a singleton, the target still a leader, and the two must fit
+// the weight cap. A target therefore takes several joiners per round, up
+// to the cap (the deterministic clustering of Gottesbüren & Hamann).
+// Because proposals are pure functions of frozen state over fixed-grain
+// chunks and the priority key is total, the contraction hierarchy is
+// bit-identical at 1 or N threads. The coarse hypergraph aggregates node
+// weights, restricts pins to clusters, and merges identical hyperedges by
+// summing weights (within the weight budget of the fine level: nets only
+// shrink or merge). Contraction
 // is CSR-native: projected pin lists live in one flat buffer at their fine
 // offsets, a per-net fingerprint shards them, each shard resolves
 // duplicates in an open-addressing table, and a prefix sum lays the

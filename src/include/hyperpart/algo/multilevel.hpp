@@ -36,18 +36,23 @@ struct MultilevelConfig {
   NodeId sync_fm_min_nodes = 25000;
 };
 
-/// Partition g into balance.k() parts. Returns nullopt when no feasible
-/// partition is found (capacity too tight for the node weights).
+/// Partition g into balance.k() parts. When no initial try is feasible on
+/// the coarsest level (heavy clusters can leave an ε = 0 bisection no
+/// balanced split), that level is dropped and the tries rerun one level
+/// finer with the next seeds of the same rng, down to g itself. Returns
+/// nullopt when no try is feasible even on g (capacity too tight for the
+/// node weights).
 [[nodiscard]] std::optional<Partition> multilevel_partition(
     const Hypergraph& g, const BalanceConstraint& balance,
     const MultilevelConfig& cfg = {});
 
 /// The coarsening phase of multilevel_partition: coarsen g into `levels`
 /// until the coarsest level has at most max(coarsen_limit, 4k) nodes or a
-/// level stops shrinking (clustering is saturated). Clusters are capped so
-/// the coarsest level still admits a balanced partition: never above a
-/// third of the per-part capacity. Draws one rng value per coarsen_once
-/// call, including a final saturated attempt that produces no level. When
+/// level stops shrinking (clustering is saturated). Clusters are capped at
+/// a third of the per-part capacity, so the coarsest level usually admits a
+/// balanced partition; multilevel_partition goes one level finer when it
+/// does not. Draws one rng value per coarsen_once call, including a final
+/// saturated attempt that produces no level. When
 /// `restrict_parts` is given, clusters stay within one of its parts and
 /// `induced` receives the partition each level inherits from it (the
 /// partition-aware coarsening of V-cycles).

@@ -6,11 +6,12 @@
 // the full graph — or a full m×k pin-count table — in memory. A chunk keeps
 // plain arrays only:
 //
-//   * its nets, numbered locally in ascending global order. A bitmap over
-//     the chunk's net-id range marks the window incidences, each word's
-//     rank counts the marked bits before it, and an incidence's local id is
-//     its word's rank plus a popcount, so the window's incidence list maps
-//     to local ids in O(1) each;
+//   * its nets, numbered locally in ascending global order. A per-executor
+//     bitmap over all net ids marks the window incidences, each marked
+//     word's rank counts the marked bits in the marked words before it, and
+//     an incidence's local id is its word's rank plus a popcount, so the
+//     window's incidence list maps to local ids in O(1) each. The chunk
+//     sorts and visits only the words it marked, and clears them after;
 //   * one uint32 row per local net: the net's weight, its size and its pin
 //     count in each part under the frozen assignment. Outside pins never
 //     move during the chunk, so these counts give every window-node gain —
@@ -51,11 +52,10 @@ struct RestreamConfig {
   /// Full re-streaming passes over the node sequence.
   int max_passes = 1;
   /// Nodes resident per chunk; memory per in-flight chunk is
-  /// O(window incidences + local nets · k + m/8): the local incidence list,
-  /// the count table and the net-id bitmap with its word ranks. Each chunk
-  /// zeroes and scans that bitmap over its net-id range, up to m/64 words,
-  /// so chunks with far fewer incidences than m/64 spend most of their
-  /// time there.
+  /// O(window incidences + local nets · k): the local incidence list and
+  /// the count table. Each executor also keeps a net-id bitmap with its
+  /// word ranks, O(m/8) bytes, allocated once; a chunk touches only the
+  /// words of its own nets, so small chunks pay no net-id range term.
   NodeId chunk_size = 1u << 16;
   /// Thread cap for the proposal waves (0 = default_threads()).
   unsigned threads = 0;

@@ -34,6 +34,28 @@ constexpr std::size_t kRowHeader = 3;
 /// Window incidences the sweeps fetch table rows ahead.
 constexpr std::size_t kPrefetchAhead = 8;
 
+/// Per-executor scratch for propose_chunk's net numbering: a bit per net id
+/// of the graph and a rank per bitmap word. Thread-local, so each pool
+/// thread allocates it once per graph size, not once per chunk. A chunk
+/// marks only the words its incidences touch (listed in `words`) and
+/// clears exactly those again, so its cost does not grow with its net-id
+/// range; `rank` is written before it is read and never cleared.
+struct NetScratch {
+  std::vector<std::uint64_t> bits;
+  std::vector<std::uint32_t> rank;
+  std::vector<std::uint64_t> words;
+};
+
+NetScratch& net_scratch(EdgeId m) {
+  static thread_local NetScratch scratch;
+  const std::size_t words = (std::size_t{m} + 63) / 64;
+  if (scratch.bits.size() < words) {
+    scratch.bits.resize(words, 0);
+    scratch.rank.resize(words);
+  }
+  return scratch;
+}
+
 /// Exact decrease in cost if v moved to `to`, evaluated against the live
 /// global assignment by scanning v's incident pins through the mapping.
 /// Same gain rules as propose_chunk's sweeps: both metrics only need the
@@ -69,11 +91,11 @@ constexpr std::size_t kPrefetchAhead = 8;
 /// as proposals. Reads p and part_weights only (both frozen during a wave).
 ///
 /// The window's nets are numbered locally in ascending global order: a bit
-/// per net id in [lo, hi] marks the window incidences, each word's rank is
-/// the number of marked bits before it, and a window incidence's local id
-/// is its word's rank plus the popcount of the bits below it. One uint32
-/// table row per local net, filled in a scan of the words, then holds
-/// exactly what the gain rules read.
+/// per net id marks the window incidences, each marked word's rank is the
+/// number of marked bits in the marked words before it, and a window
+/// incidence's local id is its word's rank plus the popcount of the bits
+/// below it. One uint32 table row per local net, filled in a scan of the
+/// marked words, then holds exactly what the gain rules read.
 [[nodiscard]] std::vector<Proposal> propose_chunk(
     const MappedHypergraph& g, const Partition& p,
     const std::vector<Weight>& part_weights, const BalanceConstraint& balance,
@@ -83,27 +105,36 @@ constexpr std::size_t kPrefetchAhead = 8;
   const std::span<const EdgeId> incidences = g.incident_edges(begin, end);
   if (incidences.empty()) return {};
 
-  const auto [lo_it, hi_it] =
-      std::minmax_element(incidences.begin(), incidences.end());
-  const std::uint64_t lo_word = *lo_it >> 6;
-  const std::size_t words = (*hi_it >> 6) - lo_word + 1;
-  std::vector<std::uint64_t> bits(words, 0);
+  NetScratch& scratch = net_scratch(g.num_edges());
+  std::vector<std::uint64_t>& bits = scratch.bits;
+  std::vector<std::uint32_t>& rank = scratch.rank;
+  std::vector<std::uint64_t>& words = scratch.words;
+  words.clear();
+  // Clear the marked words on every exit, a throwing allocation included,
+  // so this executor's next chunk starts from a clear bitmap.
+  struct Unmark {
+    NetScratch& s;
+    ~Unmark() {
+      for (const std::uint64_t w : s.words) s.bits[w] = 0;
+    }
+  } unmark{scratch};
   for (const EdgeId e : incidences) {
-    bits[(e >> 6) - lo_word] |= std::uint64_t{1} << (e & 63);
+    std::uint64_t& word = bits[e >> 6];
+    if (word == 0) words.push_back(e >> 6);
+    word |= std::uint64_t{1} << (e & 63);
   }
-  std::vector<std::uint32_t> rank(words);
+  std::ranges::sort(words);
   std::uint32_t num_nets = 0;
-  for (std::size_t w = 0; w < words; ++w) {
+  for (const std::uint64_t w : words) {
     rank[w] = num_nets;
     num_nets += static_cast<std::uint32_t>(std::popcount(bits[w]));
   }
   std::vector<std::uint32_t> local(incidences.size());
   for (std::size_t i = 0; i < incidences.size(); ++i) {
     const EdgeId e = incidences[i];
-    const std::size_t w = (e >> 6) - lo_word;
     const std::uint64_t below = (std::uint64_t{1} << (e & 63)) - 1;
-    local[i] = rank[w] + static_cast<std::uint32_t>(
-                             std::popcount(bits[w] & below));
+    local[i] = rank[e >> 6] + static_cast<std::uint32_t>(
+                                  std::popcount(bits[e >> 6] & below));
   }
 
   // One row per local net: its weight (two words), its size (the cut-net
@@ -113,10 +144,9 @@ constexpr std::size_t kPrefetchAhead = 8;
   const std::size_t stride = kRowHeader + k;
   std::vector<std::uint32_t> table(std::size_t{num_nets} * stride, 0);
   std::uint32_t* fill = table.data();
-  for (std::size_t w = 0; w < words; ++w) {
+  for (const std::uint64_t w : words) {
     for (std::uint64_t b = bits[w]; b != 0; b &= b - 1, fill += stride) {
-      const auto e =
-          static_cast<EdgeId>(((lo_word + w) << 6) + std::countr_zero(b));
+      const auto e = static_cast<EdgeId>((w << 6) + std::countr_zero(b));
       const Weight weight = g.edge_weight(e);
       std::memcpy(fill, &weight, sizeof weight);  // read back by weight_of
       const auto pins = g.pins(e);

@@ -231,7 +231,8 @@ std::string hex_list(const std::vector<std::uint64_t>& v) {
 }
 
 // content_hash() of every coarse level of multilevel_partition's descent,
-// captured before contraction moved onto flat CSR buffers. Any change to
+// captured with the one-pass commit of all proposals in priority order
+// (several joiners per cluster and round). Any change to
 // cluster choice, coarse node numbering, pin order, net order or merged
 // weights moves at least one value.
 TEST(CoarseningGolden, HierarchyIsBitIdentical) {
@@ -243,28 +244,20 @@ TEST(CoarseningGolden, HierarchyIsBitIdentical) {
   };
   std::vector<Case> cases;
   cases.push_back({"spmv", catalogue_graph("spmv:rmat", 6000), 8,
-                   {0xe58f36b552088e9ull, 0x79f171958b439685ull,
-                    0x6e5c82b87ac97cc2ull, 0x3eaa3d12a9836ff2ull,
-                    0x281d1c0c451e424bull, 0x91eb63ecf4e2b1bbull,
-                    0xda9334f20d461178ull, 0x80db5826eef6d517ull,
-                    0xefd71790df8f0f65ull, 0xd0a869f99ad9e9bfull,
-                    0xaa24445c8e891630ull}});
+                   {0x50d081062ba6845cull, 0x50194c801fc86f88ull,
+                    0x1a0b63919e2e018cull, 0xb763ed4bf686683aull,
+                    0x6fc950a27013732dull}});
   cases.push_back({"netlist", catalogue_graph("netlist:rent", 6000), 8,
-                   {0xfc2b35681c8aab44ull, 0xe5fa500f8624b09cull,
-                    0x825b99bd55bbb177ull, 0x3efd2412de7c30fcull,
-                    0xebcc5155d81853b1ull, 0xf87641be39cd057ull,
-                    0x79757a4a30b2de75ull, 0x6066942c63ca091ull,
-                    0xc965333acfea0b06ull, 0x15a0f71fe1f07b92ull,
-                    0x6a57fd05fcc34740ull}});
+                   {0x42ee3c0fc634ca05ull, 0xcd7f0e38b5dcfceaull,
+                    0xaa597018aaeaa25cull, 0x6f74f62f1a7920a1ull,
+                    0x3b55d9381b30b635ull}});
   cases.push_back({"powerlaw", catalogue_graph("powerlaw:hubs_last", 6000), 8,
-                   {0x34d022618c3123dull, 0x99ec36d613b684c0ull,
-                    0x60f6ace9c2c89086ull, 0xcef74bdd51946ec5ull,
-                    0x70d4f4950f1cf157ull}});
+                   {0x522d5e12512c4cf3ull, 0x17a8b2a178261a51ull,
+                    0x1f8415e34bf1a589ull, 0x7d59bd7a60a69688ull}});
   cases.push_back({"duplicated", duplicated_weighted_graph(), 4,
-                   {0xd0f0f037a23239c5ull, 0x6f40263cf505426cull,
-                    0x3666b38f16739785ull, 0x19405f37a29c2f8aull,
-                    0x7fb812bc2305aff2ull, 0x4e6ab9484217a84dull,
-                    0x2a29719293c0be0full, 0x93a32040f52b0524ull}});
+                   {0x4fcf5f2308c4d539ull, 0x646b2d0ebf7c16b4ull,
+                    0xb9010390877e8a8dull, 0x53ba8f2c762d5f73ull,
+                    0x7ff849066a28c90aull}});
   // No nets, no ratings: the first level fails to shrink, so none is kept.
   cases.push_back({"edgeless", Hypergraph::from_edges(800, {}), 2, {}});
   for (const Case& c : cases) {

@@ -117,6 +117,77 @@ TEST(Coarsening, NetAtTheLimitStillRates) {
   }
 }
 
+TEST(Coarsening, SeveralJoinersPerTargetUpToTheCap) {
+  // 150 stars, each a hub joined to 40 leaves by 2-pin nets of distinct
+  // weights 1..40 (so a leaf's only rating is its net's weight) and leaf
+  // weights 1..3. The hub has the highest id of its star, so the leaf it
+  // proposes to wins their tied rating. The stars span several propose
+  // chunks.
+  constexpr NodeId kStars = 150;
+  constexpr NodeId kLeaves = 40;
+  constexpr Weight kCap = 20;
+  constexpr NodeId kStar = kLeaves + 1;
+  const NodeId n = kStars * kStar;
+  std::vector<std::vector<NodeId>> nets;
+  std::vector<Weight> net_weights;
+  std::vector<Weight> node_weights(n, 1);
+  for (NodeId s = 0; s < kStars; ++s) {
+    const NodeId hub = s * kStar + kLeaves;
+    for (NodeId j = 0; j < kLeaves; ++j) {
+      nets.push_back({s * kStar + j, hub});
+      net_weights.push_back(1 + (j * 17 + s) % kLeaves);
+      node_weights[s * kStar + j] = 1 + (j + s) % 3;
+    }
+  }
+  Hypergraph g = Hypergraph::from_edges(n, nets);
+  g.set_edge_weights(net_weights);
+  g.set_node_weights(node_weights);
+
+  const CoarseLevel base = coarsen_once(g, kCap, 11, nullptr, 1);
+  for (NodeId s = 0; s < kStars; ++s) {
+    const NodeId hub = s * kStar + kLeaves;
+    // The commit pass in priority order: rating (net weight) desc; each
+    // leaf joins when the hub's cluster still has room for it.
+    std::vector<NodeId> by_rating(kLeaves);
+    std::iota(by_rating.begin(), by_rating.end(), NodeId{0});
+    std::ranges::sort(by_rating, [&](NodeId a, NodeId b) {
+      return net_weights[s * kLeaves + a] > net_weights[s * kLeaves + b];
+    });
+    Weight cluster = node_weights[hub];
+    std::vector<bool> joins(kLeaves, false);
+    for (const NodeId j : by_rating) {
+      if (cluster + node_weights[s * kStar + j] > kCap) continue;
+      cluster += node_weights[s * kStar + j];
+      joins[j] = true;
+    }
+    ASSERT_GE(std::ranges::count(joins, true), 3) << "star " << s;
+
+    const NodeId hub_coarse = base.fine_to_coarse[hub];
+    Weight joined = node_weights[hub];
+    for (NodeId j = 0; j < kLeaves; ++j) {
+      const NodeId leaf = s * kStar + j;
+      EXPECT_EQ(base.fine_to_coarse[leaf] == hub_coarse, joins[j])
+          << "star " << s << " leaf " << j;
+      if (base.fine_to_coarse[leaf] == hub_coarse) {
+        joined += node_weights[leaf];
+      } else {
+        // Left out only because it no longer fits.
+        EXPECT_GT(cluster + node_weights[leaf], kCap);
+      }
+    }
+    EXPECT_EQ(joined, cluster);
+    EXPECT_EQ(base.graph.node_weight(hub_coarse), cluster);
+    EXPECT_LE(base.graph.node_weight(hub_coarse), kCap);
+  }
+  for (const unsigned threads : {2u, 4u, 8u}) {
+    const CoarseLevel other = coarsen_once(g, kCap, 11, nullptr, threads);
+    EXPECT_EQ(other.fine_to_coarse, base.fine_to_coarse)
+        << threads << " threads";
+    EXPECT_EQ(other.graph.content_hash(), base.graph.content_hash())
+        << threads << " threads";
+  }
+}
+
 TEST(Multilevel, ProducesBalancedPartitions) {
   const Hypergraph g = random_hypergraph(200, 300, 2, 6, 4);
   for (PartId k : {2u, 4u}) {
@@ -299,6 +370,46 @@ TEST(RecursiveBisection, PowerOfTwoOnly) {
   const auto p = recursive_bisection(g, 4, 0.2, {});
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->k(), 4u);
+}
+
+TEST(Multilevel, RetriesOneLevelFinerWhenCoarsestIsInfeasible) {
+  // Seven disjoint stars of six unit nodes, k = 2, ε = 0: the capacity is
+  // 21 and the cluster cap 7, so each star contracts to one node of weight
+  // 6 and the coarsest level's part weights are multiples of 6, never 21.
+  // The input itself admits a balanced partition.
+  constexpr NodeId kStars = 7;
+  std::vector<std::vector<NodeId>> edges;
+  for (NodeId s = 0; s < kStars; ++s) {
+    for (NodeId leaf = 0; leaf < 5; ++leaf) {
+      edges.push_back({s * 6 + leaf, s * 6 + 5});
+    }
+  }
+  const Hypergraph g = Hypergraph::from_edges(kStars * 6, edges);
+  const auto balance = BalanceConstraint::for_graph(g, 2, 0.0);
+  ASSERT_EQ(balance.capacity(), 21);
+  MultilevelConfig cfg;
+  cfg.seed = 2;
+  cfg.coarsen_limit = 1;
+
+  Rng rng{cfg.seed};
+  std::vector<CoarseLevel> levels;
+  coarsen(g, balance, cfg, rng, levels);
+  ASSERT_FALSE(levels.empty());
+  const Hypergraph& coarsest = levels.back().graph;
+  ASSERT_EQ(coarsest.num_nodes(), kStars);
+  for (NodeId v = 0; v < coarsest.num_nodes(); ++v) {
+    ASSERT_EQ(coarsest.node_weight(v), 6);
+  }
+
+  std::optional<std::vector<PartId>> ref;
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    cfg.fm.threads = threads;
+    const auto p = multilevel_partition(g, balance, cfg);
+    ASSERT_TRUE(p.has_value()) << "threads " << threads;
+    EXPECT_TRUE(balance.satisfied(g, *p)) << "threads " << threads;
+    if (!ref) ref = assignment(*p);
+    EXPECT_EQ(assignment(*p), *ref) << "threads " << threads;
+  }
 }
 
 }  // namespace

@@ -47,7 +47,7 @@ TEST(ParallelCoarsening, HigherRatingWinsConflictRegardlessOfNodeId) {
 }
 
 // The winner's tie-break must not depend on the seed (the seed only salts
-// the proposer-side target choice, never the winner-per-target key).
+// the proposer-side target choice, never the commit-order key).
 TEST(ParallelCoarsening, ConflictResolutionIsSeedIndependent) {
   Hypergraph g = Hypergraph::from_edges(3, {{0, 2}, {1, 2}});
   for (const std::uint64_t seed : {1ull, 7ull, 99ull, 123456789ull}) {
