@@ -16,6 +16,7 @@
 #include "hyperpart/algo/fm_refiner.hpp"
 #include "hyperpart/algo/greedy.hpp"
 #include "hyperpart/core/connectivity_tracker.hpp"
+#include "hyperpart/core/metrics.hpp"
 #include "hyperpart/io/generators.hpp"
 #include "hyperpart/util/thread_pool.hpp"
 #include "hyperpart/util/timer.hpp"
@@ -127,9 +128,10 @@ namespace {
 HP_BENCH_CASE(kernel_microbench,
               "Hot-kernel microbench at fixed n=100k (same instance in smoke "
               "and full runs): tracker build, gain-cache fill, sequential and "
-              "sync FM, and CSR-native coarsening; costs, moved counts, and "
-              "partition hashes are hard-gated bit-identical at 1/2/4/8 "
-              "threads and pinned against the committed baseline") {
+              "sync FM, CSR-native coarsening and cost() evaluation; costs, "
+              "moved counts, and partition hashes are hard-gated "
+              "bit-identical at 1/2/4/8 threads and pinned against the "
+              "committed baseline") {
   // Deliberately NOT reduced under --smoke: the CI theorem gate diffs these
   // rows against BENCH_theorems.json, so the instance must be the one the
   // committed baseline was generated from.
@@ -150,6 +152,16 @@ HP_BENCH_CASE(kernel_microbench,
                             {"sync_moved", "moved"},
                             {"fm_seq_hash", "seq hash"},
                             {"fm_sync_hash", "sync hash"}});
+
+  // cost() of each sequential FM result, emitted after the coarsening rows
+  // so the rows before them keep their indices.
+  struct Evaluation {
+    PartId k;
+    unsigned threads;
+    double eval_ms;
+    Weight km1, cut;
+  };
+  std::vector<Evaluation> evaluations;
 
   for (const PartId k : {PartId{8}, PartId{128}}) {
     const auto balance = BalanceConstraint::for_graph(g, k, 0.1, true);
@@ -180,6 +192,21 @@ HP_BENCH_CASE(kernel_microbench,
       const Weight seq_cost = fm_refine(g, tracker, ps, balance, seq);
       const double fm_seq_ms = timer.millis();
       const std::uint64_t seq_hash = partition_hash(ps);
+
+      // Evaluation: the median of five connectivity recounts.
+      std::vector<double> eval_ms(5);
+      Weight km1 = -1;
+      for (double& ms : eval_ms) {
+        timer.reset();
+        km1 = cost(g, ps, CostMetric::kConnectivity);
+        ms = timer.millis();
+      }
+      std::ranges::nth_element(eval_ms, eval_ms.begin() + 2);
+      evaluations.push_back(
+          {k, t, eval_ms[2], km1, cost(g, ps, CostMetric::kCutNet)});
+      ctx.check(km1 == seq_cost, "cost() equals the seq FM cost at k=" +
+                                     std::to_string(k) +
+                                     " threads=" + std::to_string(t));
 
       const bool obs_was_enabled = obs::enabled();
       obs::set_enabled(true);
@@ -262,6 +289,26 @@ HP_BENCH_CASE(kernel_microbench,
                 cold.graph.num_pins(), coarse_hash);
   }
   coarsen.print();
+
+  // Evaluation: both costs of the sequential FM result, gated identical at
+  // every thread count (k = 128 is above 64 parts, where λ counting used
+  // to take a separate path).
+  bench::banner("Hot-kernel microbench (evaluation)");
+  auto eval = ctx.table({{"k", "k"},
+                         {"threads", "threads"},
+                         {"eval_ms", "cost() ms"},
+                         {"eval_km1", "km1"},
+                         {"eval_cut", "cut-net"}});
+  for (const Evaluation& ev : evaluations) {
+    const Evaluation& base = *std::ranges::find(evaluations, ev.k,
+                                                &Evaluation::k);
+    ctx.check(ev.km1 == base.km1 && ev.cut == base.cut,
+              "cost() identical at k=" + std::to_string(ev.k) +
+                  " threads=" + std::to_string(ev.threads));
+    eval.row(static_cast<unsigned>(ev.k), ev.threads, ev.eval_ms, ev.km1,
+             ev.cut);
+  }
+  eval.print();
   std::cout << "\npeak RSS " << hp::bench::peak_rss_bytes() / (1024 * 1024)
             << " MB\n";
 }

@@ -28,14 +28,16 @@ Weight cost(const Hypergraph& g, const Partition& p, CostMetric metric) {
 }
 
 std::vector<EdgeId> cut_edges(const Hypergraph& g, const Partition& p) {
+  LambdaCounter lambda(p.k());
   std::vector<EdgeId> out;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (is_cut(g, p, e)) out.push_back(e);
+    if (lambda(g, p, e) > 1) out.push_back(e);
   }
   return out;
 }
 
 Weight sum_external_degrees(const Hypergraph& g, const Partition& p) {
+  LambdaCounter lambda(p.k());
   Weight total = 0;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     const PartId l = lambda(g, p, e);

@@ -6,8 +6,12 @@
 //   cut-net:       Σ_{e : λ_e > 1} w(e)
 //   connectivity:  Σ_e w(e) · (λ_e − 1)
 // For k = 2 the two metrics coincide. All hardness results in the paper
-// apply to both; algorithms here accept either.
+// apply to both; algorithms here accept either. Every recount of λ_e below
+// (costs, cut lists, the service's per-net updates) goes through one
+// kernel, LambdaCounter; only the single-net is_cut_of has its own loop.
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -32,57 +36,56 @@ enum class CostMetric : std::uint8_t {
 // streaming partitioners recompute their cost offline with bit-identical
 // results to the in-memory path.
 
-namespace metric_detail {
+/// The λ kernel behind every cost recount. stamp[q] holds the tag of the
+/// last count that saw part q; each count draws a fresh tag, so the table
+/// never needs a reset between nets. Slot k absorbs unassigned pins
+/// (part ≥ k), which makes λ_e one branch-free pass over e's pins with no
+/// special case for large k. Construct one per evaluation, not per net.
+class LambdaCounter {
+ public:
+  /// A table for partitions of at most k parts.
+  explicit LambdaCounter(PartId k) : stamp_(std::size_t{k} + 1, 0) {}
 
-/// Count the distinct parts appearing in e. λ_e is rarely large, so a
-/// linear scan over a small stack buffer beats hashing; once more than 64
-/// distinct parts show up, switch to a dense seen-array over [0, k) (the
-/// ConnectivityTracker counting scheme) so membership tests stay O(1)
-/// instead of an O(λ) overflow scan.
-template <class G>
-[[nodiscard]] PartId count_distinct_parts(const G& g, const Partition& p,
-                                          EdgeId e) {
-  constexpr PartId kSmall = 64;
-  PartId distinct[kSmall];
-  PartId count = 0;
-  std::vector<std::uint8_t> seen;  // dense [0, k) marks, large-λ edges only
-  for (const NodeId v : g.pins(e)) {
-    const PartId q = p[v];
-    if (q >= p.k()) continue;  // unassigned
-    if (seen.empty()) {
-      bool found = false;
-      for (PartId i = 0; i < count; ++i) {
-        if (distinct[i] == q) {
-          found = true;
-          break;
-        }
-      }
-      if (found) continue;
-      if (count < kSmall) {
-        distinct[count++] = q;
-        continue;
-      }
-      seen.assign(p.k(), 0);
-      for (PartId i = 0; i < kSmall; ++i) seen[distinct[i]] = 1;
+  /// λ_e under p; p.k() must not exceed the table's k.
+  template <class G>
+  [[nodiscard]] PartId operator()(const G& g, const Partition& p,
+                                  EdgeId e) noexcept {
+    const std::uint64_t tag = ++tag_;
+    const PartId k = p.k();
+    const PartId* part = p.raw().data();
+    std::uint64_t* stamp = stamp_.data();
+    PartId count = 0;
+    for (const NodeId v : g.pins(e)) {
+      const PartId q = std::min(part[v], k);
+      count += static_cast<PartId>(stamp[q] != tag);
+      stamp[q] = tag;
     }
-    if (!seen[q]) {
-      seen[q] = 1;
-      ++count;
-    }
+    return count - static_cast<PartId>(stamp[k] == tag);
   }
-  return count;
+
+ private:
+  std::vector<std::uint64_t> stamp_;
+  std::uint64_t tag_ = 0;  // 64 bits: never wraps
+};
+
+/// Net e's term of the cost under `metric`, given its weight and λ_e.
+[[nodiscard]] constexpr Weight net_cost(Weight w, PartId lambda,
+                                        CostMetric metric) noexcept {
+  if (lambda <= 1) return 0;
+  return metric == CostMetric::kCutNet ? w
+                                       : w * static_cast<Weight>(lambda - 1);
 }
 
-}  // namespace metric_detail
-
-/// λ_e over any graph type exposing pins(e).
+/// λ_e over any graph type exposing pins(e). One-off: a loop over nets
+/// should hold one LambdaCounter instead.
 template <class G>
 [[nodiscard]] PartId lambda_of(const G& g, const Partition& p, EdgeId e) {
-  return metric_detail::count_distinct_parts(g, p, e);
+  return LambdaCounter(p.k())(g, p, e);
 }
 
-/// True when λ_e > 1. Stops at the first pin whose part differs from the
-/// first assigned pin's instead of counting λ_e.
+/// True when λ_e > 1 for one net. Stops at the first pin whose part differs
+/// from the first assigned pin's and needs no table; whole-graph recounts
+/// use LambdaCounter.
 template <class G>
 [[nodiscard]] bool is_cut_of(const G& g, const Partition& p, EdgeId e) {
   PartId first = kInvalidPart;
@@ -104,17 +107,10 @@ template <class G>
 template <class G>
 [[nodiscard]] Weight cost_of(const G& g, const Partition& p,
                              CostMetric metric) {
+  LambdaCounter lambda(p.k());
   Weight total = 0;
-  if (metric == CostMetric::kCutNet) {
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      if (is_cut_of(g, p, e)) total += g.edge_weight(e);
-    }
-    return total;
-  }
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const PartId l = lambda_of(g, p, e);
-    if (l <= 1) continue;
-    total += g.edge_weight(e) * static_cast<Weight>(l - 1);
+    total += net_cost(g.edge_weight(e), lambda(g, p, e), metric);
   }
   return total;
 }

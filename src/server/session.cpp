@@ -17,15 +17,6 @@ namespace hp::server {
 
 namespace {
 
-/// Net e's term of cost_of(g, p, metric): O(|e|).
-[[nodiscard]] Weight cost_term(const Hypergraph& g, const Partition& p,
-                               EdgeId e, CostMetric metric) {
-  const PartId l = lambda_of(g, p, e);
-  if (l <= 1) return 0;
-  const Weight w = g.edge_weight(e);
-  return metric == CostMetric::kCutNet ? w : w * (l - 1);
-}
-
 /// The ladder's quality guard: ΔFM commits at most 3 · before + 4 (below
 /// 2^63 for any cost within the weight budget).
 [[nodiscard]] Weight quality_bound(Weight before) noexcept {
@@ -396,13 +387,21 @@ UpdateOutcome GraphSession::update(std::span<const WeightUpdate> node_updates,
   // Everything below patches the fingerprint and the snapshots by the
   // touched terms only; the new fingerprint is published once at the end.
   std::uint64_t hash = graph_hash_;
+  // One λ table serves every entry: it is sized for the largest k.
+  PartId max_k = 0;
+  for (const auto& [key, entry] : cache_) {
+    max_k = std::max(max_k, entry.partition.k());
+  }
+  LambdaCounter lambda(max_k);
   // Moves the fingerprint and every entry's snapshot cost by net e's
   // current terms: sign -1 before e changes, +1 after.
   const auto account_net = [&](EdgeId e, int sign) {
     const std::uint64_t term = net_term(e, g_.edge_weight(e), g_.pins(e));
     hash = sign > 0 ? hash + term : hash - term;
     for (auto& [key, entry] : cache_) {
-      entry.live.cost += sign * cost_term(g_, entry.partition, e, key.metric);
+      entry.live.cost +=
+          sign * net_cost(g_.edge_weight(e), lambda(g_, entry.partition, e),
+                          key.metric);
     }
   };
 

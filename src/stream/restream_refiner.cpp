@@ -167,6 +167,8 @@ NetScratch& net_scratch(EdgeId m) {
   std::vector<Weight> pw = part_weights;  // chunk-local running weights
   std::vector<Weight> gain(k);
   const bool km1 = cfg.metric == CostMetric::kConnectivity;
+  std::int64_t evaluated = 0;  // nodes whose k gains were computed
+  std::int64_t sweep_moves = 0;
   for (int sweep = 0; sweep < kMaxChunkSweeps; ++sweep) {
     bool improved = false;
     std::size_t next = 0;  // start of the next node's nets in `local`
@@ -192,6 +194,7 @@ NetScratch& net_scratch(EdgeId m) {
         bound += weight_of(row) * static_cast<Weight>(sole);
       }
       if (bound <= 0) continue;
+      ++evaluated;
 
       // All k gains in one pass over v's nets. Connectivity: +w when v is
       // the last pin of `from`, −w when q has no pin yet. Cut-net: +w when
@@ -236,10 +239,13 @@ NetScratch& net_scratch(EdgeId m) {
       part[v] = best;
       pw[from] -= wv;
       pw[best] += wv;
+      ++sweep_moves;
       improved = true;
     }
     if (!improved) break;
   }
+  HP_COUNTER_ADD("restream.evaluated", evaluated);
+  HP_COUNTER_ADD("restream.sweep_moves", sweep_moves);
 
   std::vector<Proposal> proposals;
   for (NodeId v = 0; v < window; ++v) {

@@ -1678,16 +1678,17 @@ TEST(ServerTest, BusyRejectionWhenMutationOverlaps) {
 
 namespace {
 
-/// Read the daemon's stdout until the "ready" line (or a deadline).
+/// Read the daemon's stdout until the "ready" line (or a deadline). The
+/// line may already be in `collected` from an earlier read.
 bool await_ready(hp::subprocess::Child& daemon, std::string& collected) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   char buf[256];
   while (std::chrono::steady_clock::now() < deadline) {
+    if (collected.find("ready\n") != std::string::npos) return true;
     const ssize_t n = ::read(daemon.stdout_fd(), buf, sizeof(buf));
     if (n > 0) {
       collected.append(buf, static_cast<std::size_t>(n));
-      if (collected.find("ready\n") != std::string::npos) return true;
       continue;
     }
     if (n == 0) return false;  // daemon exited
