@@ -25,6 +25,29 @@
 // in no net with another pin cannot gain, so it is skipped after one cheap
 // scan.
 //
+// A sweep evaluates a node only when its last answer, "no move", could
+// have changed. Each window node keeps a slack: minus an upper bound on its
+// best gain over all targets, capacity ignored. Evaluating the node sets it:
+// to −bound after the cheap scan, else from the k gains, shifted after a
+// move (every gain drops by the gain taken, and the old part becomes a
+// target at minus that gain). Since the gain rules read only whether a
+// count Φ is 0, 1 or the whole net, a move of u from F to T raises another
+// pin x's gains only through a net e whose pre-move counts cross one of
+// those thresholds, and by at most
+//   connectivity: w(e)·([x ∈ F ∧ Φ(e,F) = 2] + [Φ(e,T) = 0]),
+//   cut-net:      w(e)·([x ∈ F ∧ Φ(e,F) = |e|] + [Φ(e,T) = |e|−2 ∧ x ∉ T]).
+// Such a move walks e's pins and lowers the slack of each window pin by its
+// raise. A node with slack ≥ 0 has no positive gain and is skipped. A node
+// whose only positive targets were over capacity records them as k bits and
+// is skipped until a raise reaches it or one of them has room under the
+// chunk's running part weights: nothing else can make one of its gains
+// rise. So every skipped node would have stayed put, and the proposals are
+// exactly those of evaluating every node in every sweep. Each chunk starts
+// with no records, so its sweep 0 looks at every node. A raise is
+// subtracted only from a slack that is still ≥ 0, which keeps slacks above
+// −2^62 under the weight budget. The records cost one Weight plus k bits
+// (in 64-bit words) per window node.
+//
 // Chunks are proposed in parallel waves on the persistent thread pool
 // against the frozen global assignment, heaviest chunk first, then committed
 // sequentially in chunk order: each proposed move's gain is recomputed
@@ -52,10 +75,11 @@ struct RestreamConfig {
   /// Full re-streaming passes over the node sequence.
   int max_passes = 1;
   /// Nodes resident per chunk; memory per in-flight chunk is
-  /// O(window incidences + local nets · k): the local incidence list and
-  /// the count table. Each executor also keeps a net-id bitmap with its
-  /// word ranks, O(m/8) bytes, allocated once; a chunk touches only the
-  /// words of its own nets, so small chunks pay no net-id range term.
+  /// O(window incidences + local nets · k + window · k/64): the local
+  /// incidence list, the count table and the skip records. Each executor
+  /// also keeps a net-id bitmap with its word ranks, O(m/8) bytes,
+  /// allocated once; a chunk touches only the words of its own nets, so
+  /// small chunks pay no net-id range term.
   NodeId chunk_size = 1u << 16;
   /// Thread cap for the proposal waves (0 = default_threads()).
   unsigned threads = 0;

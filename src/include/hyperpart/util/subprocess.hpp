@@ -44,9 +44,11 @@ struct ExitStatus {
   }
 };
 
-/// A spawned child process. Movable, not copyable; the destructor does NOT
-/// kill or reap a still-running child (call wait() — leaking a child is a
-/// caller bug and asserts in debug builds via the zombie it leaves).
+/// A spawned child process. Movable, not copyable. Destroying or
+/// overwriting a handle whose child was not wait()ed SIGKILLs the child's
+/// process group (the child alone when spawned without one) and reaps it,
+/// so a caller that bails out between spawn and wait, such as a test whose
+/// assertion fails, leaves no process running.
 class Child {
  public:
   Child() = default;
@@ -79,6 +81,9 @@ class Child {
   friend std::optional<Child> spawn(const std::string&,
                                     const std::vector<std::string>&,
                                     const SpawnOptions&);
+  /// Kill and reap a child not yet waited for, close the pipe.
+  void release() noexcept;
+
   pid_t pid_ = -1;
   int stdout_fd_ = -1;
   bool own_group_ = false;

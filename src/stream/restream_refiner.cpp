@@ -10,6 +10,7 @@
 #include "hyperpart/obs/telemetry.hpp"
 #include "hyperpart/util/prefetch.hpp"
 #include "hyperpart/util/thread_pool.hpp"
+#include "hyperpart/util/weight_budget.hpp"
 
 namespace hp::stream {
 
@@ -167,7 +168,53 @@ NetScratch& net_scratch(EdgeId m) {
   std::vector<Weight> pw = part_weights;  // chunk-local running weights
   std::vector<Weight> gain(k);
   const bool km1 = cfg.metric == CostMetric::kConnectivity;
+  const Weight capacity = balance.capacity();
+
+  // Skip records, one pair per window node (see the header). slack[v] ≥ 0:
+  // no gain of v exceeds −slack[v] ≤ 0. Otherwise v is evaluated, unless
+  // its `blocked` bits are set: then every positive target of v was over
+  // capacity and no gain of v has risen since. Negative slack and no bits
+  // (the start of every chunk) means "evaluate".
+  const std::size_t record_words = (std::size_t{k} + 63) / 64;
+  std::vector<Weight> slack(window, -1);
+  std::vector<std::uint64_t> blocked(std::size_t{window} * record_words, 0);
+  const auto still_blocked = [&](NodeId v, Weight wv) {
+    bool any = false;
+    for (std::size_t i = 0; i < record_words; ++i) {
+      const std::uint64_t word = blocked[std::size_t{v} * record_words + i];
+      for (std::uint64_t b = word; b != 0; b &= b - 1) {
+        const auto q = static_cast<PartId>(i * 64 + std::countr_zero(b));
+        if (pw[q] + wv <= capacity) return false;
+        any = true;
+      }
+    }
+    return any;
+  };
+  // u moves from `from` to `to`, and net e (weight w) crosses a threshold.
+  // A window pin's raise, which bounds the rise of each of its gains: +w if
+  // it is in `from` and `leaves` (it becomes the last pin there, km1, or
+  // its whole net gets cut, cut-net), +w if it is outside `to` and `opens`
+  // (`to` becomes a first, km1, or completing, cut-net, target for it).
+  const auto raise_pins = [&](EdgeId e, Weight w, NodeId u, PartId from,
+                              PartId to, bool leaves, bool opens) {
+    for (const NodeId x : g.pins(e)) {
+      if (x < begin || x >= end || x == u) continue;
+      const NodeId xl = x - begin;
+      const Weight r =
+          w * (static_cast<Weight>(leaves && part[xl] == from) +
+               static_cast<Weight>(opens && part[xl] != to));
+      if (r == 0) continue;
+      if (slack[xl] >= 0) {
+        slack[xl] -= r;
+      } else {
+        std::fill_n(blocked.begin() + std::size_t{xl} * record_words,
+                    record_words, 0);
+      }
+    }
+  };
+
   std::int64_t evaluated = 0;  // nodes whose k gains were computed
+  std::int64_t blocked_nodes = 0;  // evaluated, all positive targets full
   std::int64_t sweep_moves = 0;
   for (int sweep = 0; sweep < kMaxChunkSweeps; ++sweep) {
     bool improved = false;
@@ -176,6 +223,11 @@ NetScratch& net_scratch(EdgeId m) {
       const std::size_t first = next;  // v's nets are local[first, last)
       const std::size_t last = first + g.degree(begin + v);
       next = last;
+      if (slack[v] >= 0) continue;
+      const Weight wv = g.node_weight(begin + v);
+      if (still_blocked(v, wv)) continue;
+      std::uint64_t* targets = blocked.data() + std::size_t{v} * record_words;
+      std::fill_n(targets, record_words, 0);
       const PartId from = part[v];
 
       // Only a net with another pin whose last pin in `from` is v can make
@@ -193,7 +245,10 @@ NetScratch& net_scratch(EdgeId m) {
         const bool sole = row[kRowHeader + from] == 1 && row[2] > 1;
         bound += weight_of(row) * static_cast<Weight>(sole);
       }
-      if (bound <= 0) continue;
+      if (bound <= 0) {
+        slack[v] = -bound;
+        continue;
+      }
       ++evaluated;
 
       // All k gains in one pass over v's nets. Connectivity: +w when v is
@@ -222,17 +277,42 @@ NetScratch& net_scratch(EdgeId m) {
 
       PartId best = kInvalidPart;
       Weight best_gain = 0;
-      const Weight wv = g.node_weight(begin + v);
       for (PartId q = 0; q < k; ++q) {
-        if (q == from || pw[q] + wv > balance.capacity()) continue;
+        if (q == from || pw[q] + wv > capacity) continue;
         if (base + gain[q] > best_gain) {
           best = q;
           best_gain = base + gain[q];
         }
       }
-      if (best == kInvalidPart) continue;
+
+      // v's gains after this step, capacity ignored: a move to `best`
+      // lowers every gain by best_gain and makes `from` a target at
+      // −best_gain. The largest of them becomes −slack[v]; when it is
+      // positive, its positive targets are all over capacity (they beat
+      // best_gain but were not taken, and their weights did not change),
+      // so they become v's blocked record.
+      const bool moves = best != kInvalidPart;
+      const PartId at = moves ? best : from;
+      Weight top = moves ? -best_gain : -kWeightBudget;  // no gain is lower
+      for (PartId q = 0; q < k; ++q) {
+        if (q == from || q == at) continue;
+        const Weight after = base + gain[q] - best_gain;
+        top = std::max(top, after);
+        if (after > 0) targets[q >> 6] |= std::uint64_t{1} << (q & 63);
+      }
+      slack[v] = -top;
+      blocked_nodes += static_cast<std::int64_t>(!moves && top > 0);
+      if (!moves) continue;
+
       for (std::size_t j = first; j < last; ++j) {
-        std::uint32_t* count = row_of(local[j]) + kRowHeader;
+        std::uint32_t* row = row_of(local[j]);
+        std::uint32_t* count = row + kRowHeader;
+        const bool leaves = km1 ? count[from] == 2 : count[from] == row[2];
+        const bool opens = km1 ? count[best] == 0 : count[best] + 2 == row[2];
+        if (leaves || opens) {
+          raise_pins(incidences[j], weight_of(row), begin + v, from, best,
+                     leaves, opens);
+        }
         --count[from];
         ++count[best];
       }
@@ -245,6 +325,7 @@ NetScratch& net_scratch(EdgeId m) {
     if (!improved) break;
   }
   HP_COUNTER_ADD("restream.evaluated", evaluated);
+  HP_COUNTER_ADD("restream.blocked", blocked_nodes);
   HP_COUNTER_ADD("restream.sweep_moves", sweep_moves);
 
   std::vector<Proposal> proposals;

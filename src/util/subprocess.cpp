@@ -32,7 +32,7 @@ Child::Child(Child&& other) noexcept
 
 Child& Child::operator=(Child&& other) noexcept {
   if (this != &other) {
-    if (stdout_fd_ >= 0) close(stdout_fd_);
+    release();
     pid_ = other.pid_;
     stdout_fd_ = other.stdout_fd_;
     own_group_ = other.own_group_;
@@ -42,8 +42,17 @@ Child& Child::operator=(Child&& other) noexcept {
   return *this;
 }
 
-Child::~Child() {
+Child::~Child() { release(); }
+
+void Child::release() noexcept {
+  if (pid_ > 0) {
+    kill_group(SIGKILL);
+    while (waitpid(pid_, nullptr, 0) < 0 && errno == EINTR) {
+    }
+    pid_ = -1;
+  }
   if (stdout_fd_ >= 0) close(stdout_fd_);
+  stdout_fd_ = -1;
 }
 
 bool Child::read_stdout(std::string& out, double timeout_sec) {
@@ -142,6 +151,10 @@ std::optional<Child> spawn(const std::string& exe,
     execv(exe.c_str(), argv.data());
     _exit(127);
   }
+  // Also set the group from this side, so that it exists before spawn
+  // returns and a kill_group() right after reaches the child. Whichever of
+  // the two calls comes second fails harmlessly.
+  if (opts.new_process_group) setpgid(pid, pid);
   Child child;
   child.pid_ = pid;
   child.own_group_ = opts.new_process_group;

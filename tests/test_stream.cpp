@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -400,8 +401,10 @@ std::uint64_t assignment_hash(const Partition& p) {
 TEST_F(StreamPartitionTest, RestreamGoldenCostsAndAssignments) {
   // Final cost and assignment hash of restream on two seeded graphs: an
   // unweighted random hypergraph and a hubs-last power-law graph with node
-  // and edge weights, for both metrics, k in {2, 8, 64} and three chunk
-  // sizes. Any change to restream's proposals or commits moves a row.
+  // and edge weights, for both metrics, k in {2, 8, 64, 96} and three chunk
+  // sizes at ε = 0.1, plus k in {8, 96} at ε = 0.01 (the power-law graph
+  // only at k = 8: its lightest-part start overflows ε = 0.01 at k = 96).
+  // Any change to restream's proposals or commits moves a row.
   Hypergraph random = random_hypergraph(1500, 1800, 2, 8, 2024);
   workload::WorkloadSpec spec;
   spec.family = workload::Family::kPowerLaw;
@@ -431,6 +434,7 @@ TEST_F(StreamPartitionTest, RestreamGoldenCostsAndAssignments) {
     NodeId chunk;
     Weight cost;
     std::uint64_t hash;
+    double eps = 0.1;
   };
   constexpr auto kCut = CostMetric::kCutNet;
   constexpr auto kKm1 = CostMetric::kConnectivity;
@@ -471,11 +475,41 @@ TEST_F(StreamPartitionTest, RestreamGoldenCostsAndAssignments) {
       {1, kKm1, 64, 16, 17426, 11985268588853715619u},
       {1, kKm1, 64, 64, 17447, 13686233432339413727u},
       {1, kKm1, 64, 1u << 16, 17310, 363648798223583018u},
+      {0, kCut, 96, 16, 1576, 3789654422242779034u},
+      {0, kCut, 96, 64, 1580, 5101676501579402065u},
+      {0, kCut, 96, 1u << 16, 1580, 6276799845351978062u},
+      {0, kKm1, 96, 16, 5423, 16931650503251115753u},
+      {0, kKm1, 96, 64, 5523, 2033848055107193913u},
+      {0, kKm1, 96, 1u << 16, 5394, 13255183092682699721u},
+      {1, kCut, 96, 16, 12736, 4358453380185423398u},
+      {1, kCut, 96, 64, 12757, 9685634143979900525u},
+      {1, kCut, 96, 1u << 16, 12706, 17660606511658731662u},
+      {1, kKm1, 96, 16, 17692, 6836808297681028206u},
+      {1, kKm1, 96, 64, 18059, 9743783612530654472u},
+      {1, kKm1, 96, 1u << 16, 17634, 14326672414488423879u},
+      {0, kCut, 8, 16, 1507, 2312241085686903605u, 0.01},
+      {0, kCut, 8, 64, 1505, 8295909048204419280u, 0.01},
+      {0, kCut, 8, 1u << 16, 1506, 13929607378397588318u, 0.01},
+      {0, kCut, 96, 16, 1622, 10357702427392344083u, 0.01},
+      {0, kCut, 96, 64, 1626, 3731755746956463661u, 0.01},
+      {0, kCut, 96, 1u << 16, 1611, 9213873677437131609u, 0.01},
+      {0, kKm1, 8, 16, 3520, 3543245278567374160u, 0.01},
+      {0, kKm1, 8, 64, 3474, 4385750890721634640u, 0.01},
+      {0, kKm1, 8, 1u << 16, 3379, 5238358093874061917u, 0.01},
+      {0, kKm1, 96, 16, 5656, 10555440555844737042u, 0.01},
+      {0, kKm1, 96, 64, 5850, 2104558996908535034u, 0.01},
+      {0, kKm1, 96, 1u << 16, 5545, 4113164511973085879u, 0.01},
+      {1, kCut, 8, 16, 10915, 16181692578165002411u, 0.01},
+      {1, kCut, 8, 64, 10888, 3344781414148466368u, 0.01},
+      {1, kCut, 8, 1u << 16, 10782, 14324451930235350732u, 0.01},
+      {1, kKm1, 8, 16, 13783, 7589097910794695105u, 0.01},
+      {1, kKm1, 8, 64, 13923, 16954672560219295616u, 0.01},
+      {1, kKm1, 8, 1u << 16, 13576, 17947866118546064542u, 0.01},
   };
   for (const Golden& row : rows) {
     const Hypergraph& g = *graphs[row.graph];
     const auto balance = BalanceConstraint::for_total_weight(
-        g.total_node_weight(), row.k, 0.1, true);
+        g.total_node_weight(), row.k, row.eps, true);
     Partition p = lightest_part_start(g, row.k, 11);
     ASSERT_TRUE(balance.satisfied(g, p));
     stream::RestreamConfig rcfg;
@@ -488,11 +522,206 @@ TEST_F(StreamPartitionTest, RestreamGoldenCostsAndAssignments) {
     const std::string label = "graph " + std::to_string(row.graph) + " " +
                               to_string(row.metric) + " k " +
                               std::to_string(row.k) + " chunk " +
-                              std::to_string(row.chunk);
+                              std::to_string(row.chunk) + " eps " +
+                              std::to_string(row.eps);
     EXPECT_EQ(res.cost, cost(g, p, row.metric)) << label;
     EXPECT_TRUE(balance.satisfied(g, p)) << label;
     EXPECT_EQ(res.cost, row.cost) << label;
     EXPECT_EQ(assignment_hash(p), row.hash) << label;
+  }
+}
+
+struct ReferenceRestream {
+  Weight cost = 0;
+  std::uint64_t moves_proposed = 0;
+  std::uint64_t moves_applied = 0;
+};
+
+/// Gain of moving a pin from part `from` to part `to` on a net of weight w
+/// and `size` pins, `c_from` and `c_to` of them in those parts (the mover
+/// counted in c_from).
+Weight net_gain(CostMetric metric, Weight w, std::size_t size,
+                std::uint32_t c_from, std::uint32_t c_to) {
+  if (metric == CostMetric::kConnectivity) {
+    return w * ((c_from == 1 ? 1 : 0) - (c_to == 0 ? 1 : 0));
+  }
+  return w * ((c_to + 1 == size ? 1 : 0) - (c_from == size ? 1 : 0));
+}
+
+/// Restream without any skip: the same fixed-width waves of node-count
+/// chunks, three greedy sweeps per chunk over a per-net pin-count map
+/// (parts ascending, strictly improving, within capacity), and sequential
+/// commits in chunk order that re-check capacity and the exact gain
+/// against the live assignment. Every sweep evaluates every node.
+ReferenceRestream reference_restream(const Hypergraph& g, Partition& p,
+                                     const BalanceConstraint& balance,
+                                     CostMetric metric, int max_passes,
+                                     NodeId chunk) {
+  constexpr NodeId kWaveChunks = 8;
+  constexpr int kSweeps = 3;
+  const PartId k = balance.k();
+  const NodeId n = g.num_nodes();
+  std::vector<Weight> pw(k, 0);
+  for (NodeId v = 0; v < n; ++v) pw[p[v]] += g.node_weight(v);
+  ReferenceRestream out;
+  for (int pass = 0; pass < max_passes; ++pass) {
+    std::uint64_t applied = 0;
+    for (NodeId wave = 0; wave < n; wave += chunk * kWaveChunks) {
+      std::vector<std::pair<NodeId, PartId>> proposals;
+      for (NodeId c = 0; c < kWaveChunks; ++c) {
+        const NodeId begin = wave + c * chunk;
+        if (begin >= n) break;
+        const NodeId end = std::min(n, begin + chunk);
+        std::map<EdgeId, std::vector<std::uint32_t>> counts;
+        for (NodeId v = begin; v < end; ++v) {
+          for (const EdgeId e : g.incident_edges(v)) {
+            auto [it, fresh] = counts.try_emplace(e, k, 0);
+            if (!fresh) continue;
+            for (const NodeId u : g.pins(e)) ++it->second[p[u]];
+          }
+        }
+        std::vector<PartId> part(p.raw().begin() + begin,
+                                 p.raw().begin() + end);
+        std::vector<Weight> lpw = pw;
+        for (int sweep = 0; sweep < kSweeps; ++sweep) {
+          bool improved = false;
+          for (NodeId v = begin; v < end; ++v) {
+            const PartId from = part[v - begin];
+            const Weight wv = g.node_weight(v);
+            std::vector<std::vector<std::uint32_t>*> rows;
+            for (const EdgeId e : g.incident_edges(v)) {
+              rows.push_back(&counts.at(e));
+            }
+            PartId best = kInvalidPart;
+            Weight best_gain = 0;
+            for (PartId q = 0; q < k; ++q) {
+              if (q == from || lpw[q] + wv > balance.capacity()) continue;
+              Weight gain = 0;
+              for (std::size_t i = 0; i < rows.size(); ++i) {
+                const EdgeId e = g.incident_edges(v)[i];
+                gain += net_gain(metric, g.edge_weight(e), g.pins(e).size(),
+                                 (*rows[i])[from], (*rows[i])[q]);
+              }
+              if (gain > best_gain) {
+                best = q;
+                best_gain = gain;
+              }
+            }
+            if (best == kInvalidPart) continue;
+            for (std::vector<std::uint32_t>* row : rows) {
+              --(*row)[from];
+              ++(*row)[best];
+            }
+            part[v - begin] = best;
+            lpw[from] -= wv;
+            lpw[best] += wv;
+            improved = true;
+          }
+          if (!improved) break;
+        }
+        for (NodeId v = begin; v < end; ++v) {
+          if (part[v - begin] != p[v]) {
+            proposals.emplace_back(v, part[v - begin]);
+          }
+        }
+      }
+      for (const auto& [v, to] : proposals) {
+        ++out.moves_proposed;
+        const PartId from = p[v];
+        const Weight wv = g.node_weight(v);
+        if (pw[to] + wv > balance.capacity()) continue;
+        Weight gain = 0;
+        for (const EdgeId e : g.incident_edges(v)) {
+          std::uint32_t c_from = 0, c_to = 0;
+          for (const NodeId u : g.pins(e)) {
+            c_from += p[u] == from;
+            c_to += p[u] == to;
+          }
+          gain += net_gain(metric, g.edge_weight(e), g.pins(e).size(), c_from,
+                           c_to);
+        }
+        if (gain <= 0) continue;
+        p.assign(v, to);
+        pw[from] -= wv;
+        pw[to] += wv;
+        ++out.moves_applied;
+        ++applied;
+      }
+    }
+    if (applied == 0) break;
+  }
+  out.cost = cost(g, p, metric);
+  return out;
+}
+
+/// Node weights 1 + (v·7 mod 9) and net weights 1 + (e·13 mod 5).
+void set_test_weights(Hypergraph& g) {
+  std::vector<Weight> nw(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) nw[v] = 1 + (v * 7) % 9;
+  g.set_node_weights(std::move(nw));
+  std::vector<Weight> ew(g.num_edges());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) ew[e] = 1 + (e * 13) % 5;
+  g.set_edge_weights(std::move(ew));
+}
+
+TEST_F(StreamPartitionTest, RestreamMatchesUnskippedReference) {
+  // restream_refine skips nodes whose gain provably cannot turn positive;
+  // the reference evaluates every node in every sweep. Partitions, costs
+  // and move counts must agree bit for bit.
+  Hypergraph random = random_hypergraph(500, 600, 2, 7, 31);
+  Hypergraph weighted = random_hypergraph(500, 600, 2, 7, 32);
+  set_test_weights(weighted);
+  workload::WorkloadSpec spec;
+  spec.family = workload::Family::kPowerLaw;
+  spec.preset = "hubs_last";
+  spec.target_nodes = 800;
+  spec.seed = 5;
+  Hypergraph powerlaw = workload::generate(spec).graph;
+  set_test_weights(powerlaw);
+  const Hypergraph* graphs[] = {&random, &weighted, &powerlaw};
+  const stream::MappedHypergraph mapped[] = {
+      map_graph(random, "restream_ref_random.hpb"),
+      map_graph(weighted, "restream_ref_weighted.hpb"),
+      map_graph(powerlaw, "restream_ref_powerlaw.hpb")};
+
+  for (int gi = 0; gi < 3; ++gi) {
+    const Hypergraph& g = *graphs[gi];
+    for (const CostMetric metric :
+         {CostMetric::kCutNet, CostMetric::kConnectivity}) {
+      for (const PartId k : {2u, 8u, 67u, 96u}) {
+        for (const double eps : {0.0, 0.01, 0.1}) {
+          const auto balance = BalanceConstraint::for_total_weight(
+              g.total_node_weight(), k, eps, true);
+          const Partition start = lightest_part_start(g, k, 3);
+          for (const NodeId chunk : {16u, 64u, 1u << 16}) {
+            Partition expected = start;
+            const ReferenceRestream ref = reference_restream(
+                g, expected, balance, metric, 3, chunk);
+            for (const unsigned threads : {1u, 4u}) {
+              stream::RestreamConfig rcfg;
+              rcfg.metric = metric;
+              rcfg.max_passes = 3;
+              rcfg.chunk_size = chunk;
+              rcfg.threads = threads;
+              Partition p = start;
+              const auto res =
+                  stream::restream_refine(mapped[gi], p, balance, rcfg);
+              const std::string label =
+                  "graph " + std::to_string(gi) + " " + to_string(metric) +
+                  " k " + std::to_string(k) + " eps " + std::to_string(eps) +
+                  " chunk " + std::to_string(chunk) + " threads " +
+                  std::to_string(threads);
+              EXPECT_TRUE(std::equal(p.raw().begin(), p.raw().end(),
+                                     expected.raw().begin()))
+                  << label;
+              EXPECT_EQ(res.cost, ref.cost) << label;
+              EXPECT_EQ(res.moves_proposed, ref.moves_proposed) << label;
+              EXPECT_EQ(res.moves_applied, ref.moves_applied) << label;
+            }
+          }
+        }
+      }
+    }
   }
 }
 
