@@ -14,7 +14,6 @@
 #include "hyperpart/algo/greedy.hpp"
 #include "hyperpart/algo/multilevel.hpp"
 #include "hyperpart/algo/recursive_bisection.hpp"
-#include "hyperpart/algo/vcycle.hpp"
 #include "hyperpart/core/metrics.hpp"
 #include "hyperpart/dag/hyperdag.hpp"
 #include "hyperpart/io/dag_families.hpp"

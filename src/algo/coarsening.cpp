@@ -58,8 +58,8 @@ ProposeScratch& propose_scratch(NodeId n) {
 
 /// Seed-salted hash used as the second tie-break key of target selection
 /// (after the rating, before the raw id): equal-rated targets spread by
-/// seed instead of always favouring low ids, which keeps multi-start
-/// coarsening hierarchies diverse without sacrificing determinism.
+/// seed instead of always favouring low ids. It fixes every tie-break and
+/// therefore every hierarchy: changing it moves every committed hash.
 [[nodiscard]] std::uint64_t target_salt(std::uint64_t seed,
                                         NodeId leader) noexcept {
   std::uint64_t x = seed ^ (0x9E3779B97F4A7C15ull * (leader + 1));
@@ -124,10 +124,6 @@ CoarseLevel coarsen_once(const Hypergraph& g, Weight max_cluster_weight,
                                    static_cast<double>(pins.size() - 1);
               for (const NodeId u : pins) {
                 if (u == v) continue;
-                if (restrict_parts != nullptr &&
-                    (*restrict_parts)[u] != (*restrict_parts)[v]) {
-                  continue;
-                }
                 const NodeId l = cluster[u];
                 if (l == v) continue;
                 if (scratch.rating[l] == 0.0) scratch.touched.push_back(l);
@@ -140,6 +136,14 @@ CoarseLevel coarsen_once(const Hypergraph& g, Weight max_cluster_weight,
             for (const NodeId l : scratch.touched) {
               const double r = scratch.rating[l];
               scratch.rating[l] = 0.0;
+              // Every cluster lies within one part of restrict_parts: round
+              // 0 starts from singletons, and commits join only targets
+              // chosen here. So a leader of v's part was rated by exactly
+              // the pins of v's part, and one of another part is skipped.
+              if (restrict_parts != nullptr &&
+                  (*restrict_parts)[l] != (*restrict_parts)[v]) {
+                continue;
+              }
               if (cweight[l] + cweight[v] > max_cluster_weight) continue;
               // Target tie-break: rating desc, then seed-salted hash asc,
               // then leader id asc — total order, independent of the

@@ -6,7 +6,6 @@
 
 #include "hyperpart/algo/coarsening.hpp"
 #include "hyperpart/algo/greedy.hpp"
-#include "hyperpart/algo/vcycle.hpp"
 #include "hyperpart/obs/telemetry.hpp"
 #include "hyperpart/util/rng.hpp"
 #include "hyperpart/util/thread_pool.hpp"

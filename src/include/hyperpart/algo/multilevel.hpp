@@ -1,7 +1,9 @@
 #pragma once
 // Multilevel hypergraph partitioning (coarsen → initial → uncoarsen+refine),
 // the algorithmic skeleton of hMETIS/KaHyPar-style tools [28, 45]. Serves as
-// the practical heuristic the paper's hardness results motivate.
+// the practical heuristic the paper's hardness results motivate. V-cycle
+// refinement reruns the same coarsening and uncoarsening loops on an
+// already partitioned hypergraph.
 
 #include <optional>
 #include <vector>
@@ -29,8 +31,9 @@ struct MultilevelConfig {
   /// parallel rounds (FmConfig::sync_rounds); smaller levels — and the
   /// coarsest-level initial refinement — use sequential passes, whose
   /// rollback discipline wins more on small instances than parallel rounds
-  /// do (DESIGN.md "Parallel multilevel engine" has the measurement). The switch depends only on the level's node count, never on the
-  /// thread count, so partitions stay bit-identical across thread counts.
+  /// do (DESIGN.md "Parallel multilevel engine" has the measurement). The
+  /// switch depends only on the level's node count, never on the thread
+  /// count, so partitions stay bit-identical across thread counts.
   /// Set to 0 to force the synchronous engine everywhere it is legal, or
   /// to kInvalidNode to disable it.
   NodeId sync_fm_min_nodes = 25000;
@@ -61,5 +64,14 @@ void coarsen(const Hypergraph& g, const BalanceConstraint& balance,
              std::vector<CoarseLevel>& levels,
              const Partition* restrict_parts = nullptr,
              std::vector<Partition>* induced = nullptr);
+
+/// V-cycle refinement [28, 45]: run `cycles` multilevel cycles on the
+/// complete, balanced partition p (in place) and return its final cost
+/// under cfg.metric. Coarsening is restricted to clusters within one part,
+/// so p projects losslessly onto every level and a cycle is kept only when
+/// it lowers the cost.
+Weight vcycle_refine(const Hypergraph& g, Partition& p,
+                     const BalanceConstraint& balance,
+                     const MultilevelConfig& cfg = {}, int cycles = 2);
 
 }  // namespace hp

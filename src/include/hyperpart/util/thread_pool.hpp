@@ -2,8 +2,8 @@
 // Persistent worker pool for the library's shared-memory parallelism.
 //
 // A single lazily-initialized pool of std::threads serves every parallel
-// region (parallel cost evaluation, multi-start search, coarsening dedup,
-// tracker construction), so hot paths that enter and leave parallel
+// region (coarsening rounds and dedup, tracker construction, synchronous
+// FM, the initial-partitioning tries), so hot paths that enter and leave parallel
 // sections thousands of times do not pay thread spawn/join each call.
 // Batches are drained from a condition-variable task queue; the submitting
 // thread participates in its own batch, which both removes one context

@@ -1,4 +1,4 @@
-#include "hyperpart/algo/parallel.hpp"
+#include "hyperpart/util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
@@ -7,12 +7,13 @@
 #include <stdexcept>
 
 #include "hyperpart/algo/coarsening.hpp"
+#include "hyperpart/algo/fm_refiner.hpp"
 #include "hyperpart/algo/greedy.hpp"
+#include "hyperpart/core/metrics.hpp"
 #include "hyperpart/dag/layerwise_partitioner.hpp"
 #include "hyperpart/dag/hyperdag.hpp"
 #include "hyperpart/io/dag_families.hpp"
 #include "hyperpart/io/generators.hpp"
-#include "hyperpart/util/thread_pool.hpp"
 
 namespace hp {
 namespace {
@@ -210,31 +211,6 @@ TEST(Fm, NeverWorsensStartAndStaysBalanced) {
     EXPECT_TRUE(balance.satisfied(g, a));
     EXPECT_EQ(refined_cost, cost(g, a, CostMetric::kConnectivity));
   }
-}
-
-TEST(Parallel, MultistartDeterministicAcrossThreadCounts) {
-  const Hypergraph g = random_hypergraph(120, 180, 2, 5, 7);
-  const auto balance = BalanceConstraint::for_graph(g, 3, 0.1, true);
-  MultilevelConfig cfg;
-  cfg.seed = 5;
-  const auto serial = multilevel_partition_multistart(g, balance, cfg, 4, 1);
-  const auto threaded =
-      multilevel_partition_multistart(g, balance, cfg, 4, 4);
-  ASSERT_TRUE(serial && threaded);
-  EXPECT_EQ(cost(g, *serial, CostMetric::kConnectivity),
-            cost(g, *threaded, CostMetric::kConnectivity));
-}
-
-TEST(Parallel, MultistartNeverWorseThanSingle) {
-  const Hypergraph g = spmv_hypergraph(40, 40, 400, 9);
-  const auto balance = BalanceConstraint::for_graph(g, 4, 0.1, true);
-  MultilevelConfig cfg;
-  cfg.seed = 2;
-  const auto single = multilevel_partition(g, balance, cfg);
-  const auto multi = multilevel_partition_multistart(g, balance, cfg, 6, 2);
-  ASSERT_TRUE(single && multi);
-  EXPECT_LE(cost(g, *multi, CostMetric::kConnectivity),
-            cost(g, *single, CostMetric::kConnectivity));
 }
 
 TEST(LayerwisePartitioner, ProducesLayerFeasiblePartitions) {

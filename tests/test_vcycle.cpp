@@ -1,4 +1,4 @@
-#include "hyperpart/algo/vcycle.hpp"
+#include "hyperpart/algo/multilevel.hpp"
 
 #include <gtest/gtest.h>
 
@@ -86,6 +86,43 @@ TEST(Vcycle, PartitionAwareCoarseningKeepsParts) {
       q = p[v];
     } else {
       EXPECT_EQ(q, p[v]) << "cluster mixes parts";
+    }
+  }
+}
+
+TEST(Vcycle, RestrictedDescentKeepsPartsAndCostAtEveryLevel) {
+  // The whole partition-aware descent, not one coarsen_once: at every level
+  // each cluster must lie within one part of the previous level's induced
+  // partition, and the induced partition must cost what the fine one does.
+  // coarsen_once's part check runs per candidate leader, which is exact
+  // only while this holds.
+  const Hypergraph graphs[] = {random_hypergraph(4000, 6000, 2, 6, 23),
+                               spmv_hypergraph(300, 300, 8000, 5)};
+  for (const Hypergraph& g : graphs) {
+    const auto balance = BalanceConstraint::for_graph(g, 4, 0.1, true);
+    MultilevelConfig cfg;
+    cfg.seed = 3;
+    const auto p = multilevel_partition(g, balance, cfg);
+    ASSERT_TRUE(p.has_value());
+    Rng rng{11};
+    std::vector<CoarseLevel> levels;
+    std::vector<Partition> induced;
+    coarsen(g, balance, cfg, rng, levels, &*p, &induced);
+    ASSERT_GE(levels.size(), 3u) << g.summary();
+    ASSERT_EQ(induced.size(), levels.size());
+    for (std::size_t i = 0; i < levels.size(); ++i) {
+      const Partition& fine = i == 0 ? *p : induced[i - 1];
+      const Partition& coarse = induced[i];
+      ASSERT_EQ(coarse.num_nodes(), levels[i].graph.num_nodes());
+      for (NodeId v = 0; v < fine.num_nodes(); ++v) {
+        ASSERT_EQ(coarse[levels[i].fine_to_coarse[v]], fine[v])
+            << "level " << i << ": cluster of node " << v << " mixes parts";
+      }
+      for (const CostMetric metric :
+           {CostMetric::kConnectivity, CostMetric::kCutNet}) {
+        EXPECT_EQ(cost(levels[i].graph, coarse, metric), cost(g, *p, metric))
+            << "level " << i << " metric " << to_string(metric);
+      }
     }
   }
 }

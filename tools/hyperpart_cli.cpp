@@ -14,9 +14,11 @@
 // produced by --convert load zero-copy via mmap regardless of extension.
 // `--workload` generates an application-shaped instance from the seeded
 // catalogue (src/workload) instead of reading a file; `--seed` doubles as
-// the generator seed, `--workload-nodes` overrides the preset's size, and
-// `--write-hgr` dumps the instance as hMETIS text and exits (how the fuzz
-// seed corpus instances were produced). An unknown family or preset is a
+// the generator seed, so two `--workload` runs with different seeds
+// partition two different graphs. To compare partition seeds on one graph,
+// dump it once with `--write-hgr` and partition that file. `--workload-nodes`
+// overrides the preset's size, and `--write-hgr` dumps the instance as
+// hMETIS text and exits (how the fuzz seed corpus instances were produced). An unknown family or preset is a
 // usage error: one-line `error:` + usage, exit 2.
 // `--algo stream` runs the one-pass streaming placer over the binary file
 // (an hMETIS input is first converted to `<input>.hpb`; a workload is
@@ -204,7 +206,11 @@ int main(int argc, char** argv) {
       .integer("--workload-nodes", "N", workload_nodes, 1)
       .epilogue("workloads: spmv:{banded,blockdiag,rmat} netlist:{rent,flat}\n"
                 "           dataflow:{mlp,conv,attention} "
-                "powerlaw:{zipf,hubs_last}\n");
+                "powerlaw:{zipf,hubs_last}\n"
+                "--seed S also seeds the graph --workload generates; to "
+                "compare partition\n"
+                "seeds on one graph, --write-hgr it once and partition that "
+                "file.\n");
   cli.parse(argc, argv);
   if (!inputs.empty() && workload_text) {
     cli.fail("give either an input file or --workload, not both");
