@@ -27,18 +27,18 @@ constexpr int kMaxSyncRounds = 32;
 /// incrementally. A node may belong to several (overlapping) groups.
 class GroupWeights {
  public:
-  GroupWeights(const Hypergraph& g, const Partition& p,
+  GroupWeights(const Hypergraph& g, const ConnectivityTracker& tracker,
                const ConstraintSet* cs)
       : cs_(cs) {
     if (cs_ == nullptr) return;
-    const PartId k = p.k();
+    const PartId k = tracker.k();
     groups_of_.assign(g.num_nodes(), {});
     weights_.assign(cs_->num_constraints() * k, 0);
     k_ = k;
     for (std::size_t j = 0; j < cs_->num_constraints(); ++j) {
       for (const NodeId v : cs_->group(j).nodes) {
         groups_of_[v].push_back(static_cast<std::uint32_t>(j));
-        weights_[j * k + p[v]] += g.node_weight(v);
+        weights_[j * k + tracker.part_of(v)] += g.node_weight(v);
       }
     }
   }
@@ -104,7 +104,7 @@ Weight sync_fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
                       Partition& p, const BalanceConstraint& balance,
                       const FmConfig& cfg, unsigned threads) {
   HP_SPAN("fm");
-  const PartId k = p.k();
+  const PartId k = tracker.k();
   const Weight capacity = balance.capacity();
   std::uint64_t total_moved = 0;
 
@@ -194,7 +194,7 @@ Weight fm_refine(const Hypergraph& g, Partition& p,
 Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
                  Partition& p, const BalanceConstraint& balance,
                  const FmConfig& cfg) {
-  const PartId k = p.k();
+  const PartId k = tracker.k();
   const unsigned threads = cfg.threads == 0 ? default_threads() : cfg.threads;
   if (!tracker.gain_cache_enabled() ||
       tracker.gain_cache_metric() != cfg.metric) {
@@ -215,7 +215,7 @@ Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
     max_node_weight = std::max(max_node_weight, g.node_weight(v));
   }
   const Weight slack_capacity = balance.capacity() + max_node_weight;
-  GroupWeights groups(g, p, cfg.extra_constraints);
+  GroupWeights groups(g, tracker, cfg.extra_constraints);
   std::vector<std::uint8_t> locked(g.num_nodes(), 0);
   std::vector<AppliedMove> moves;
   // Addressable heap with exactly one entry per node, keyed by the node's

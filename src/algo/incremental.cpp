@@ -90,7 +90,6 @@ std::optional<Weight> delta_fm_refine(const Hypergraph& g,
       !rebalance_with_tracker(g, tracker, balance, cfg.metric, cfg.threads)) {
     return std::nullopt;
   }
-  p = tracker.to_partition();
   const Weight cost = fm_refine(g, tracker, p, balance, cfg);
   HP_COUNTER_ADD("delta_fm.runs", 1);
   return cost;

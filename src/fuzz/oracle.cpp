@@ -858,6 +858,15 @@ void incremental_leg(Checker& c) {
                   "incremental-infeasible",
                   "repartition failed but scratch multilevel succeeded: " +
                       out.error);
+          // The entry keeps its partition, and a tracker rebuilt from it.
+          std::string why;
+          c.check(session->verify_cache_integrity(&why), "incremental-cache",
+                  "cache diverged after an infeasible repartition: " + why);
+          const auto ev = session->evaluate(cfg, /*include_parts=*/true);
+          c.check(ev.ok && ev.parts.size() == shadow.num_nodes() &&
+                      ev.cost == before.cost,
+                  "incremental-evaluate",
+                  "evaluate after an infeasible repartition: " + ev.error);
         }
         return;  // dead end either way; the replay stops here too
       }

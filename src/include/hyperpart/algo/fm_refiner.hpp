@@ -65,13 +65,14 @@ struct FmConfig {
 Weight fm_refine(const Hypergraph& g, Partition& p,
                  const BalanceConstraint& balance, const FmConfig& cfg = {});
 
-/// Same, but runs on a caller-owned tracker that must already reflect `p`.
-/// Construction (and gain-cache fill) cost is paid by the caller exactly
-/// once, so drivers that already keep a tracker — and benchmarks that time
-/// construction as its own stage — don't rebuild it per refinement call.
-/// Enables the gain cache on the tracker when it is off or built for
-/// another metric. On return the tracker reflects the refined
-/// partition written to `p`.
+/// Same, but refines the assignment of a caller-owned tracker, which must
+/// be complete and balanced on entry. `p` is output only: its contents on
+/// entry are never read, and on return it holds the refined partition the
+/// tracker reflects. Construction (and gain-cache fill) cost is paid by the
+/// caller exactly once, so drivers that already keep a tracker — and
+/// benchmarks that time construction as its own stage — don't rebuild it
+/// per refinement call. Enables the gain cache on the tracker when it is
+/// off or built for another metric.
 Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
                  Partition& p, const BalanceConstraint& balance,
                  const FmConfig& cfg = {});

@@ -7,8 +7,8 @@
 //   connectivity:  Σ_e w(e) · (λ_e − 1)
 // For k = 2 the two metrics coincide. All hardness results in the paper
 // apply to both; algorithms here accept either. Every recount of λ_e below
-// (costs, cut lists, the service's per-net updates) goes through one
-// kernel, LambdaCounter; only the single-net is_cut_of has its own loop.
+// (costs, cut lists) goes through one kernel, LambdaCounter; only the
+// single-net is_cut_of has its own loop.
 
 #include <algorithm>
 #include <cstddef>

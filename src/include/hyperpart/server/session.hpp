@@ -7,8 +7,9 @@
 // address) plus a cache of partitioning results keyed by the request config
 // (k, ε, metric, seed). Each cache entry stores the final partition + cost
 // and a live ConnectivityTracker reflecting that partition — the state that
-// makes `repartition` after an `update` cheap. No coarse level outlives the
-// multilevel run that built it.
+// makes `repartition` after an `update` cheap. Every entry has a tracker,
+// and it mirrors the entry's partition on the current graph after every
+// operation. No coarse level outlives the multilevel run that built it.
 //
 // Concurrency model (enforced by the Server, asserted here):
 //   * at most ONE mutator (partition / repartition / update) per session at
@@ -24,22 +25,25 @@
 //     touched exclusively by the single admitted mutator, so readers never
 //     observe them — and commits results under a brief unique lock.
 //     `update` takes the unique lock for its whole critical section since
-//     it writes the graph itself. It patches the snapshots and the graph
-//     fingerprint by the touched terms only, so a weight-only update holds
-//     the lock for O(Δ) work per cache entry (Δ = the updated nodes plus
-//     the pins and k counts of the updated nets); a structural batch adds
-//     the graph's O(n + m + ρ) CSR rebuild.
+//     it writes the graph itself. It patches the trackers and the graph
+//     fingerprint by the touched terms only, then copies each tracker's
+//     cost and part weights into its entry's snapshot, so a weight-only
+//     update holds the lock for O(Δ + k) work per cache entry (Δ = the
+//     updated nodes plus the pins and k counts of the updated nets); a
+//     structural batch adds the graph's O(n + m + ρ) CSR rebuild.
 //
 // Two ladders (documented in DESIGN.md). `partition` answers from the cache
 // when a full run built the entry against the current graph content, and
 // otherwise runs multilevel_partition from scratch (overwriting a ΔFM
 // entry): no state survives between runs that could make its answer depend
 // on the update history. `repartition` reuses work:
-//   1. ΔFM  — change fraction ≤ kDeltaFmMaxFraction and a cached tracker
-//             exists: restore balance, boundary-FM on the tracker update()
-//             kept exact. No coarsening at all.
+//   1. ΔFM  — change fraction ≤ kDeltaFmMaxFraction: restore balance,
+//             boundary-FM on the tracker update() kept exact. No coarsening
+//             at all.
 //   2. full — fresh multilevel run (also the fallback whenever ΔFM fails to
-//             produce a feasible partition).
+//             produce a feasible partition; the entry's tracker is then
+//             rebuilt from its partition first, so an infeasible full run
+//             leaves the entry as it was).
 // Quality guard: ΔFM escalates rather than commit a result worse than
 // 3 · before + 4, where `before` is the cached partition's cost on the
 // current graph. Rung 2 is the same deterministic run as `partition`'s, so
@@ -51,13 +55,16 @@
 // Structural deltas (add_net / remove_net / add_pins / remove_pins) keep
 // the node set fixed: removed nets are tombstoned (empty pin list, weight
 // 0, id preserved), new nets append at ids m, m+1, …. Cached partitions
-// therefore stay complete across structural updates. Every cached tracker
-// is exact after every update: node-weight changes patch its part weights,
+// therefore stay complete across structural updates. Every tracker is
+// exact after every update: node-weight changes patch its part weights,
 // and every net whose pins or weight change goes through one net patch
 // (ConnectivityTracker::begin_net_patch / finish_net_patch), which
-// recounts only the touched and appended nets. Every successful update
-// bumps the session's monotone version(), echoed in all responses;
-// evaluate can pin an expected version (optimistic snapshot read).
+// recounts only the touched and appended nets. The tracker is the entry's
+// only incremental state: the readers' snapshot is a copy of its cost and
+// part weights, taken at every commit and at the end of every update.
+// Every successful update bumps the session's monotone version(), echoed
+// in all responses; evaluate can pin an expected version (optimistic
+// snapshot read).
 
 #include <atomic>
 #include <cstdint>
@@ -218,19 +225,16 @@ class GraphSession {
   /// weights (W_V, W_E of util/weight_budget.hpp) would exceed the weight
   /// budget, checked in O(Δ) against the maintained sums — including an
   /// add_pins that grows a heavy net without touching any weight. Every
-  /// change patches the graph fingerprint and each
-  /// entry's committed snapshot by the touched terms: a node-weight change
-  /// in O(1) per entry, an edge-weight change in O(|e|) per entry (λ_e is
-  /// counted over the entry's partition), a structural delta by
-  /// subtracting each touched net's old contribution before the rewrite
-  /// and adding the new one after. Node-weight changes also patch cached
-  /// trackers' part weights. The distinct existing nets that structural
-  /// deltas rewrite or edge-weight changes target go through ONE net patch
-  /// on every cached tracker (begin_net_patch before the graph mutates,
-  /// finish_net_patch after), so every tracker is exact afterwards.
-  /// Structural deltas are applied in the order given; appended nets take
-  /// ids m, m+1, … and cannot be targeted by other deltas of the same
-  /// batch. Bumps version() on success. Requires the mutator slot.
+  /// change patches the graph fingerprint by the touched terms. A
+  /// node-weight change patches every tracker's part weights in O(1). The
+  /// distinct existing nets that structural deltas rewrite or edge-weight
+  /// changes target go through ONE net patch on every tracker
+  /// (begin_net_patch before the graph mutates, finish_net_patch after),
+  /// so every tracker is exact afterwards; each entry's snapshot is then
+  /// copied from its tracker in O(k). Structural deltas are applied in the
+  /// order given; appended nets take ids m, m+1, … and cannot be targeted
+  /// by other deltas of the same batch. Bumps version() on success.
+  /// Requires the mutator slot.
   [[nodiscard]] UpdateOutcome update(
       std::span<const WeightUpdate> node_updates,
       std::span<const WeightUpdate> edge_updates,
@@ -256,15 +260,14 @@ class GraphSession {
     std::uint64_t seed = 0;
     Weight cost = 0;
     std::string method;
-    bool tracker_cached = false;
     bool current = false;  ///< built against the current graph content
   };
   [[nodiscard]] std::vector<EntryStats> entry_stats() const;
 
   /// Test/fuzz hook: recompute the graph fingerprint, both budget sums and
   /// every entry's snapshot from scratch and compare them with the
-  /// maintained values; rebuild every cached tracker and compare costs,
-  /// part weights, and λ values against the incremental state.
+  /// maintained values; rebuild every entry's tracker and compare costs,
+  /// part weights, pin counts and λ values against the incremental state.
   /// Returns false (with a reason) on the first mismatch.
   [[nodiscard]] bool verify_cache_integrity(std::string* why) const;
 
@@ -286,19 +289,21 @@ class GraphSession {
   static CacheKey key_of(const SessionConfig& cfg);
 
   /// An entry's committed partition measured on the *current* graph: its
-  /// cost under the entry's metric and its k part weights. update() keeps
-  /// the graph within the weight budget, so the cost stays below W_E and
-  /// every part weight below W_V, and the patched sums are exact Weights.
+  /// cost under the entry's metric and its k part weights, copied from the
+  /// entry's tracker under the unique lock (by commit and at the end of
+  /// update), so readers never touch the tracker itself.
   struct Snapshot {
     Weight cost = 0;
     std::vector<Weight> part_weights;
   };
 
   struct Entry {
-    std::unique_ptr<ConnectivityTracker> tracker;  ///< mirrors `partition`
+    /// Never null; mirrors `partition` on the current graph between
+    /// operations (only the admitted mutator touches it).
+    std::unique_ptr<ConnectivityTracker> tracker;
     Partition partition;
     Weight cost = 0;               ///< cost at commit time (stats reports it)
-    Snapshot live;                 ///< patched by every update; readers' view
+    Snapshot live;                 ///< copy of the tracker; readers' view
     std::string method;            ///< rung that produced `partition`
     std::uint64_t built_hash = 0;  ///< graph_hash_ at commit time
     std::uint64_t built_units = 0;  ///< change_units_ at commit time

@@ -396,7 +396,8 @@ json::Value Server::stats_response() {
         ev.set("seed", static_cast<std::int64_t>(e.seed));
         ev.set("cost", e.cost);
         ev.set("method", e.method);
-        ev.set("tracker_cached", e.tracker_cached);
+        // Every entry keeps a tracker; the field stays for old clients.
+        ev.set("tracker_cached", true);
         ev.set("current", e.current);
         entries.push_back(std::move(ev));
       }
@@ -409,8 +410,8 @@ json::Value Server::stats_response() {
   for (const char* name :
        {"server.cache_hits", "server.cache_misses",
         "server.repartition.delta_fm", "server.repartition.full",
-        "server.updates", "server.structural_updates",
-        "server.tracker_patches"}) {
+        "server.repartition.quality_fallbacks", "server.updates",
+        "server.structural_updates", "server.tracker_patches"}) {
     counters.set(name, hp::obs::counter(name));
   }
   out.set("counters", std::move(counters));

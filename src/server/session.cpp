@@ -176,7 +176,7 @@ PartitionOutcome GraphSession::repartition(const SessionConfig& cfg,
   const BalanceConstraint balance = balance_for(cfg);
 
   // Rung 1: ΔFM on the cached tracker.
-  if (frac <= kDeltaFmMaxFraction && e.tracker) {
+  if (frac <= kDeltaFmMaxFraction) {
     // Quality-guard baseline: the cached partition's cost on the *current*
     // graph. update() keeps every tracker exact, so this is O(1).
     const Weight before = e.tracker->cost(cfg.metric);
@@ -198,11 +198,13 @@ PartitionOutcome GraphSession::repartition(const SessionConfig& cfg,
       HP_COUNTER_ADD("server.repartition.delta_fm", 1);
       return outcome_from(e, cfg, "delta_fm", true, frac, include_parts);
     }
-    // ΔFM failed or was rejected; the tracker was left in a perturbed state
-    // that no longer matches e.partition. Drop it, so an infeasible full run
-    // below cannot leave it cached.
+    // ΔFM failed or was rejected and left the tracker perturbed. Rebuild it
+    // from e.partition, so the entry still mirrors its partition when the
+    // full run below is infeasible.
+    auto rebuilt = std::make_unique<ConnectivityTracker>(g_, e.partition,
+                                                         cfg.threads);
     std::unique_lock lock(mu_);
-    e.tracker.reset();
+    e.tracker = std::move(rebuilt);
   }
 
   // Rung 2: full multilevel.
@@ -384,25 +386,15 @@ UpdateOutcome GraphSession::update(std::span<const WeightUpdate> node_updates,
   }
 
   std::unique_lock lock(mu_);
-  // Everything below patches the fingerprint and the snapshots by the
-  // touched terms only; the new fingerprint is published once at the end.
+  // Everything below patches the fingerprint and the trackers by the
+  // touched terms only; the new fingerprint and every entry's snapshot are
+  // published once at the end.
   std::uint64_t hash = graph_hash_;
-  // One λ table serves every entry: it is sized for the largest k.
-  PartId max_k = 0;
-  for (const auto& [key, entry] : cache_) {
-    max_k = std::max(max_k, entry.partition.k());
-  }
-  LambdaCounter lambda(max_k);
-  // Moves the fingerprint and every entry's snapshot cost by net e's
-  // current terms: sign -1 before e changes, +1 after.
+  // Moves the fingerprint by net e's current term: sign -1 before e
+  // changes, +1 after.
   const auto account_net = [&](EdgeId e, int sign) {
     const std::uint64_t term = net_term(e, g_.edge_weight(e), g_.pins(e));
     hash = sign > 0 ? hash + term : hash - term;
-    for (auto& [key, entry] : cache_) {
-      entry.live.cost +=
-          sign * net_cost(g_.edge_weight(e), lambda(g_, entry.partition, e),
-                          key.metric);
-    }
   };
 
   for (const WeightUpdate& u : node_updates) {
@@ -412,18 +404,16 @@ UpdateOutcome GraphSession::update(std::span<const WeightUpdate> node_updates,
     if (delta == 0) continue;
     hash += node_term(u.id, u.weight) - node_term(u.id, old);
     // Node weights never enter pin counts, λ, costs, or the gain cache —
-    // patching the part weights keeps every snapshot and tracker exact.
+    // patching the part weights keeps every tracker exact.
     for (auto& [key, entry] : cache_) {
-      const PartId q = entry.partition[u.id];
-      if (q < entry.partition.k()) entry.live.part_weights[q] += delta;
-      if (entry.tracker) entry.tracker->apply_node_weight_delta(u.id, delta);
+      entry.tracker->apply_node_weight_delta(u.id, delta);
     }
   }
 
   // One net patch for every existing net whose pins or weight change:
-  // subtract its terms while the old pins, weight and λ are live, mutate,
-  // then add the new terms back — in the fingerprint, in every snapshot and
-  // in every tracker. Appended nets only enter at the end.
+  // subtract its fingerprint term and open the trackers' patch while the
+  // old pins and weight are live, mutate, then close the patch and add the
+  // new terms back. Appended nets only enter at the end.
   if (!structural.empty() || !edge_updates.empty()) {
     std::vector<EdgeId> patched;
     for (const auto& [e, w] : net_final) patched.push_back(e);
@@ -431,7 +421,6 @@ UpdateOutcome GraphSession::update(std::span<const WeightUpdate> node_updates,
     hash -= shape_term(g_.num_nodes(), m_before);
     for (const EdgeId e : patched) account_net(e, -1);
     for (auto& [key, entry] : cache_) {
-      if (!entry.tracker) continue;
       entry.tracker->begin_net_patch(patched);
       ++out.trackers_patched;
     }
@@ -455,13 +444,18 @@ UpdateOutcome GraphSession::update(std::span<const WeightUpdate> node_updates,
       g_.update_edge_weight(u.id, u.weight);
     }
     for (auto& [key, entry] : cache_) {
-      if (entry.tracker) entry.tracker->finish_net_patch(patched);
+      entry.tracker->finish_net_patch(patched);
     }
     hash += shape_term(g_.num_nodes(), g_.num_edges());
     for (const EdgeId e : patched) account_net(e, +1);
     for (EdgeId e = m_before; e < g_.num_edges(); ++e) account_net(e, +1);
     HP_COUNTER_ADD("server.tracker_patches",
                    static_cast<std::int64_t>(out.trackers_patched));
+  }
+  // Every tracker is exact again: republish the readers' snapshots.
+  for (auto& [key, entry] : cache_) {
+    entry.live.cost = entry.tracker->cost(key.metric);
+    entry.live.part_weights = entry.tracker->part_weights();
   }
   total_weight_ = node_sum.value();
   net_load_ = net_sum.value();
@@ -521,7 +515,6 @@ std::vector<GraphSession::EntryStats> GraphSession::entry_stats() const {
     s.seed = key.seed;
     s.cost = e.cost;
     s.method = e.method;
-    s.tracker_cached = e.tracker != nullptr;
     s.current = e.built_hash == graph_hash_;
     stats.push_back(std::move(s));
   }
@@ -569,7 +562,6 @@ bool GraphSession::verify_cache_integrity(std::string* why) const {
       }
       return false;
     }
-    if (!e.tracker) continue;
     const ConnectivityTracker fresh(g_, e.partition);
     for (PartId q = 0; q < fresh.k(); ++q) {
       if (fresh.part_weight(q) != e.tracker->part_weight(q)) {

@@ -34,6 +34,7 @@
 #include "hyperpart/core/metrics.hpp"
 #include "hyperpart/io/generators.hpp"
 #include "hyperpart/obs/json.hpp"
+#include "hyperpart/obs/telemetry.hpp"
 #include "hyperpart/server/protocol.hpp"
 #include "hyperpart/server/server.hpp"
 #include "hyperpart/server/session.hpp"
@@ -260,6 +261,37 @@ TEST(SessionTest, RepartitionRunsDeltaFmAfterSmallUpdate) {
   s->release_mutator();
 
   std::string why;
+  EXPECT_TRUE(s->verify_cache_integrity(&why)) << why;
+}
+
+TEST(SessionTest, RepartitionAfterInfeasibleRepartitionKeepsExactTracker) {
+  // A failed ΔFM followed by an infeasible full run leaves the entry with
+  // its old partition; its tracker must be rebuilt from that partition, so
+  // later updates patch it and the next repartition can still run ΔFM.
+  auto s = session_of(1000, 43);
+  const SessionConfig cfg = small_cfg();
+  const Hypergraph probe = random_hypergraph(1000, 1000, 2, 6, 43);
+  ASSERT_TRUE(s->try_acquire_mutator());
+  ASSERT_TRUE(s->partition(cfg, false).ok);
+  std::string why;
+
+  const std::vector<WeightUpdate> heavy = {{0, 100000}};
+  ASSERT_TRUE(s->update(heavy, {}).ok);
+  const auto failed = s->repartition(cfg, false);
+  EXPECT_FALSE(failed.ok);
+  EXPECT_TRUE(s->verify_cache_integrity(&why)) << why;
+
+  const std::vector<WeightUpdate> back = {{0, probe.node_weight(0)},
+                                          {1, probe.node_weight(1) + 1}};
+  ASSERT_TRUE(s->update(back, {}).ok);
+  EXPECT_TRUE(s->evaluate(cfg).ok);
+  EXPECT_TRUE(s->verify_cache_integrity(&why)) << why;
+
+  const auto re = s->repartition(cfg, false);
+  EXPECT_TRUE(re.ok) << re.error;
+  EXPECT_EQ(re.method, "delta_fm");
+  EXPECT_TRUE(re.balanced);
+  s->release_mutator();
   EXPECT_TRUE(s->verify_cache_integrity(&why)) << why;
 }
 
@@ -1206,6 +1238,77 @@ TEST(ServerTest, LoadPartitionUpdateRepartitionOverSocket) {
   const auto stats = rpc(fd, req("stats"));
   ASSERT_TRUE(ok_of(stats)) << error_of(stats);
   EXPECT_GE(stats->find("requests_served")->as_int(), 5);
+  ::close(fd);
+}
+
+TEST(ServerTest, StatsCountsQualityFallbackWithTelemetryOn) {
+  // Two components of 10 unit nodes, each under one net of weight 10, at
+  // k = 2: the cached bisection costs 0. Node 0 at weight 20 pushes its
+  // component past capacity, so ΔFM must cut its net (cost ≥ 10 > 3 · 0 + 4)
+  // and the quality guard escalates to a full run.
+  struct ScopedTelemetry {
+    ScopedTelemetry() {
+      obs::reset();
+      obs::set_enabled(true);
+    }
+    ~ScopedTelemetry() {
+      obs::set_enabled(false);
+      obs::reset();
+    }
+  } telemetry;
+  RunningServer rs;
+  std::vector<std::vector<NodeId>> pins(2);
+  for (NodeId v = 0; v < 20; ++v) pins[v / 10].push_back(v);
+  Hypergraph g = Hypergraph::from_edges(20, pins);
+  g.set_edge_weights({10, 10});
+  const std::string graph_path = (rs.dir.path / "two.hpb").string();
+  stream::write_binary_file(graph_path, g);
+  const int fd = connect_unix(rs.sock);
+  ASSERT_GE(fd, 0);
+
+  json::Value load = req("load");
+  load.set("path", json::Value(graph_path));
+  const auto loaded = rpc(fd, load);
+  ASSERT_TRUE(ok_of(loaded)) << error_of(loaded);
+  const std::string graph = loaded->find("graph")->as_string();
+
+  const auto at_k2 = [&](const std::string& op) {
+    json::Value r = req(op);
+    r.set("graph", json::Value(graph));
+    r.set("k", json::Value(std::int64_t{2}));
+    r.set("epsilon", json::Value(0.1));
+    return rpc(fd, r);
+  };
+  const auto first = at_k2("partition");
+  ASSERT_TRUE(ok_of(first)) << error_of(first);
+  ASSERT_EQ(first->find("cost")->as_int(), 0);
+
+  json::Value update = req("update");
+  update.set("graph", json::Value(graph));
+  json::Array nw;
+  json::Array pair_v;
+  pair_v.push_back(json::Value(std::int64_t{0}));
+  pair_v.push_back(json::Value(std::int64_t{20}));
+  nw.push_back(json::Value(std::move(pair_v)));
+  update.set("node_weights", json::Value(std::move(nw)));
+  ASSERT_TRUE(ok_of(rpc(fd, update)));
+
+  const auto re = at_k2("repartition");
+  ASSERT_TRUE(ok_of(re)) << error_of(re);
+  EXPECT_EQ(re->find("method")->as_string(), "full");
+
+  const auto stats = rpc(fd, req("stats"));
+  ASSERT_TRUE(ok_of(stats)) << error_of(stats);
+  const json::Value* counters = stats->find("counters");
+  ASSERT_NE(counters, nullptr);
+  const auto count = [&](const char* name) -> std::int64_t {
+    const json::Value* c = counters->find(name);
+    return c == nullptr ? -1 : c->as_int();
+  };
+  EXPECT_EQ(count("server.repartition.quality_fallbacks"), 1);
+  EXPECT_EQ(count("server.repartition.full"), 1);
+  EXPECT_EQ(count("server.repartition.delta_fm"), 0);
+  EXPECT_EQ(count("server.cache_misses"), 2);
   ::close(fd);
 }
 
