@@ -60,8 +60,7 @@ void run_workload(hp::bench::CaseContext& ctx, const char* name,
   }
   {
     Timer t;
-    const auto p =
-        greedy_growing_partition(g, balance, CostMetric::kConnectivity, 2);
+    const auto p = greedy_growing_partition(g, balance, 2);
     report("greedy growing", p, t.millis());
   }
   {

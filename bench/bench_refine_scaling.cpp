@@ -58,8 +58,7 @@ HP_BENCH_CASE(engine_scaling,
       // initial partition (what the multilevel driver hands to FM), not a
       // random assignment — the boundary structure of the start partition
       // is what the boundary-driven engine exploits.
-      const auto start = greedy_growing_partition(
-          g, balance, CostMetric::kConnectivity, 7);
+      const auto start = greedy_growing_partition(g, balance, 7);
       if (!ctx.check(start.has_value(),
                      "greedy start exists at n=" + std::to_string(n) +
                          " k=" + std::to_string(k))) {
@@ -165,8 +164,7 @@ HP_BENCH_CASE(kernel_microbench,
 
   for (const PartId k : {PartId{8}, PartId{128}}) {
     const auto balance = BalanceConstraint::for_graph(g, k, 0.1, true);
-    const auto start =
-        greedy_growing_partition(g, balance, CostMetric::kConnectivity, 7);
+    const auto start = greedy_growing_partition(g, balance, 7);
     if (!ctx.check(start.has_value(),
                    "greedy start exists at k=" + std::to_string(k))) {
       continue;
@@ -325,8 +323,7 @@ HP_BENCH_CASE(thread_sweep,
   const EdgeId m = n;
   const Hypergraph g = random_hypergraph(n, m, 2, 8, 4242);
   const auto balance = BalanceConstraint::for_graph(g, k, 0.1, true);
-  const auto start =
-      greedy_growing_partition(g, balance, CostMetric::kConnectivity, 7);
+  const auto start = greedy_growing_partition(g, balance, 7);
   if (!ctx.check(start.has_value(), "greedy start exists")) return;
 
   bench::banner("Parallel engine thread sweep (coarsen + sync-FM)");

@@ -464,8 +464,7 @@ inline int child_main(int argc, char** argv) {
         g, static_cast<PartId>(*k), *eps, true);
     const std::optional<Partition> p =
         algo == "greedy"
-            ? greedy_growing_partition(g, balance, CostMetric::kConnectivity,
-                                       7)
+            ? greedy_growing_partition(g, balance, 7)
             : multilevel_partition(g, balance, MultilevelConfig{});
     if (!p) return 1;
     cost_out = cost(g, *p, CostMetric::kConnectivity);

@@ -90,6 +90,28 @@ struct AppliedMove {
   return x;
 }
 
+// The target rule of both modes: among the parts q ≠ part(v) whose cached
+// gain equals `key`, the one of lowest tie_rank(v, q) that `fits` accepts,
+// or k when `fits` rejects them all. The rank test runs before the fit
+// test, so only a part that would win the tie is checked for fit.
+template <class Fits>
+[[nodiscard]] PartId pick_target(const ConnectivityTracker& tracker, NodeId v,
+                                 Weight key, Fits&& fits) {
+  const PartId k = tracker.k();
+  const PartId from = tracker.part_of(v);
+  PartId best_q = k;
+  std::uint64_t best_r = 0;
+  for (PartId q = 0; q < k; ++q) {
+    if (q == from || tracker.cached_gain(v, q) != key) continue;
+    const std::uint64_t rq = tie_rank(v, q);
+    if (best_q != k && rq >= best_r) continue;
+    if (!fits(q)) continue;
+    best_q = q;
+    best_r = rq;
+  }
+  return best_q;
+}
+
 // Fixed chunk grain for the synchronous propose phase. Boundary snapshots
 // are much smaller than the node count, so a finer grain than kStableGrain
 // keeps mid-size levels from collapsing into a single chunk. Never derived
@@ -97,9 +119,17 @@ struct AppliedMove {
 // snapshot size.
 constexpr std::uint64_t kSyncProposeGrain = 1024;
 
-/// Synchronous-round mode: propose in parallel against frozen
-/// state, commit sequentially in (gain desc, node id asc) order through
-/// the tracker's revalidating batch API. See the header for the contract.
+/// One proposal of a synchronous round, with the gain it was computed
+/// with against the round's frozen state.
+struct Proposal {
+  NodeId node;
+  PartId to;
+  Weight gain;
+};
+
+/// Synchronous-round mode: propose in parallel against frozen state,
+/// commit sequentially in (gain desc, node id asc) order, revalidating
+/// each proposal against the live state. See the header for the contract.
 Weight sync_fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
                       Partition& p, const BalanceConstraint& balance,
                       const FmConfig& cfg, unsigned threads) {
@@ -109,8 +139,8 @@ Weight sync_fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
   std::uint64_t total_moved = 0;
 
   std::vector<NodeId> snapshot;
-  std::vector<std::vector<BatchMove>> chunk_out;
-  std::vector<BatchMove> candidates;
+  std::vector<std::vector<Proposal>> chunk_out;
+  std::vector<Proposal> candidates;
   for (int round = 0; round < kMaxSyncRounds; ++round) {
     const auto& boundary = tracker.boundary_nodes();
     if (boundary.empty()) break;
@@ -133,23 +163,14 @@ Weight sync_fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
             const NodeId v = snapshot[i];
             const Weight gain = tracker.cached_best_gain(v);
             if (gain <= 0) continue;  // only strict improvements move
-            // Deterministic target among the parts attaining the best
-            // gain, pre-filtered against the FROZEN part weights under the
-            // hard capacity (no transient slack: nothing rolls back here).
-            const PartId from = tracker.part_of(v);
+            // Pre-filtered against the FROZEN part weights under the hard
+            // capacity (no transient slack: nothing rolls back here).
             const Weight vw = g.node_weight(v);
-            PartId best_q = k;
-            std::uint64_t best_r = 0;
-            for (PartId q = 0; q < k; ++q) {
-              if (q == from || tracker.cached_gain(v, q) != gain) continue;
-              const std::uint64_t rq = tie_rank(v, q);
-              if (best_q != k && rq >= best_r) continue;
-              if (tracker.part_weight(q) + vw > capacity) continue;
-              best_q = q;
-              best_r = rq;
-            }
-            if (best_q == k) continue;
-            out.push_back({v, best_q, gain});
+            const PartId to = pick_target(tracker, v, gain, [&](PartId q) {
+              return tracker.part_weight(q) + vw <= capacity;
+            });
+            if (to == k) continue;
+            out.push_back({v, to, gain});
           }
         });
     candidates.clear();
@@ -161,17 +182,28 @@ Weight sync_fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
     // Nodes appear at most once (one best move per boundary node), so the
     // key is total and the sort needs no stability.
     std::sort(candidates.begin(), candidates.end(),
-              [](const BatchMove& a, const BatchMove& b) noexcept {
+              [](const Proposal& a, const Proposal& b) noexcept {
                 return a.gain != b.gain ? a.gain > b.gain : a.node < b.node;
               });
-    const BatchCommitResult res =
-        tracker.apply_batch(candidates, capacity, /*min_gain=*/1);
+    // Revalidate each proposal against the LIVE state right before it
+    // applies: earlier commits of this round may have changed its gain or
+    // its target's headroom. The cached gain is exact, so this is the
+    // decision a sequential pass re-examining the node now would make.
+    std::uint64_t moved = 0;
+    for (const Proposal& m : candidates) {
+      if (tracker.cached_gain(m.node, m.to) <= 0 ||
+          tracker.part_weight(m.to) + g.node_weight(m.node) > capacity) {
+        continue;
+      }
+      tracker.move(m.node, m.to);
+      ++moved;
+    }
     HP_COUNTER_ADD("fm.sync_rounds", 1);
-    HP_COUNTER_ADD("fm.sync_moved", static_cast<std::int64_t>(res.applied));
+    HP_COUNTER_ADD("fm.sync_moved", static_cast<std::int64_t>(moved));
     HP_COUNTER_ADD("fm.sync_conflicted",
-                   static_cast<std::int64_t>(res.conflicted));
-    total_moved += res.applied;
-    if (res.applied == 0) break;  // every survivor went stale: converged
+                   static_cast<std::int64_t>(candidates.size() - moved));
+    total_moved += moved;
+    if (moved == 0) break;  // every survivor went stale: converged
   }
 
   HP_COUNTER_ADD("fm.moves_applied", static_cast<std::int64_t>(total_moved));
@@ -234,22 +266,11 @@ Weight fm_refine(const Hypergraph& g, ConnectivityTracker& tracker,
   // is infeasible right now; the node simply rejoins the heap the next
   // time one of its gains changes.
   const auto select_target = [&](NodeId v, Weight key) -> PartId {
-    const PartId from = tracker.part_of(v);
     const Weight vw = g.node_weight(v);
-    PartId best_q = k;
-    std::uint64_t best_r = 0;
-    for (PartId q = 0; q < k; ++q) {
-      if (q == from || tracker.cached_gain(v, q) != key) continue;
-      const std::uint64_t rq = tie_rank(v, q);
-      if (best_q != k && rq >= best_r) continue;
-      if (tracker.part_weight(q) + vw > slack_capacity ||
-          !groups.move_feasible(g, v, q)) {
-        continue;
-      }
-      best_q = q;
-      best_r = rq;
-    }
-    return best_q;
+    return pick_target(tracker, v, key, [&](PartId q) {
+      return tracker.part_weight(q) + vw <= slack_capacity &&
+             groups.move_feasible(g, v, q);
+    });
   };
   const auto all_balanced = [&]() {
     for (PartId q = 0; q < k; ++q) {

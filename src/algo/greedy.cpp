@@ -93,9 +93,8 @@ std::optional<Partition> random_balanced_partition(
 }
 
 std::optional<Partition> greedy_growing_partition(
-    const Hypergraph& g, const BalanceConstraint& balance, CostMetric metric,
+    const Hypergraph& g, const BalanceConstraint& balance,
     std::uint64_t seed) {
-  (void)metric;  // gain below is the cut-oriented growing score for both
   const PartId k = balance.k();
   const NodeId n = g.num_nodes();
   const Weight capacity = balance.capacity();

@@ -1,6 +1,6 @@
 #include "hyperpart/algo/incremental.hpp"
 
-#include <algorithm>
+#include <vector>
 
 #include "hyperpart/obs/telemetry.hpp"
 
@@ -12,22 +12,38 @@ namespace {
 /// updates pushed some parts over capacity. Deterministic greedy: while a
 /// part exceeds capacity, move the cheapest node out of the most-overweight
 /// part (max cached gain, ties → lowest node id, then lowest target part)
-/// into the lightest part that can accept it. Zero-weight nodes are never
-/// moved (they cannot reduce the excess). Enables the tracker's gain cache
-/// for `metric` if it is missing or built for the other metric. Returns
-/// false when no sequence of single-node moves can restore feasibility
-/// (e.g. one node alone exceeds the capacity); the tracker is left in
-/// whatever improved-but-infeasible state the loop reached.
+/// into a part that can accept it. Zero-weight nodes are never moved (they
+/// cannot reduce the excess). Returns true at once, gain cache untouched,
+/// when no part is over capacity; otherwise enables the tracker's gain
+/// cache for `metric` if it is missing or built for the other metric.
+/// Returns false when no sequence of single-node moves can restore
+/// feasibility (e.g. one node alone exceeds the capacity); the tracker is
+/// left in whatever improved-but-infeasible state the loop reached.
 bool rebalance_with_tracker(const Hypergraph& g, ConnectivityTracker& tracker,
                             const BalanceConstraint& balance, CostMetric metric,
                             unsigned threads) {
-  HP_SPAN("rebalance");
   const PartId k = tracker.k();
   const Weight capacity = balance.capacity();
+  std::vector<std::uint8_t> over(k, 0);
+  bool any_over = false;
+  for (PartId q = 0; q < k; ++q) {
+    over[q] = tracker.part_weight(q) > capacity;
+    any_over |= over[q] != 0;
+  }
+  if (!any_over) return true;
+  HP_SPAN("rebalance");
   if (!tracker.gain_cache_enabled() || tracker.gain_cache_metric() != metric) {
     tracker.enable_gain_cache(metric, threads);
   }
-  const NodeId n = g.num_nodes();
+  // Moves only leave parts over capacity and only enter parts that stay
+  // within it, so every node an eviction can pick is listed here, once and
+  // in id order.
+  std::vector<NodeId> candidates;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (over[tracker.part_of(v)] && g.node_weight(v) != 0) {
+      candidates.push_back(v);
+    }
+  }
   for (;;) {
     // Most-overweight part, ties broken toward the lowest id so the move
     // sequence is a pure function of the tracker state.
@@ -48,10 +64,14 @@ bool rebalance_with_tracker(const Hypergraph& g, ConnectivityTracker& tracker,
     NodeId best_v = kInvalidNode;
     PartId best_q = kInvalidPart;
     Weight best_gain = 0;
-    for (NodeId v = 0; v < n; ++v) {
+    for (const NodeId v : candidates) {
       if (tracker.part_of(v) != from) continue;
+      // v's best gain bounds all its targets, and on a tie the incumbent
+      // keeps its lower id: v cannot win.
+      if (best_v != kInvalidNode && tracker.cached_best_gain(v) <= best_gain) {
+        continue;
+      }
       const Weight w = g.node_weight(v);
-      if (w == 0) continue;  // moving it cannot reduce the excess
       for (PartId q = 0; q < k; ++q) {
         if (q == from) continue;
         if (tracker.part_weight(q) + w > capacity) continue;
@@ -78,16 +98,7 @@ std::optional<Weight> delta_fm_refine(const Hypergraph& g,
                                       const BalanceConstraint& balance,
                                       const FmConfig& cfg) {
   HP_SPAN("delta_fm");
-  const Weight capacity = balance.capacity();
-  bool feasible = true;
-  for (PartId q = 0; q < tracker.k(); ++q) {
-    if (tracker.part_weight(q) > capacity) {
-      feasible = false;
-      break;
-    }
-  }
-  if (!feasible &&
-      !rebalance_with_tracker(g, tracker, balance, cfg.metric, cfg.threads)) {
+  if (!rebalance_with_tracker(g, tracker, balance, cfg.metric, cfg.threads)) {
     return std::nullopt;
   }
   const Weight cost = fm_refine(g, tracker, p, balance, cfg);

@@ -68,8 +68,7 @@ namespace {
         std::optional<Partition>& candidate = candidates[attempt];
         candidate =
             attempt % 2 == 0
-                ? greedy_growing_partition(coarsest, balance, cfg.metric,
-                                           seeds[attempt])
+                ? greedy_growing_partition(coarsest, balance, seeds[attempt])
                 : random_balanced_partition(coarsest, balance,
                                             seeds[attempt]);
         if (candidate) {

@@ -437,51 +437,33 @@ void ConnectivityTracker::apply_connectivity_deltas(EdgeId e, NodeId u,
   }
 }
 
-void ConnectivityTracker::remove_cut_contributions(EdgeId e, NodeId u) {
-  // Pre-move state: strip e's cut-metric contributions from every pin
-  // except the mover (whose row is rebuilt from scratch afterwards).
+void ConnectivityTracker::apply_cut_contributions(EdgeId e, NodeId u,
+                                                  Weight sign) {
+  // e's cut-metric contributions to every pin except the mover (whose row
+  // is rebuilt from scratch afterwards): sign −1 strips them from the
+  // pre-move state, +1 adds them for the post-move state.
   const Weight w = g_.edge_weight(e);
-  const std::uint32_t* counts = counts_.data();
-  const std::size_t base = static_cast<std::size_t>(e) * k_;
   const PartId l = lambda_[e];
   if (l == 1) {
     for (const NodeId x : g_.pins(e)) {
       if (x == u) continue;
-      aux_[x].penalty -= w;
+      aux_[x].penalty += sign * w;
       touch(x);
     }
   } else if (l == 2) {
+    const std::uint32_t* row =
+        counts_.data() + static_cast<std::size_t>(e) * k_;
     const auto [a, b] = two_present_parts(e);
     for (const NodeId x : g_.pins(e)) {
       if (x == u) continue;
       const PartId px = part_[x];
-      if (counts[base + px] == 1) {
-        benefit_sub(x, px == a ? b : a, w);
-        touch(x);
-      }
-    }
-  }
-}
-
-void ConnectivityTracker::add_cut_contributions(EdgeId e, NodeId u) {
-  // Post-move state: mirror of remove_cut_contributions.
-  const Weight w = g_.edge_weight(e);
-  const std::uint32_t* counts = counts_.data();
-  const std::size_t base = static_cast<std::size_t>(e) * k_;
-  const PartId l = lambda_[e];
-  if (l == 1) {
-    for (const NodeId x : g_.pins(e)) {
-      if (x == u) continue;
-      aux_[x].penalty += w;
-      touch(x);
-    }
-  } else if (l == 2) {
-    const auto [a, b] = two_present_parts(e);
-    for (const NodeId x : g_.pins(e)) {
-      if (x == u) continue;
-      const PartId px = part_[x];
-      if (counts[base + px] == 1) {
-        benefit_add(x, px == a ? b : a, w);
+      if (row[px] == 1) {
+        const PartId other = px == a ? b : a;
+        if (sign < 0) {
+          benefit_sub(x, other, w);
+        } else {
+          benefit_add(x, other, w);
+        }
         touch(x);
       }
     }
@@ -540,10 +522,8 @@ void ConnectivityTracker::update_boundary_after_lambda_change(EdgeId e,
 
 void ConnectivityTracker::move_with_cache(NodeId u, PartId to) {
   const PartId from = part_[u];
-  if (!batch_active_) {  // apply_batch owns the epoch for the whole batch
-    ++epoch_;
-    touched_.clear();
-  }
+  ++epoch_;
+  touched_.clear();
   touch(u);
   const bool conn = cache_metric_ == CostMetric::kConnectivity;
   // The delta rules below write scattered benefit rows of this move's
@@ -553,15 +533,15 @@ void ConnectivityTracker::move_with_cache(NodeId u, PartId to) {
     for (const NodeId v : g_.pins(e)) prefetch_gain_row(v);
   }
   for (const EdgeId e : g_.incident_edges(u)) {
-    // The cut-metric rules act only on a net whose λ is ≤ 2 before (remove)
+    // The cut-metric rules act only on a net whose λ is ≤ 2 before (strip)
     // or after (add) the move; with λ ≥ 3 on both sides the net costs O(1).
     if (conn) {
       apply_connectivity_deltas(e, u, from, to);
     } else {
-      remove_cut_contributions(e, u);
+      apply_cut_contributions(e, u, -1);
     }
     const auto [l_before, l_after] = move_pin(e, from, to);
-    if (!conn) add_cut_contributions(e, u);
+    if (!conn) apply_cut_contributions(e, u, +1);
     update_boundary_after_lambda_change(e, l_before, l_after);
   }
   patch_part_weights(from, to, g_.node_weight(u));
@@ -578,39 +558,6 @@ std::pair<PartId, PartId> ConnectivityTracker::two_present_parts(
   PartId b = a + 1;
   while (row[b] == 0) ++b;
   return {a, b};
-}
-
-BatchCommitResult ConnectivityTracker::apply_batch(
-    std::span<const BatchMove> moves, Weight capacity, Weight min_gain) {
-  if (!cache_enabled_) {
-    throw std::logic_error(
-        "ConnectivityTracker::apply_batch requires an enabled gain cache");
-  }
-  BatchCommitResult result;
-  ++epoch_;
-  touched_.clear();
-  batch_active_ = true;
-  for (const BatchMove& m : moves) {
-    // Revalidate against the CURRENT state: earlier commits in this batch
-    // may have changed the gain or the balance headroom. The cached gain is
-    // exact, so this is the same accept/reject decision a sequential pass
-    // re-examining the node right now would make.
-    if (part_[m.node] == m.to) {
-      ++result.conflicted;
-      continue;
-    }
-    const Weight fresh = cached_gain(m.node, m.to);
-    if (fresh < min_gain ||
-        part_weight_[m.to] + g_.node_weight(m.node) > capacity) {
-      ++result.conflicted;
-      continue;
-    }
-    move_with_cache(m.node, m.to);
-    ++result.applied;
-    result.total_gain += fresh;
-  }
-  batch_active_ = false;
-  return result;
 }
 
 }  // namespace hp

@@ -1000,11 +1000,9 @@ OracleReport run_oracle(const FuzzInstance& inst, const OracleOptions& opts) {
   };
 
   c.leg("greedy", [&] {
-    const auto p = greedy_growing_partition(g, balance, inst.metric,
-                                            inst.seed ^ 0x9e37ULL);
+    const auto p = greedy_growing_partition(g, balance, inst.seed ^ 0x9e37ULL);
     if (p) record("greedy", *p);
-    const auto q = greedy_growing_partition(g, balance, inst.metric,
-                                            inst.seed ^ 0x9e37ULL);
+    const auto q = greedy_growing_partition(g, balance, inst.seed ^ 0x9e37ULL);
     c.check(p.has_value() == q.has_value() &&
                 (!p || same_assignment(*p, *q)),
             "determinism", "greedy differs between same-seed runs");

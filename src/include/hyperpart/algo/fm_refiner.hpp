@@ -23,11 +23,16 @@
 // style: each round snapshots the boundary, computes best-gain proposals
 // in parallel over fixed-grain chunks of the snapshot (pure functions of
 // the frozen tracker state), orders the surviving proposals by (gain desc,
-// node id asc), and commits them sequentially through
-// ConnectivityTracker::apply_batch, which revalidates every proposal
-// against the live state. Only strictly positive revalidated gains within
-// the hard capacity apply, so rounds are monotone, never unbalance the
-// partition, and produce a bit-identical result at any thread count.
+// node id asc), and commits them itself, one ConnectivityTracker::move at
+// a time, skipping a proposal whose live cached gain is no longer
+// positive or whose target would pass the hard capacity. Rounds are
+// therefore monotone, never unbalance the partition, and produce a
+// bit-identical result at any thread count.
+//
+// Both modes pick a node's target with one rule: among the parts attaining
+// the gain key, the lowest deterministic (node, part) tie rank that fits.
+// Rounds fit against the hard capacity; passes against the capacity plus
+// the heaviest node weight (their transient slack) and the extra groups.
 //
 // Pass patience, the pass-convergence threshold and the round cap are
 // constants in fm_refiner.cpp, not configuration.
@@ -53,7 +58,7 @@ struct FmConfig {
   /// Run synchronous rounds (see the file header) instead of sequential
   /// passes. Falls back to sequential passes when extra_constraints are set
   /// (group feasibility is stateful across moves and is not revalidated by
-  /// the batch commit). The choice of mode must never depend on the thread
+  /// the round's commit). The choice of mode must never depend on the thread
   /// count — callers gate it on instance size (e.g.
   /// MultilevelConfig::sync_fm_min_nodes) so results stay identical across
   /// thread counts.

@@ -10,7 +10,6 @@
 #include <optional>
 
 #include "hyperpart/core/balance.hpp"
-#include "hyperpart/core/metrics.hpp"
 #include "hyperpart/core/partition.hpp"
 
 namespace hp {
@@ -31,10 +30,11 @@ namespace hp {
 /// ties, taken from an addressable heap (O(log n) per touched node). With
 /// no positive-affinity node left that fits, a fitting node is drawn
 /// uniformly at random (in id order). The balance
-/// capacity is enforced throughout. Returns nullopt when no feasible
-/// assignment is found.
+/// capacity is enforced throughout. The affinity does not depend on the
+/// cost metric, so one growth serves both. Returns nullopt when no
+/// feasible assignment is found.
 [[nodiscard]] std::optional<Partition> greedy_growing_partition(
-    const Hypergraph& g, const BalanceConstraint& balance, CostMetric metric,
+    const Hypergraph& g, const BalanceConstraint& balance,
     std::uint64_t seed);
 
 }  // namespace hp

@@ -23,7 +23,13 @@
 //
 // where Φ(e,q) = pins_in_part(e,q). Only edges whose pin counts cross the
 // 0/1/2 thresholds (boundary edges) trigger pin rescans; interior moves on
-// large edges cost O(1) per edge.
+// large edges cost O(1) per edge. The cut-net rules of a net are one pin
+// walk run twice per move, stripping e's terms before the pin moves and
+// adding them back after.
+//
+// move() is the only way the assignment changes. Refiners decide which
+// moves to make and when to skip a stale one; FM's synchronous rounds
+// revalidate and commit their proposals through move() themselves.
 
 #include <span>
 #include <utility>
@@ -34,21 +40,6 @@
 #include "hyperpart/core/partition.hpp"
 
 namespace hp {
-
-/// One proposed move of a synchronous refinement round, carrying the gain
-/// it was computed with (against the round's frozen snapshot).
-struct BatchMove {
-  NodeId node;
-  PartId to;
-  Weight gain;
-};
-
-/// Outcome of ConnectivityTracker::apply_batch.
-struct BatchCommitResult {
-  std::uint64_t applied = 0;     ///< moves that survived revalidation
-  std::uint64_t conflicted = 0;  ///< skipped: stale gain or infeasible now
-  Weight total_gain = 0;         ///< exact cost decrease of applied moves
-};
 
 class ConnectivityTracker {
  public:
@@ -128,18 +119,6 @@ class ConnectivityTracker {
   /// tracker then equals ConnectivityTracker(g, to_partition()) in counts,
   /// λ, both costs and part weights, with no gain cache.
   void finish_net_patch(std::span<const EdgeId> touched);
-
-  /// Deterministic commit phase of a synchronous move round. Applies the
-  /// proposals in the given (already prioritized) order; each is
-  /// revalidated against the tracker's CURRENT state right before it
-  /// applies: the exact cached gain must still be ≥ `min_gain` and the
-  /// target part must stay within `capacity` — otherwise the proposal is
-  /// counted as conflicted and skipped, exactly as a sequential pass
-  /// re-examining the node would have rejected it. Requires an enabled
-  /// gain cache. last_move_touched() afterwards holds the union of nodes
-  /// whose cached gains changed across the whole batch (deduplicated).
-  BatchCommitResult apply_batch(std::span<const BatchMove> moves,
-                                Weight capacity, Weight min_gain = 1);
 
   // --- Gain cache & boundary set -----------------------------------------
 
@@ -233,8 +212,9 @@ class ConnectivityTracker {
   void benefit_add(NodeId v, PartId q, Weight w) noexcept;
   void benefit_sub(NodeId v, PartId q, Weight w) noexcept;
   void apply_connectivity_deltas(EdgeId e, NodeId u, PartId from, PartId to);
-  void remove_cut_contributions(EdgeId e, NodeId u);
-  void add_cut_contributions(EdgeId e, NodeId u);
+  /// Cut-metric rules of one net of a move: sign −1 before the pin
+  /// moves, +1 after.
+  void apply_cut_contributions(EdgeId e, NodeId u, Weight sign);
   void rebuild_mover_cache_row(NodeId u);
   void update_boundary_after_lambda_change(EdgeId e, PartId l_before,
                                            PartId l_after);
@@ -279,7 +259,6 @@ class ConnectivityTracker {
   std::vector<NodeId> boundary_;  // sparse set of boundary nodes
   std::vector<NodeId> touched_;   // gains changed by last move
   std::uint64_t epoch_ = 0;
-  bool batch_active_ = false;  // apply_batch: accumulate touched_ over moves
   // begin_net_patch .. finish_net_patch bracket: the edge
   // count at phase 1, so phase 2 knows which nets were appended in between.
   EdgeId patch_edges_before_ = kInvalidEdge;

@@ -39,8 +39,7 @@ TEST(Greedy, GrowingRespectsCapacity) {
   const Hypergraph g = random_hypergraph(30, 40, 2, 5, 2);
   for (PartId k : {2u, 3u, 4u}) {
     const auto balance = BalanceConstraint::for_graph(g, k, 0.1, true);
-    const auto p =
-        greedy_growing_partition(g, balance, CostMetric::kConnectivity, 7);
+    const auto p = greedy_growing_partition(g, balance, 7);
     ASSERT_TRUE(p.has_value());
     EXPECT_TRUE(p->complete());
     EXPECT_TRUE(balance.satisfied(g, *p));

@@ -100,8 +100,7 @@ std::optional<Partition> reference_greedy(const Hypergraph& g,
 /// Both implementations agree: both infeasible, or the same assignment.
 void expect_same(const Hypergraph& g, const BalanceConstraint& balance,
                  std::uint64_t seed, const std::string& what) {
-  const auto got =
-      greedy_growing_partition(g, balance, CostMetric::kConnectivity, seed);
+  const auto got = greedy_growing_partition(g, balance, seed);
   const auto want = reference_greedy(g, balance, seed);
   ASSERT_EQ(got.has_value(), want.has_value()) << what;
   if (!got) return;
@@ -214,8 +213,7 @@ TEST(GreedyReference, LargeNetDoesNotChangeTheResult) {
   for (const PartId k : {2u, 4u}) {
     const auto balance = BalanceConstraint::for_graph(small, k, 0.05, true);
     for (const std::uint64_t seed : {1u, 2u, 3u}) {
-      const auto got = greedy_growing_partition(
-          with_net, balance, CostMetric::kConnectivity, seed);
+      const auto got = greedy_growing_partition(with_net, balance, seed);
       const auto want = reference_greedy(small, balance, seed);
       ASSERT_TRUE(got && want);
       const auto a = got->raw();

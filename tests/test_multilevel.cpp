@@ -244,7 +244,7 @@ InitialTries replay_initial_tries(const Hypergraph& g,
   for (int attempt = 0; attempt < cfg.initial_tries; ++attempt) {
     std::optional<Partition> p =
         attempt % 2 == 0
-            ? greedy_growing_partition(coarsest, balance, cfg.metric, rng())
+            ? greedy_growing_partition(coarsest, balance, rng())
             : random_balanced_partition(coarsest, balance, rng());
     tries.costs.push_back(p ? fm_refine(coarsest, *p, balance, fm) : 0);
     tries.parts.push_back(std::move(p));

@@ -1,7 +1,7 @@
 // Tests for the deterministic parallel multilevel engine: clustering
-// coarsening conflict resolution, synchronous FM rounds, the tracker's
-// batch-commit API, and the fixed-grain thread-pool primitives they build
-// on.
+// coarsening conflict resolution, synchronous FM rounds and their
+// revalidating commit, and the fixed-grain thread-pool primitives they
+// build on.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +11,8 @@
 #include "hyperpart/algo/fm_refiner.hpp"
 #include "hyperpart/algo/greedy.hpp"
 #include "hyperpart/algo/multilevel.hpp"
-#include "hyperpart/core/connectivity_tracker.hpp"
 #include "hyperpart/io/generators.hpp"
+#include "hyperpart/obs/telemetry.hpp"
 #include "hyperpart/util/thread_pool.hpp"
 
 namespace hp {
@@ -150,58 +150,46 @@ TEST(SyncFm, MultilevelSyncPathIdenticalAcrossThreadCounts) {
   }
 }
 
-// --- ConnectivityTracker::apply_batch ---------------------------------------
-
-TEST(TrackerBatch, RevalidatesStaleAndDuplicateProposals) {
-  const Hypergraph g = random_hypergraph(60, 100, 2, 5, 3);
-  const auto balance = BalanceConstraint::for_graph(g, 2, 0.2, true);
-  const auto p = random_balanced_partition(g, balance, 7);
-  ASSERT_TRUE(p.has_value());
-  ConnectivityTracker tracker(g, *p);
-  tracker.enable_gain_cache(CostMetric::kConnectivity);
-
-  // Find a strictly improving move.
-  NodeId mover = kInvalidNode;
-  for (const NodeId v : tracker.boundary_nodes()) {
-    if (tracker.cached_best_gain(v) > 0) {
-      mover = v;
-      break;
-    }
-  }
-  if (mover == kInvalidNode) GTEST_SKIP() << "instance has no improving move";
-  const PartId to = tracker.cached_best_target(mover);
-  const Weight gain = tracker.cached_best_gain(mover);
-  const Weight before = tracker.connectivity_cost();
-
-  // The same proposal twice: the first applies, the duplicate is stale
-  // (the node already sits in its target) and must count as conflicted.
-  const std::vector<BatchMove> batch{{mover, to, gain}, {mover, to, gain}};
-  const BatchCommitResult res =
-      tracker.apply_batch(batch, balance.capacity());
-  EXPECT_EQ(res.applied, 1u);
-  EXPECT_EQ(res.conflicted, 1u);
-  EXPECT_EQ(res.total_gain, gain);
-  EXPECT_EQ(tracker.connectivity_cost(), before - gain);
-  EXPECT_EQ(tracker.part_of(mover), to);
+// Two proposals compete for one part's headroom. Part 1 holds nodes 2–5
+// at capacity 5, so it has room for one more unit node. Nodes 0 and 1 each
+// uncut their net by joining part 1 (gain 1 each), and both fit against the
+// round's frozen part weights. The commit applies node 0 (lower id on equal
+// gain) and must then skip node 1, whose target is now full.
+TEST(SyncFm, CommitRechecksCapacityBetweenProposals) {
+  const Hypergraph g = Hypergraph::from_edges(6, {{0, 2, 3}, {1, 4, 5}});
+  const auto balance = BalanceConstraint::with_capacity(2, 5);
+  Partition p{std::vector<PartId>{0, 0, 1, 1, 1, 1}, 2};
+  ASSERT_TRUE(balance.satisfied(g, p));
+  FmConfig cfg;
+  cfg.sync_rounds = true;
+  obs::reset();
+  obs::set_enabled(true);
+  const Weight after = fm_refine(g, p, balance, cfg);
+  const std::int64_t moved = obs::counter("fm.sync_moved");
+  const std::int64_t conflicted = obs::counter("fm.sync_conflicted");
+  obs::set_enabled(false);
+  obs::reset();
+  EXPECT_GE(conflicted, 1);
+  EXPECT_EQ(moved, 1);
+  EXPECT_TRUE(balance.satisfied(g, p));
+  EXPECT_EQ(after, cost(g, p, CostMetric::kConnectivity));
+  EXPECT_EQ(after, 1);
+  EXPECT_EQ(p[0], 1u);
+  EXPECT_EQ(p[1], 0u);
 }
 
-TEST(TrackerBatch, RejectsCapacityViolations) {
-  const Hypergraph g = random_hypergraph(40, 70, 2, 4, 9);
-  const auto balance = BalanceConstraint::for_graph(g, 2, 0.1, true);
-  const auto p = random_balanced_partition(g, balance, 3);
-  ASSERT_TRUE(p.has_value());
-  ConnectivityTracker tracker(g, *p);
-  tracker.enable_gain_cache(CostMetric::kConnectivity);
-  if (tracker.boundary_nodes().empty()) GTEST_SKIP() << "no boundary";
-  const NodeId v = tracker.boundary_nodes().front();
-  const PartId to = tracker.part_of(v) == 0 ? 1 : 0;
-  // A capacity the target cannot possibly satisfy forces a rejection even
-  // for an otherwise valid proposal.
-  const std::vector<BatchMove> batch{{v, to, tracker.cached_gain(v, to)}};
-  const BatchCommitResult res = tracker.apply_batch(batch, /*capacity=*/0,
-                                                    /*min_gain=*/-1000000);
-  EXPECT_EQ(res.applied, 0u);
-  EXPECT_EQ(res.conflicted, 1u);
+// Nodes 0 and 1 share one net across the two parts, so each proposes to
+// join the other (gain 1 each, both fit). Node 0 commits first; node 1's
+// proposal is then stale (its live gain is −1) and must be skipped.
+TEST(SyncFm, CommitSkipsProposalsAnEarlierCommitMadeStale) {
+  const Hypergraph g = Hypergraph::from_edges(2, {{0, 1}});
+  const auto balance = BalanceConstraint::with_capacity(2, 2);
+  Partition p{std::vector<PartId>{0, 1}, 2};
+  FmConfig cfg;
+  cfg.sync_rounds = true;
+  EXPECT_EQ(fm_refine(g, p, balance, cfg), 0);
+  EXPECT_EQ(p[0], 1u);
+  EXPECT_EQ(p[1], 1u);
 }
 
 // --- Fixed-grain thread-pool primitives -------------------------------------

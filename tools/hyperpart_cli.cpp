@@ -335,7 +335,7 @@ int main(int argc, char** argv) {
   } else if (algo == "rb") {
     partition = hp::recursive_bisection(graph, k, eps, cfg);
   } else if (algo == "greedy") {
-    partition = hp::greedy_growing_partition(graph, balance, metric, seed);
+    partition = hp::greedy_growing_partition(graph, balance, seed);
   } else if (algo == "random") {
     partition = hp::random_balanced_partition(graph, balance, seed);
   } else if (algo == "bnb") {
